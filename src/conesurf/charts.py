@@ -13,13 +13,32 @@ pair, all with unit-modulus coefficients.
 from __future__ import annotations
 
 import cmath
-import math
-from collections import deque
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._geom import angle_tol, fmt_float, is_turn_multiple, reduce_angle
+from ._geom import (
+    KERNEL_RANK_TOL,
+    KERNEL_RESIDUAL_TOL,
+    SOLUTION_RESIDUAL_TOL,
+    VEC_TOL,
+    angle_tol,
+    ccw_angle,
+    fmt_float,
+    is_turn_multiple,
+    reduce_angle,
+)
+from ._graph import (
+    adjacency,
+    bfs,
+    dual_bfs,
+    edge_vertices,
+    kruskal,
+    path_keys,
+    tree_keys,
+    vertex_edges,
+)
 from .errors import (
     AngleMismatch,
     ClosureViolation,
@@ -40,28 +59,9 @@ from .errors import (
 )
 from .surface import TWO_PI, FlatSurface
 
-KERNEL_RANK_TOL = 1e-8     # singular values below this fraction of the largest count as zero
-KERNEL_RESIDUAL_TOL = 1e-10
-SOLUTION_RESIDUAL_TOL = 1e-8
-
 
 # ---------------------------------------------------------------------------
 # forests
-
-
-def _edge_endpoints(surface, e):
-    return surface.origin(e), surface.origin(surface.twin(e))
-
-
-def _vertex_graph(surface):
-    adj = {v: [] for v in surface.vertex_ids}
-    for e in surface.edges():
-        a, b = _edge_endpoints(surface, e)
-        adj[a].append((e, b))
-        adj[b].append((e, a))
-    for v in adj:
-        adj[v].sort()
-    return adj
 
 
 def is_erasing(surface: FlatSurface, forest, return_witness: bool = False):
@@ -77,44 +77,24 @@ def is_erasing(surface: FlatSurface, forest, return_witness: bool = False):
     def result(ok, witness=None):
         return (ok, witness) if return_witness else ok
 
-    covered = set()
-    parent = {v: v for v in surface.vertex_ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in sorted(forest):
-        a, b = _edge_endpoints(surface, e)
-        covered.update((a, b))
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return result(False, ("cycle", e))
-        parent[ra] = rb
+    _, cycles = kruskal(surface.vertex_ids, vertex_edges(surface, sorted(forest)))
+    if cycles:
+        return result(False, ("cycle", cycles[0]))
+    covered = edge_vertices(surface, forest)
     for v in surface.vertex_ids:
         if v not in covered and not is_turn_multiple(surface.cone_angle(v)):
             return result(False, ("uncovered", v))
 
     rot = {}
-    for t0 in sorted(surface.triangles):
-        if t0 in rot:
+    for t, h, t2, first in dual_bfs(surface, forest):
+        if t is None:
+            rot[t2] = 0.0
             continue
-        rot[t0] = 0.0
-        queue = deque([t0])
-        while queue:
-            t = queue.popleft()
-            for h in surface.triangle(t):
-                if surface.edge_of(h) in forest:
-                    continue
-                t2 = surface.triangle_of(surface.twin(h))
-                r2 = rot[t] - surface.crossing_rotation(h)
-                if t2 not in rot:
-                    rot[t2] = r2
-                    queue.append(t2)
-                elif abs(reduce_angle(r2 - rot[t2])) > angle_tol(r2):
-                    return result(False, ("holonomy", surface.edge_of(h)))
+        r2 = rot[t] - surface.crossing_rotation(h)
+        if first:
+            rot[t2] = r2
+        elif abs(reduce_angle(r2 - rot[t2])) > angle_tol(r2):
+            return result(False, ("holonomy", surface.edge_of(h)))
     return result(True, None)
 
 
@@ -127,19 +107,7 @@ def spanning_forest(surface: FlatSurface, parts=None):
     vertex sets) requests one tree per part, realized inside the subgraph
     induced on that part.
     """
-    adj = _vertex_graph(surface)
-
-    def bfs_tree(allowed, root):
-        tree, seen = set(), {root}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for e, w in adj[v]:
-                if w in allowed and w not in seen:
-                    seen.add(w)
-                    tree.add(e)
-                    queue.append(w)
-        return tree, seen
+    adj = adjacency(surface.vertex_ids, vertex_edges(surface, surface.edges()))
 
     if parts is not None:
         forest = set()
@@ -148,11 +116,10 @@ def spanning_forest(surface: FlatSurface, parts=None):
             for v in part:
                 if v not in adj:
                     raise PartitionUnrealizable(f"unknown vertex {v}")
-            root = min(part)
-            tree, seen = bfs_tree(part, root)
-            if seen != part:
+            prev = bfs(adj, min(part), part)
+            if set(prev) != part:
                 raise PartitionUnrealizable(f"part {sorted(part)} is not connected")
-            forest |= tree
+            forest |= tree_keys(prev, part)
         ok, witness = is_erasing(surface, forest, return_witness=True)
         if not ok:
             raise NotErasing(f"requested forest fails the holonomy criterion: {witness}",
@@ -161,31 +128,21 @@ def spanning_forest(surface: FlatSurface, parts=None):
 
     singular = [v for v in surface.vertex_ids if not is_turn_multiple(surface.cone_angle(v))]
     if surface.genus() == 0:
-        tree, seen = bfs_tree(set(surface.vertex_ids), min(surface.vertex_ids))
-        if len(seen) != len(surface.vertex_ids):
+        prev = bfs(adj, min(surface.vertex_ids))
+        if len(prev) != len(surface.vertex_ids):
             raise PartitionUnrealizable("1-skeleton is disconnected")
-        return frozenset(tree)
+        return frozenset(tree_keys(prev, prev))
     if not singular:
         return frozenset()
 
-    # tree over all vertices, then prune regular leaves
-    tree, _ = bfs_tree(set(surface.vertex_ids), min(singular))
-    deg = {}
-    for e in tree:
-        for v in _edge_endpoints(surface, e):
-            deg[v] = deg.get(v, 0) + 1
-    changed = True
-    while changed:
-        changed = False
-        for e in sorted(tree):
-            a, b = _edge_endpoints(surface, e)
-            for leaf, other in ((a, b), (b, a)):
-                if deg.get(leaf) == 1 and leaf not in singular:
-                    tree.discard(e)
-                    deg[leaf] -= 1
-                    deg[other] -= 1
-                    changed = True
-                    break
+    # tree over all vertices from a singular root, pruned to the paths that
+    # join the other singular vertices to the root
+    prev = bfs(adj, min(singular))
+    needed = set(singular)
+    for v in reversed(list(prev)):
+        if v in needed and prev[v] is not None:
+            needed.add(prev[v][1])
+    tree = tree_keys(prev, needed)
     ok, witness = is_erasing(surface, tree, return_witness=True)
     if not ok:
         raise NotErasing(f"no erasing forest found in the 1-skeleton: {witness}", witness)
@@ -304,12 +261,7 @@ class ChartSystem:
         return self.rank == self.rows.shape[0]
 
     def fingerprint(self) -> str:
-        import hashlib
-
-        digest = hashlib.sha256()
-        digest.update(repr(self.rows.shape).encode())
-        digest.update(np.ascontiguousarray(self.rows).tobytes())
-        return digest.hexdigest()[:16]
+        return chart_fingerprint(self.rows)
 
     def to_json(self) -> str:
         rows = [[[fmt_float(z.real), fmt_float(z.imag)] for z in row] for row in self.rows]
@@ -326,6 +278,14 @@ class ChartSystem:
             "[" + ", ".join("[%s, %s]" % (re, im) for re, im in row) + "]" for row in kern))
         parts.append(f'],\n  "rank": {self.rank}\n}}\n')
         return "".join(parts)
+
+
+def chart_fingerprint(rows: np.ndarray) -> str:
+    """Short hash of a system's shape and row bytes."""
+    digest = hashlib.sha256()
+    digest.update(repr(rows.shape).encode())
+    digest.update(np.ascontiguousarray(rows).tobytes())
+    return digest.hexdigest()[:16]
 
 
 def _deterministic_kernel(nullspace: np.ndarray) -> np.ndarray:
@@ -475,20 +435,28 @@ def transition_for_flip(source: FlatSurface, edge) -> np.ndarray:
     return mat
 
 
-def _match_forest_halfedges(source: FlatSurface, target: FlatSurface, tol: float = 1e-9):
+def _check_same_metric(source: FlatSurface, target: FlatSurface):
+    """Require equal vertex labels, cone angles and forest sizes."""
+    if sorted(source.vertex_ids) != sorted(target.vertex_ids):
+        raise NotSameMetric("vertex labels differ")
+    for v in source.vertex_ids:
+        if abs(source.cone_angle(v) - target.cone_angle(v)) > angle_tol(source.cone_angle(v)):
+            raise NotSameMetric(f"cone angles differ at vertex {v}")
+    if len(source.forest) != len(target.forest):
+        raise NotSameMetric("forests differ")
+
+
+def _match_forest_halfedges(source: FlatSurface, target: FlatSurface, tol: float = VEC_TOL):
     """Map each forest half-edge of target onto the geometrically identical
     forest half-edge of source (same origin vertex, same vector)."""
-    pool = {}
-    for e in source.forest:
-        for h in (e, source.twin(e)):
-            pool.setdefault(source.origin(h), []).append(h)
     matching = {}
     used = set()
     for e in target.forest:
         for h in (e, target.twin(e)):
             v, w = target.origin(h), target.vec(h)
-            cands = [x for x in pool.get(v, ())
-                     if x not in used and abs(source.vec(x) - w) <= tol * (1.0 + abs(w))]
+            cands = [x for x in source.corners_at(v)
+                     if source.edge_of(x) in source.forest and x not in used
+                     and abs(source.vec(x) - w) <= tol * (1.0 + abs(w))]
             if len(cands) != 1:
                 raise NotSameMetric(
                     f"forest half-edge at vertex {v} has {len(cands)} geometric matches")
@@ -516,14 +484,19 @@ def _anchor_and_offset(surf: FlatSurface, germ_halfedge):
                 "to anchor directions; germs there are ambiguous")
         return None, None
     anchor = min(forest_out)
+    return anchor, _offset_between(surf, anchor, germ_halfedge)
+
+
+def _offset_between(surf: FlatSurface, from_corner, to_corner) -> float:
+    """ccw angle at a common vertex from one outgoing germ to another."""
     theta = 0.0
-    h = anchor
-    for _ in range(len(surf.corners_at(v)) + 1):
-        if h == germ_halfedge:
-            return anchor, theta
+    h = from_corner
+    for _ in range(len(surf.corners_at(surf.origin(from_corner))) + 1):
+        if h == to_corner:
+            return theta
         theta += surf.corner_angle(h)
         h = surf.sigma(h)
-    raise AssertionError("germ does not rotate back to the anchor")
+    raise AssertionError("corners do not share a vertex")
 
 
 def _locate_germ(surf: FlatSurface, vertex, anchor, theta, direction, length):
@@ -532,8 +505,6 @@ def _locate_germ(surf: FlatSurface, vertex, anchor, theta, direction, length):
     Anchored form: ``theta`` is the ccw angle from the anchor germ.  Anchor
     None: ``direction`` is an absolute plane direction at a full-turn vertex.
     """
-    from ._geom import ccw_angle
-
     if anchor is None:
         tol = 1e-9
         for h in surf.corners_at(vertex):
@@ -577,14 +548,7 @@ def chart_transition(source: FlatSurface, target: FlatSurface) -> np.ndarray:
     a chart neighbourhood)."""
     from .flips import develop_segment
 
-    if sorted(source.vertex_ids) != sorted(target.vertex_ids):
-        raise NotSameMetric("vertex labels differ")
-    for v in source.vertex_ids:
-        if abs(source.cone_angle(v) - target.cone_angle(v)) > angle_tol(source.cone_angle(v)):
-            raise NotSameMetric(f"cone angles differ at vertex {v}")
-    if len(source.forest) != len(target.forest):
-        raise NotSameMetric("forests differ")
-
+    _check_same_metric(source, target)
     cut_s = cut_along_forest(source)
     cut_t = cut_along_forest(target)
     matching = _match_forest_halfedges(source, target)
@@ -613,7 +577,7 @@ def chart_transition(source: FlatSurface, target: FlatSurface) -> np.ndarray:
             mat[col_t, col_s] += sign * rep_sign
     z_s = solution_vector(cut_s)
     z_t = solution_vector(cut_t)
-    if np.linalg.norm(mat @ z_s - z_t) > 1e-8 * (1.0 + np.linalg.norm(z_t)):
+    if np.linalg.norm(mat @ z_s - z_t) > SOLUTION_RESIDUAL_TOL * (1.0 + np.linalg.norm(z_t)):
         raise NotSameMetric("transition does not reproduce the target coordinates")
     return mat
 
@@ -625,54 +589,27 @@ def chart_transition(source: FlatSurface, target: FlatSurface) -> np.ndarray:
 def exchange_sequence(surface: FlatSurface, tree_from, tree_to):
     """Single-edge exchanges (remove, add) turning one spanning tree into the
     other; every intermediate set is again a spanning tree."""
-    edges = set(surface.edges())
+    halfedges = set(surface.halfedges)
+    for name, tree in (("source", tree_from), ("target", tree_to)):
+        if not set(tree) <= halfedges:
+            raise NotSpanningTree(f"{name} tree uses unknown edges")
     a1 = {surface.edge_of(e) for e in tree_from}
     a2 = {surface.edge_of(e) for e in tree_to}
-    for name, tree in (("source", a1), ("target", a2)):
-        if not tree <= edges:
-            raise NotSpanningTree(f"{name} tree uses unknown edges")
-
-    def vertex_set(tree):
-        out = set()
-        for e in tree:
-            out.update(_edge_endpoints(surface, e))
-        return out
-
-    def check_tree(tree):
-        verts = vertex_set(tree)
-        if len(tree) != max(len(verts) - 1, 0):
+    for tree in (a1, a2):
+        if len(tree) != max(len(edge_vertices(surface, tree)) - 1, 0):
             raise NotSpanningTree("edge set is not a tree")
-
-    check_tree(a1)
-    check_tree(a2)
-    if vertex_set(a1) != vertex_set(a2) and (a1 or a2):
+    if edge_vertices(surface, a1) != edge_vertices(surface, a2) and (a1 or a2):
         raise NotSpanningTree("trees span different vertex sets")
 
     moves = []
     current = set(a1)
     for e in sorted(a2 - a1):
         # adding e closes a unique cycle; drop its smallest edge outside a2
-        va, vb = _edge_endpoints(surface, e)
-        adjacency = {}
-        for f in current:
-            x, y = _edge_endpoints(surface, f)
-            adjacency.setdefault(x, []).append((f, y))
-            adjacency.setdefault(y, []).append((f, x))
-        prev = {va: None}
-        queue = deque([va])
-        while queue and vb not in prev:
-            x = queue.popleft()
-            for f, y in adjacency.get(x, ()):
-                if y not in prev:
-                    prev[y] = (f, x)
-                    queue.append(y)
+        va, vb = surface.origin(e), surface.head(e)
+        prev = bfs(adjacency(surface.vertex_ids, vertex_edges(surface, current)), va)
         if vb not in prev:
             raise NotSpanningTree("trees span different vertex sets")
-        path = []
-        x = vb
-        while prev[x] is not None:
-            f, x = prev[x]
-            path.append(f)
+        path = path_keys(prev, vb)
         candidates = [f for f in path if f not in a2]
         if not candidates:
             raise NotSpanningTree("exchange cycle lies inside the target tree")
@@ -702,20 +639,9 @@ def apply_tree_exchange(surface: FlatSurface, remove_edge, add_edge):
     # triangle components of the cut surface minus the added slit
     blocked = set(surface.forest) | {add_edge}
     comp = {}
-    for t0 in sorted(surface.triangles):
-        if t0 in comp:
-            continue
-        comp[t0] = t0
-        queue = deque([t0])
-        while queue:
-            t = queue.popleft()
-            for h in surface.triangle(t):
-                if surface.edge_of(h) in blocked:
-                    continue
-                t2 = surface.triangle_of(surface.twin(h))
-                if t2 not in comp:
-                    comp[t2] = t0
-                    queue.append(t2)
+    for t, _, t2, first in dual_bfs(surface, blocked):
+        if first:
+            comp[t2] = t2 if t is None else comp[t]
     side_a = comp[surface.triangle_of(a_side)]
     side_abar = comp[surface.triangle_of(abar_side)]
     if side_a == side_abar:

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._geom import TWO_PI
+from ._geom import TWO_PI, VEC_TOL
 from .charts import chart_for, cut_along_forest
 from .errors import ConesurfError
 from .flips import (
@@ -77,6 +77,12 @@ def _parse_edge_list(text):
         return [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a comma-separated edge list, got {text!r}") from exc
+
+
+def _known_halfedge(surface: FlatSurface, h, flag):
+    if h not in surface.halfedges:
+        raise ValueError(f"{flag} names unknown half-edge {h}")
+    return h
 
 
 def _surface_report(out, surface: FlatSurface):
@@ -145,7 +151,7 @@ def _cmd_info(args, out):
 
 def _cmd_flip(args, out):
     surface = load_surface(args.surface)
-    flipped, move = flip(surface, args.edge)
+    flipped, move = flip(surface, _known_halfedge(surface, args.edge, "--edge"))
     _emit(out, "edge", move.edge)
     _emit(out, "old_vector", f"{move.old_diagonal.real!r},{move.old_diagonal.imag!r}")
     _emit(out, "new_vector", f"{move.new_diagonal.real!r},{move.new_diagonal.imag!r}")
@@ -170,6 +176,7 @@ def _cmd_delaunay(args, out):
 
 def _cmd_insert(args, out):
     surface = load_surface(args.surface)
+    _known_halfedge(surface, args.corner, "--corner")
     if args.dump_development:
         polygon = developing_polygon(surface, args.corner, args.vec)
         with open(args.dump_development, "w", encoding="utf-8") as fh:
@@ -178,7 +185,7 @@ def _cmd_insert(args, out):
         _emit(out, "development", args.dump_development)
     result, path = insert_segment(surface, args.corner, args.vec)
     _emit(out, "flips", len(path))
-    present = any(abs(result.vec(h) - args.vec) <= 1e-9 * (1 + abs(args.vec))
+    present = any(abs(result.vec(h) - args.vec) <= VEC_TOL * (1 + abs(args.vec))
                   for h in result.halfedges)
     _emit(out, "segment_is_edge", str(present).lower())
     if args.output:
@@ -399,12 +406,7 @@ def main(argv=None) -> int:
     _header(out)
     try:
         status = args.func(args, out)
-    except ConesurfError as exc:
-        _emit(out, "error", type(exc).__name__)
-        _emit(out, "message", str(exc))
-        print("\n".join(out))
-        return 1
-    except (OSError, ValueError) as exc:
+    except (ConesurfError, OSError, ValueError) as exc:
         _emit(out, "error", type(exc).__name__)
         _emit(out, "message", str(exc))
         print("\n".join(out))

@@ -122,10 +122,6 @@ class ForestEdge(ConesurfError):
     pass
 
 
-class BoundaryEdge(ConesurfError):
-    pass
-
-
 class NotFlippable(ConesurfError):
     pass
 

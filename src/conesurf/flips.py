@@ -17,12 +17,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._geom import TWO_PI, angle_tol, ccw_angle, cross, fmt_float, reduce_angle
+from ._geom import (
+    CONVEXITY_TOL,
+    DELAUNAY_BAND,
+    POSITION_TOL,
+    TWO_PI,
+    angle_tol,
+    ccw_angle,
+    cross,
+    fmt_float,
+    reduce_angle,
+)
+from ._graph import edge_vertices
 from .charts import (
     _anchor_and_offset,
+    _check_same_metric,
     _locate_germ,
     _match_forest_halfedges,
-    exchange_sequence,
+    _offset_between,
 )
 from .errors import (
     DoesNotTerminateAtVertex,
@@ -36,10 +48,6 @@ from .errors import (
     Unsupported,
 )
 from .surface import FlatSurface, isomorphic
-
-CONVEXITY_TOL = 1e-12
-DELAUNAY_BAND = 1e-9
-POSITION_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -549,18 +557,6 @@ def insert_segment(surface: FlatSurface, corner, w: complex):
 # flip paths between triangulations
 
 
-def _offset_between(surf: FlatSurface, from_corner, to_corner) -> float:
-    """ccw angle at a common vertex from one outgoing germ to another."""
-    theta = 0.0
-    h = from_corner
-    for _ in range(len(surf.corners_at(surf.origin(from_corner))) + 1):
-        if h == to_corner:
-            return theta
-        theta += surf.corner_angle(h)
-        h = surf.sigma(h)
-    raise AssertionError("corners do not share a vertex")
-
-
 def _flip_path_anchored(source, target, matching, free_anchor):
     """Insert all target edges with germ anchoring.
 
@@ -620,23 +616,14 @@ def flip_path(source: FlatSurface, target: FlatSurface) -> FlipPath:
     handled by trying each of its finitely many germs of the reference
     direction; more than one such vertex is not supported.
     """
-    if sorted(source.vertex_ids) != sorted(target.vertex_ids):
-        raise NotSameMetric("vertex labels differ")
-    for v in source.vertex_ids:
-        if abs(source.cone_angle(v) - target.cone_angle(v)) > angle_tol(source.cone_angle(v)):
-            raise NotSameMetric(f"cone angles differ at vertex {v}")
+    _check_same_metric(source, target)
     if abs(source.total_area() - target.total_area()) > 1e-9 * (1 + source.total_area()):
         raise NotSameMetric("areas differ")
-    if len(source.forest) != len(target.forest):
-        raise NotSameMetric("forests differ")
     if not has_half_turn_holonomy(source) and source.genus() != 0:
         raise Unsupported("flip paths need half-turn holonomy or genus zero")
 
     matching = _match_forest_halfedges(source, target)
-    anchored = set()
-    for e in source.forest:
-        anchored.add(source.origin(e))
-        anchored.add(source.origin(source.twin(e)))
+    anchored = edge_vertices(source, source.forest)
     fat = [v for v in source.vertex_ids if v not in anchored
            and abs(source.cone_angle(v) - TWO_PI) > angle_tol(TWO_PI)]
     if not fat:
@@ -662,9 +649,3 @@ def flip_path(source: FlatSurface, target: FlatSurface) -> FlipPath:
         except (NotSameMetric, NonTermination, Unsupported) as exc:
             failure = exc
     raise NotSameMetric("no direction germ reproduces the target") from failure
-
-
-def exchange_tree(surface: FlatSurface, tree_from, tree_to):
-    """Single-edge exchanges (remove, add) between two spanning trees realized
-    inside the current triangulation; every intermediate set is a tree."""
-    return exchange_sequence(surface, tree_from, tree_to)

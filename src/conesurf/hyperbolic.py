@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._geom import cross
-from .charts import ChartSystem, chart_for, solution_vector
+from ._geom import KERNEL_RESIDUAL_TOL, Q1_TOL, TANGENT_TOL
+from ._graph import adjacency, vertex_edges
+from .charts import ChartSystem, chart_for, cut_along_forest, solution_vector
 from .errors import (
     FrameNotTangent,
     MetricNotPositive,
@@ -32,9 +33,6 @@ from .errors import (
 )
 from .surface import FlatSurface
 from .volume import kernel_density
-
-Q1_TOL = 1e-9
-TANGENT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,6 @@ class GenusZeroChart:
 
     def coordinates(self, surface: FlatSurface | None = None) -> np.ndarray:
         """Chart coordinates of a surface with this chart's combinatorics."""
-        from .charts import cut_along_forest
-
         cut = self.system.cut if surface is None else cut_along_forest(surface)
         z = solution_vector(cut)
         return z[list(self.coordinate_columns)]
@@ -77,21 +73,17 @@ def genus_zero_chart(surface: FlatSurface, excluded_vertex=None) -> GenusZeroCha
     if len(surface.forest) != n - 1:
         raise NotGenusZero("forest must be a single spanning tree")
 
-    degree = {}
-    for e in surface.forest:
-        for v in (surface.origin(e), surface.origin(surface.twin(e))):
-            degree[v] = degree.get(v, 0) + 1
-    leaves = sorted(v for v, d in degree.items() if d == 1)
+    tree = adjacency(surface.vertex_ids, vertex_edges(surface, surface.forest))
+    leaves = sorted(v for v, nbrs in tree.items() if len(nbrs) == 1)
     if excluded_vertex is None:
         excluded_vertex = leaves[-1]
-    if degree.get(excluded_vertex) != 1:
+    if excluded_vertex not in leaves:
         raise Unsupported(
             f"vertex {excluded_vertex} is not a leaf of the forest tree (leaves: {leaves})")
 
     cut, system = chart_for(surface)
-    edges = tuple(sorted(
-        e for e in surface.forest
-        if excluded_vertex not in (surface.origin(e), surface.origin(surface.twin(e)))))
+    ((leaf_edge, _),) = tree[excluded_vertex]
+    edges = tuple(sorted(surface.forest - {leaf_edge}))
     pair_of = {p.edge: p for p in cut.pairings}
     columns = tuple(cut.column_of(pair_of[e].a)[0] for e in edges)
     if len(columns) != system.kernel_dim:
@@ -99,7 +91,8 @@ def genus_zero_chart(surface: FlatSurface, excluded_vertex=None) -> GenusZeroCha
 
     selection = system.kernel[list(columns), :]
     expansion = system.kernel @ np.linalg.inv(selection)
-    if np.linalg.norm(system.rows @ expansion) > 1e-10 * (1 + np.linalg.norm(system.rows)):
+    if np.linalg.norm(system.rows @ expansion) > KERNEL_RESIDUAL_TOL * (
+            1 + np.linalg.norm(system.rows)):
         raise SignatureUnexpected("expansion does not satisfy the chart system")
     return GenusZeroChart(surface, system, excluded_vertex, edges, columns, expansion)
 
@@ -108,25 +101,30 @@ def genus_zero_chart(surface: FlatSurface, excluded_vertex=None) -> GenusZeroCha
 # the area form
 
 
+def _triangle_sides(cut, z):
+    """Signed vectors of the first two ccw sides of every triangle, one row
+    per triangle, at a chart point z (or at each column of a matrix z)."""
+    z = np.asarray(z)
+    tris = cut.surface.triangles.values()
+    sides = []
+    for k in (0, 1):
+        cols, signs = zip(*(cut.column_of(tri[k]) for tri in tris))
+        sides.append(np.reshape(signs, (-1,) + (1,) * (z.ndim - 1)) * z[list(cols)])
+    return sides
+
+
+def _triangle_areas(cut, z) -> np.ndarray:
+    u, w = _triangle_sides(cut, z)
+    return 0.5 * (u.conj() * w).imag
+
+
 def area_of_solution(cut, z) -> float:
     """Total area of a chart point, summed triangle by triangle."""
-    surface = cut.surface
-    total = 0.0
-    for h1, h2, _ in surface.triangles.values():
-        c1, s1 = cut.column_of(h1)
-        c2, s2 = cut.column_of(h2)
-        total += 0.5 * cross(s1 * z[c1], s2 * z[c2])
-    return total
+    return float(_triangle_areas(cut, z).sum())
 
 
 def min_triangle_area_of_solution(cut, z) -> float:
-    surface = cut.surface
-    areas = []
-    for h1, h2, _ in surface.triangles.values():
-        c1, s1 = cut.column_of(h1)
-        c2, s2 = cut.column_of(h2)
-        areas.append(0.5 * cross(s1 * z[c1], s2 * z[c2]))
-    return min(areas)
+    return float(_triangle_areas(cut, z).min())
 
 
 @dataclass(frozen=True)
@@ -139,26 +137,18 @@ class AreaForm:
 
 
 def area_form(chart: GenusZeroChart) -> AreaForm:
-    """Recover the Hermitian area form by polarization of the area quadratic.
+    """The Hermitian area form, summed over the triangles.
 
-    Four area evaluations per entry; the eigenvalue signs must come out as one
-    positive and n-3 negative (all cone angles below a full turn)."""
+    A triangle with sides a(v), b(v) linear in the coordinates has area
+    Im(conj(a) b) / 2 = v* (A - A*) v / 4i with A = conj(a)^T b.  The
+    eigenvalue signs must come out as one positive and n-3 negative (all cone
+    angles below a full turn)."""
     d = chart.dim
-    cut = chart.system.cut
-
-    def q(v):
-        return area_of_solution(cut, chart.expansion @ v)
-
-    h = np.zeros((d, d), dtype=complex)
-    eye = np.eye(d, dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            x, y = eye[:, j], eye[:, k]
-            re = q(x + y) - q(x - y)
-            im = q(x + 1j * y) - q(x - 1j * y)
-            h[j, k] = 0.25 * (re - 1j * im)
+    a, b = _triangle_sides(chart.system.cut, chart.expansion)
+    m = a.conj().T @ b
+    h = (m - m.conj().T) / 4j
     if np.linalg.norm(h - h.conj().T) > 1e-12 * (1 + np.linalg.norm(h)):
-        raise SignatureUnexpected("polarized form is not Hermitian")
+        raise SignatureUnexpected("area form is not Hermitian")
     h = 0.5 * (h + h.conj().T)
     eig = np.linalg.eigvalsh(h)
     tol = 1e-10 * max(abs(eig))
@@ -233,18 +223,18 @@ def _check_point_and_frame(z, frame):
     return z, frame
 
 
+def _interleave_rotations(cols: np.ndarray) -> np.ndarray:
+    """Columns c_0, i c_0, c_1, i c_1, ... of a complex matrix."""
+    return np.stack([cols, 1j * cols], axis=2).reshape(len(cols), -1)
+
+
 def tangent_frame(z) -> np.ndarray:
     """Real frame of the orthogonal complement of z: the complex basis vectors
     paired with their i-rotations, interleaved."""
     z = np.asarray(z, dtype=complex)
-    n = z.shape[0]
-    cols = []
-    for k in range(n - 1):
-        b = np.zeros(n, dtype=complex)
-        b[k] = 1.0
-        b[-1] = z[k].conjugate() / z[-1].conjugate()
-        cols.extend([b, 1j * b])
-    return np.array(cols).T
+    b = np.eye(len(z), len(z) - 1, dtype=complex)
+    b[-1] = z[:-1].conj() / z[-1].conjugate()
+    return _interleave_rotations(b)
 
 
 def reference_frame(z) -> np.ndarray:
@@ -252,14 +242,10 @@ def reference_frame(z) -> np.ndarray:
     the vector with conj(z_last) in slot k and conj(z_k) in the last slot,
     paired with its i-rotation."""
     z = np.asarray(z, dtype=complex)
-    n = z.shape[0]
-    cols = []
-    for k in range(n - 1):
-        u = np.zeros(n, dtype=complex)
-        u[k] = z[-1].conjugate()
-        u[-1] = z[k].conjugate()
-        cols.extend([u, 1j * u])
-    return np.array(cols).T
+    u = np.zeros((len(z), len(z) - 1), dtype=complex)
+    np.fill_diagonal(u, z[-1].conjugate())
+    u[-1] = z[:-1].conj()
+    return _interleave_rotations(u)
 
 
 def unit_area_density(z, frame, chart_constant: float, completion=None) -> float:
@@ -290,11 +276,9 @@ def hyperbolic_density(z, frame) -> float:
     """Riemannian density of the hyperbolic metric on the frame: square root
     of the Gram determinant of the real part of the Hermitian product."""
     z, frame = _check_point_and_frame(z, frame)
-    k = frame.shape[1]
-    gram = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            gram[i, j] = minkowski_product(frame[:, i], frame[:, j]).real
+    sign = np.ones(frame.shape[0])
+    sign[-1] = -1.0
+    gram = (frame.conj().T @ (sign[:, None] * frame)).real
     eig = np.linalg.eigvalsh(gram)
     if eig[0] <= 0:
         raise MetricNotPositive(f"Gram matrix has eigenvalue {eig[0]!r}")

@@ -19,7 +19,18 @@ import json
 import math
 from dataclasses import dataclass
 
-from ._geom import TWO_PI, angle_tol, ccw_angle, cross, fmt_float, is_turn_multiple, reduce_angle
+from ._geom import (
+    AREA_TOL,
+    TWO_PI,
+    VEC_TOL,
+    angle_tol,
+    ccw_angle,
+    cross,
+    fmt_float,
+    is_turn_multiple,
+    reduce_angle,
+)
+from ._graph import adjacency, edge_vertices, kruskal, subtree_sums, vertex_edges
 from .errors import (
     AngleMismatch,
     ClosureViolation,
@@ -32,9 +43,6 @@ from .errors import (
     OrientationViolation,
     UnknownVertex,
 )
-
-VEC_TOL = 1e-9
-AREA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -205,71 +213,29 @@ class FlatSurface:
                 raise ValueError(f"forest names unknown half-edge {e}")
             if e != min(e, self._twin[e]):
                 raise ValueError(f"forest edge {e} must be named by the smaller half-edge id")
-        # acyclicity of the forest graph (union-find on vertex ids)
-        parent = {v: v for v in self._vertex_ids}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in sorted(forest):
-            a, b = find(self._origin[e]), find(self._origin[self._twin[e]])
-            if a == b:
-                raise ForestNotTrees(f"forest edge {e} closes a cycle")
-            parent[a] = b
+        edges = vertex_edges(self, sorted(forest))
+        _, cycles = kruskal(self._vertex_ids, edges)
+        if cycles:
+            raise ForestNotTrees(f"forest edge {cycles[0]} closes a cycle")
         self._forest = forest
 
         for h in self._halfedges:
-            if h > self._twin[h]:
-                continue
             k = self._twin[h]
-            scale = 1.0 + abs(self._vec[h])
-            if h in forest:
-                continue
-            residual = abs(self._vec[k] + self._vec[h])
-            if residual > VEC_TOL * scale:
-                raise GluingMismatch(h, residual)
+            if h < k and h not in forest:
+                residual = abs(self._vec[k] + self._vec[h])
+                if residual > VEC_TOL * (1.0 + abs(self._vec[h])):
+                    raise GluingMismatch(h, residual)
 
-        pairing = {}
-        for e in sorted(forest):
-            pairing[e] = self._forest_rotation(e)
-        self._forest_pairing = pairing
+        # the rotation across a forest edge is the cone-angle sum of the
+        # subtree it cuts off, on the side away from the tree's smallest vertex
+        angles = subtree_sums(adjacency(self._vertex_ids, edges), self._vertex_angle)
+        self._forest_pairing = {
+            e: self._forest_rotation(e, reduce_angle(angles[e])) for e in sorted(forest)}
 
-    def _tree_component_angles(self, e):
-        """Split the tree containing forest edge e at e; return the total cone
-        angle of the component not containing the tree's smallest vertex."""
-        adj = {}
-        for f in self._forest:
-            a, b = self._origin[f], self._origin[self._twin[f]]
-            adj.setdefault(a, []).append((f, b))
-            adj.setdefault(b, []).append((f, a))
-        va, vb = self._origin[e], self._origin[self._twin[e]]
-
-        def component(start):
-            comp, stack = {start}, [start]
-            while stack:
-                x = stack.pop()
-                for f, y in adj[x]:
-                    if f != e and y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            return comp
-
-        ca, cb = component(va), component(vb)
-        smallest = min(ca | cb)
-        chosen = cb if smallest in ca else ca
-        return sum(self._vertex_angle[v] for v in chosen)
-
-    def _forest_rotation(self, e):
-        """Rotation across forest edge e with its oriented pairing (a, abar).
-
-        Returns (theta, a, abar) such that vec(abar) = -exp(i*theta)*vec(a)
-        within tolerance, with theta the angle sum over the split-off subtree
-        reduced to (-pi, pi].
-        """
-        theta = reduce_angle(self._tree_component_angles(e))
+    def _forest_rotation(self, e, theta):
+        """Oriented pairing (theta, a, abar) of forest edge e with
+        vec(abar) = -exp(i*theta)*vec(a) within tolerance, where theta is the
+        subtree angle sum reduced to (-pi, pi]."""
         h, k = e, self._twin[e]
         rot = -cmath.exp(1j * theta)
         scale = VEC_TOL * (1.0 + abs(self._vec[h]))
@@ -281,10 +247,7 @@ class FlatSurface:
         raise InconsistentRotation(e, theta, reduce_angle(actual))
 
     def _validate_angles(self):
-        on_forest = set()
-        for e in self._forest:
-            on_forest.add(self._origin[e])
-            on_forest.add(self._origin[self._twin[e]])
+        on_forest = edge_vertices(self, self._forest)
         for v in self._vertex_ids:
             alpha = self._vertex_angle[v]
             if v not in on_forest and not is_turn_multiple(alpha):
@@ -407,27 +370,8 @@ class FlatSurface:
     def num_trees(self) -> int:
         """Number of forest trees, counting vertices off the forest as
         one-point trees."""
-        covered = set()
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self._forest:
-            for v in (self._origin[e], self._origin[self._twin[e]]):
-                if v not in parent:
-                    parent[v] = v
-                    covered.add(v)
-        for e in self._forest:
-            a = find(self._origin[e])
-            b = find(self._origin[self._twin[e]])
-            if a != b:
-                parent[a] = b
-        trees = len({find(v) for v in covered})
-        return trees + len(self._vertex_ids) - len(covered)
+        # construction checked that the forest is acyclic
+        return len(self._vertex_ids) - len(self._forest)
 
     # -- derived surfaces ----------------------------------------------------
 
@@ -440,16 +384,6 @@ class FlatSurface:
             dict(self._tris),
             dict(self._twin),
             {h: w * v for h, v in self._vec.items()},
-            self._forest,
-            [(v, self._angle_target[v]) for v in self._vertex_ids],
-        )
-
-    def with_vectors(self, vectors) -> "FlatSurface":
-        """Same combinatorics and forest, new development vectors."""
-        return FlatSurface(
-            dict(self._tris),
-            dict(self._twin),
-            dict(vectors),
             self._forest,
             [(v, self._angle_target[v]) for v in self._vertex_ids],
         )
@@ -721,14 +655,15 @@ def isomorphic(s1: FlatSurface, s2: FlatSurface, tol: float = VEC_TOL):
     if len(s1.forest) != len(s2.forest):
         return None
 
-    def close(a, b):
-        return abs(a - b) <= tol * (1.0 + abs(a))
+    def agree(h, k):
+        """Same origin, same vector within tol, same forest membership."""
+        return (s1.origin(h) == s2.origin(k)
+                and abs(s1.vec(h) - s2.vec(k)) <= tol * (1.0 + abs(s1.vec(h)))
+                and (s1.edge_of(h) in s1.forest) == (s2.edge_of(k) in s2.forest))
 
     h0 = s1.halfedges[0]
     for cand in s2.halfedges:
-        if s2.origin(cand) != s1.origin(h0) or not close(s1.vec(h0), s2.vec(cand)):
-            continue
-        if (s1.edge_of(h0) in s1.forest) != (s2.edge_of(cand) in s2.forest):
+        if not agree(h0, cand):
             continue
         mapping = {h0: cand}
         stack = [h0]
@@ -743,13 +678,7 @@ def isomorphic(s1: FlatSurface, s2: FlatSurface, tol: float = VEC_TOL):
                         ok = False
                         break
                     continue
-                if img in used:
-                    ok = False
-                    break
-                if s2.origin(img) != s1.origin(nh) or not close(s1.vec(nh), s2.vec(img)):
-                    ok = False
-                    break
-                if (s1.edge_of(nh) in s1.forest) != (s2.edge_of(img) in s2.forest):
+                if img in used or not agree(nh, img):
                     ok = False
                     break
                 mapping[nh] = img

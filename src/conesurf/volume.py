@@ -15,15 +15,15 @@ the frame and a convention tag.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._geom import is_turn_multiple
+from ._geom import FRAME_RESIDUAL_TOL, KERNEL_RANK_TOL, is_turn_multiple
+from ._graph import kruskal
 from .charts import (
-    ChartSystem,
     assemble_system,
+    chart_fingerprint,
     chart_for,
     cut_along_forest,
     perturb_surface,
@@ -44,8 +44,6 @@ from .surface import FlatSurface
 SHORT_SEQUENCE = "short-sequence"
 FOUR_TERM_SEQUENCE = "four-term-sequence"
 
-FRAME_RESIDUAL_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class DensityReport:
@@ -53,13 +51,6 @@ class DensityReport:
     frame: np.ndarray
     convention: str
     fingerprint: str
-
-
-def _fingerprint(rows: np.ndarray) -> str:
-    digest = hashlib.sha256()
-    digest.update(repr(rows.shape).encode())
-    digest.update(np.ascontiguousarray(rows).tobytes())
-    return digest.hexdigest()[:16]
 
 
 def _abs_det_sq(mat: np.ndarray) -> float:
@@ -108,7 +99,7 @@ def kernel_density(system, frame, complement=None, image_complement=None) -> Den
         if complement.shape != (n1, r):
             raise RankCaseMismatch(f"complement must be {n1} x {r}")
         value = _abs_det_sq(np.hstack([frame, complement])) / _abs_det_sq(rows @ complement)
-        return DensityReport(value, frame, SHORT_SEQUENCE, _fingerprint(rows))
+        return DensityReport(value, frame, SHORT_SEQUENCE, chart_fingerprint(rows))
 
     if system.rank != r - 1:
         raise RankCaseMismatch(f"rank {system.rank} is neither {r} nor {r - 1}")
@@ -127,7 +118,7 @@ def kernel_density(system, frame, complement=None, image_complement=None) -> Den
     numerator = _abs_det_sq(np.hstack([frame, complement])) * abs(s_w2) ** 2
     denominator = _abs_det_sq(np.hstack([adjusted @ complement, image_complement]))
     return DensityReport(numerator / denominator, frame, FOUR_TERM_SEQUENCE,
-                         _fingerprint(rows))
+                         chart_fingerprint(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +184,7 @@ def split_edge_system(cut, edge) -> SplitSystem:
     row_kind = base.row_kind + (("split", edge),)
 
     u, s, vh = np.linalg.svd(rows)
-    rank = int(np.sum(s > 1e-8 * s[0]))
+    rank = int(np.sum(s > KERNEL_RANK_TOL * s[0]))
     if rank != base.rank + 1:
         raise RankCaseMismatch("splitting must raise the rank by exactly one")
     kernel = vh[rank:].conj().T
@@ -239,27 +230,12 @@ def primitive_family(surface: FlatSurface, reverse: bool = False):
     """Edges whose complement is an open disk: the complement of a spanning
     tree of the dual graph (triangles as nodes).  ``reverse`` picks a second,
     generally different, family."""
-    edges = surface.edges()
-    order = sorted(edges, reverse=reverse)
-    tris = sorted(surface.triangles)
-    parent = {t: t for t in tris}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    dual_tree = set()
-    for e in order:
-        a = find(surface.triangle_of(e))
-        b = find(surface.triangle_of(surface.twin(e)))
-        if a != b:
-            parent[a] = b
-            dual_tree.add(e)
-    if len(dual_tree) != len(tris) - 1:
+    dual_edges = [(e, surface.triangle_of(e), surface.triangle_of(surface.twin(e)))
+                  for e in sorted(surface.edges(), reverse=reverse)]
+    dual_tree, family = kruskal(surface.triangles, dual_edges)
+    if len(dual_tree) != len(surface.triangles) - 1:
         raise NoPrimitiveFamily("dual graph is disconnected")
-    return tuple(e for e in sorted(edges) if e not in dual_tree)
+    return tuple(sorted(family))
 
 
 def period_density_ratio(surface: FlatSurface, samples: int = 10, rng=None,

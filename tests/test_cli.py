@@ -190,3 +190,26 @@ class TestChecks:
                           "--samples", "3", "--seed", "1")
         assert status == 1
         assert "error = NotGenusZero" in out
+
+
+class TestUnknownIds:
+    @pytest.mark.parametrize("argv, error", [
+        (("flip", "--edge", "9999"), "ValueError"),
+        (("insert", "--corner", "9999", "--vec", "1,0"), "ValueError"),
+        (("check-tree-invariance", "--tree", "9999"), "NotSpanningTree"),
+    ])
+    def test_unknown_halfedge_is_an_error_record(self, pentagon_path, capsys, argv, error):
+        status, out = run(capsys, argv[0], pentagon_path, *argv[1:])
+        assert status == 1
+        record = parse(out)
+        assert record["error"] == error
+        assert "unknown" in record["message"]
+
+    def test_surface_file_missing_field(self, tmp_path, capsys):
+        path = tmp_path / "partial.json"
+        path.write_text('{"vertices": [], "triangles": [], "gluing": [], "vectors": {}}\n')
+        status, out = run(capsys, "validate", str(path))
+        assert status == 1
+        record = parse(out)
+        assert record["error"] == "ValueError"
+        assert "forest" in record["message"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conesurf import isomorphic, make_torus
-from conesurf.charts import spanning_forest
+from conesurf.charts import exchange_sequence, spanning_forest
 from conesurf.errors import (
     DoesNotTerminateAtVertex,
     ExitsThroughForest,
@@ -22,7 +22,6 @@ from conesurf.flips import (
     delaunay_angle_sum,
     develop_segment,
     developing_polygon,
-    exchange_tree,
     flip,
     flip_path,
     has_half_turn_holonomy,
@@ -306,13 +305,13 @@ class TestFlipPath:
 
 class TestExchangeTree:
     def test_identity(self, doubled_pentagon):
-        assert exchange_tree(doubled_pentagon, doubled_pentagon.forest,
-                             doubled_pentagon.forest) == []
+        assert exchange_sequence(doubled_pentagon, doubled_pentagon.forest,
+                                 doubled_pentagon.forest) == []
 
     def test_path_vs_star(self, doubled_pentagon):
         s = doubled_pentagon
         star = spanning_forest(s)  # the breadth-first tree is the star at p0
-        moves = exchange_tree(s, s.forest, star)
+        moves = exchange_sequence(s, s.forest, star)
         assert len(moves) == len(set(star) - set(s.forest))
         current = set(s.forest)
         for out, into in moves:

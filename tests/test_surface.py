@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conesurf import (
+    FlatSurface,
     SurfaceSpec,
     build_surface,
     isomorphic,
@@ -14,6 +15,8 @@ from conesurf import (
     make_regular_4g_gon,
     make_torus,
 )
+from conesurf._geom import angle_tol
+from conesurf.charts import reforest, spanning_forest
 from conesurf.errors import (
     AngleMismatch,
     ClosureViolation,
@@ -160,6 +163,66 @@ class TestInvariants:
         relabeled = s.relabel_halfedges(mapping)
         for v in s.vertex_ids:
             assert relabeled.cone_angle(v) == pytest.approx(s.cone_angle(v), abs=1e-12)
+
+
+def forest_component(surface, start, skip=None):
+    """Vertices joined to start by forest edges other than skip."""
+    comp = {start}
+    grown = True
+    while grown:
+        grown = False
+        for f in surface.forest:
+            a, b = surface.origin(f), surface.origin(surface.twin(f))
+            if f != skip and (a in comp) != (b in comp):
+                comp |= {a, b}
+                grown = True
+    return comp
+
+
+def brute_force_rotation(surface, e):
+    """Split the tree holding e at e; sum the cone angles of the component
+    not containing the tree's smallest vertex."""
+    ca = forest_component(surface, surface.origin(e), skip=e)
+    cb = forest_component(surface, surface.origin(surface.twin(e)), skip=e)
+    chosen = cb if min(ca | cb) in ca else ca
+    return sum(surface.cone_angle(v) for v in chosen)
+
+
+class TestForestRotations:
+    def check(self, surface):
+        assert surface.forest
+        for e in surface.forest:
+            expected = brute_force_rotation(surface, e)
+            theta = surface.forest_pairing(e)[0]
+            assert abs(math.remainder(theta - expected, TWO_PI)) <= angle_tol(expected)
+        trees = {frozenset(forest_component(surface, v)) for v in surface.vertex_ids}
+        assert surface.num_trees() == len(trees)
+        assert surface.num_trees() == len(surface.vertex_ids) - len(surface.forest)
+
+    def test_pentagon_star_tree(self, doubled_pentagon):
+        star, _, _ = reforest(doubled_pentagon, spanning_forest(doubled_pentagon))
+        assert star.forest != doubled_pentagon.forest
+        self.check(star)
+
+    def test_irregular_polygon_trees(self):
+        # unequal cone angles, so each subtree sum depends on which side is taken
+        s = make_doubled_polygon([0, 2, 2.5 + 1j, 1 + 2j, -0.5 + 1j, -0.3 + 0.2j])
+        self.check(s)
+        star, _, _ = reforest(s, spanning_forest(s))
+        assert star.forest != s.forest
+        self.check(star)
+
+    def test_multi_tree_forest(self, pillowcase):
+        forest = spanning_forest(pillowcase, parts=[{0, 1}, {2, 3}])
+        s = pillowcase
+        two_trees = FlatSurface(s.triangles, {h: s.twin(h) for h in s.halfedges},
+                                {h: s.vec(h) for h in s.halfedges}, forest,
+                                [(v, s.angle_target(v)) for v in s.vertex_ids])
+        assert two_trees.num_trees() == 2
+        self.check(two_trees)
+
+    def test_marked_torus(self, marked_torus):
+        self.check(marked_torus)
 
 
 class TestConstructors:
