@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .surface import (  # noqa: F401
     FlatSurface,
-    HalfEdge,
     SurfaceSpec,
     build_surface,
     isomorphic,

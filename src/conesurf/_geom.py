@@ -6,15 +6,18 @@ import math
 
 TWO_PI = 2.0 * math.pi
 
-# Tolerance table for every module; each comment gives the scale rule.
-VEC_TOL = 1e-9                # relative: vectors u, v agree when |u - v| <= VEC_TOL * (1 + |v|)
+# Tolerance table for every module; each comment gives the scale rule.  A
+# relative rule compares against the local length alone, with no additive 1:
+# below unit scale tol * (1 + |x|) is close to the absolute tol, which passes
+# any mismatch between lengths that are themselves smaller than tol.
+VEC_TOL = 1e-9                # relative: vectors u, v agree when |u - v| <= VEC_TOL * |v|
 AREA_TOL = 1e-12              # relative: a signed area must exceed AREA_TOL * (longest side)**2
 KERNEL_RANK_TOL = 1e-8        # relative: singular values below KERNEL_RANK_TOL * s_max are zero
 KERNEL_RESIDUAL_TOL = 1e-10   # relative: a kernel basis K needs |A K| <= KERNEL_RESIDUAL_TOL * |A|
 SOLUTION_RESIDUAL_TOL = 1e-8  # relative: a chart point z needs |A z| <= SOLUTION_RESIDUAL_TOL * |z|
 CONVEXITY_TOL = 1e-12         # relative: a convex quad corner needs cross > CONVEXITY_TOL * side**2
 DELAUNAY_BAND = 1e-9          # absolute: an opposite-angle sum up to pi + DELAUNAY_BAND is Delaunay
-POSITION_TOL = 1e-9           # relative: developed points coincide within POSITION_TOL * (1 + scale)
+POSITION_TOL = 1e-9           # relative: developed points coincide within POSITION_TOL * scale
 FRAME_RESIDUAL_TOL = 1e-8     # relative: a frame F needs |A F| <= FRAME_RESIDUAL_TOL*|F|*(1 + |A|)
 Q1_TOL = 1e-9                 # absolute: a point Z on the quadric has |f(Z) + 1| <= Q1_TOL
 TANGENT_TOL = 1e-8            # relative: a tangent x has |<Z, x>| <= TANGENT_TOL * (1 + |x|)

@@ -256,10 +256,6 @@ class ChartSystem:
     def kernel_dim(self) -> int:
         return self.kernel.shape[1]
 
-    @property
-    def full_row_rank(self) -> bool:
-        return self.rank == self.rows.shape[0]
-
     def fingerprint(self) -> str:
         return chart_fingerprint(self.rows)
 
@@ -385,19 +381,19 @@ def chart_for(surface: FlatSurface):
 
 
 def perturb_surface(surface: FlatSurface, rng, rel: float = 0.01,
-                    system: ChartSystem | None = None, max_attempts: int = 60) -> FlatSurface:
+                    system: ChartSystem | None = None) -> FlatSurface:
     """Random nearby surface in the same chart (same combinatorics and forest).
 
     Perturbs the solution vector along a random kernel direction by ``rel``
     times its norm, rejecting samples that degenerate a triangle or drift out
-    of the angle targets."""
+    of the angle targets; gives up after 60 samples."""
     if system is None:
         _, system = chart_for(surface)
     cut = system.cut
     z0 = solution_vector(cut)
     d = system.kernel_dim
     size = rel * np.linalg.norm(z0)
-    for attempt in range(max_attempts):
+    for _ in range(60):
         coeff = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         direction = system.kernel @ coeff
         norm = np.linalg.norm(direction)
@@ -446,7 +442,7 @@ def _check_same_metric(source: FlatSurface, target: FlatSurface):
         raise NotSameMetric("forests differ")
 
 
-def _match_forest_halfedges(source: FlatSurface, target: FlatSurface, tol: float = VEC_TOL):
+def _match_forest_halfedges(source: FlatSurface, target: FlatSurface):
     """Map each forest half-edge of target onto the geometrically identical
     forest half-edge of source (same origin vertex, same vector)."""
     matching = {}
@@ -456,7 +452,7 @@ def _match_forest_halfedges(source: FlatSurface, target: FlatSurface, tol: float
             v, w = target.origin(h), target.vec(h)
             cands = [x for x in source.corners_at(v)
                      if source.edge_of(x) in source.forest and x not in used
-                     and abs(source.vec(x) - w) <= tol * (1.0 + abs(w))]
+                     and abs(source.vec(x) - w) <= VEC_TOL * abs(w)]
             if len(cands) != 1:
                 raise NotSameMetric(
                     f"forest half-edge at vertex {v} has {len(cands)} geometric matches")
@@ -577,7 +573,7 @@ def chart_transition(source: FlatSurface, target: FlatSurface) -> np.ndarray:
             mat[col_t, col_s] += sign * rep_sign
     z_s = solution_vector(cut_s)
     z_t = solution_vector(cut_t)
-    if np.linalg.norm(mat @ z_s - z_t) > SOLUTION_RESIDUAL_TOL * (1.0 + np.linalg.norm(z_t)):
+    if np.linalg.norm(mat @ z_s - z_t) > SOLUTION_RESIDUAL_TOL * np.linalg.norm(z_t):
         raise NotSameMetric("transition does not reproduce the target coordinates")
     return mat
 

@@ -9,6 +9,8 @@ mandatory --seed, and output is byte-identical for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import cmath
+import hashlib
 import math
 import sys
 
@@ -36,7 +38,6 @@ from .surface import (
     make_doubled_polygon,
     make_regular_4g_gon,
     make_torus,
-    save_surface,
 )
 from .volume import (
     FOUR_TERM_SEQUENCE,
@@ -67,9 +68,22 @@ def _header(out):
 def _parse_complex(text):
     try:
         re, im = text.split(",")
-        return complex(float(re), float(im))
+        z = complex(float(re), float(im))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected re,im but got {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"expected finite re,im but got {text!r}")
+    return z
+
+
+def _parse_polygon(text):
+    return [_parse_complex(part) for part in text.split(";")] if text else []
+
+
+def _positive_int(text):
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _parse_edge_list(text):
@@ -98,6 +112,13 @@ def _surface_report(out, surface: FlatSurface):
     _emit(out, "gauss_bonnet_residual", abs(total - expected))
 
 
+def _within_tolerance(out, key, value, tol):
+    """Emit a measured deviation and its tolerance; True when it passes."""
+    _emit(out, key, value)
+    _emit(out, "tolerance", tol)
+    return value < tol
+
+
 def _cmd_make(args, out):
     if args.kind == "torus":
         if args.u is None or args.v is None:
@@ -106,32 +127,24 @@ def _cmd_make(args, out):
     elif args.kind == "polygon":
         if not args.vertices:
             raise ConesurfError("make polygon needs --vertices re,im;re,im;...")
-        pts = [_parse_complex(part) for part in args.vertices.split(";")]
-        surface = make_doubled_polygon(pts)
+        surface = make_doubled_polygon(args.vertices)
     elif args.kind == "regular-polygon":
         if args.sides is None:
             raise ConesurfError("make regular-polygon needs --sides")
-        import cmath
-
         pts = [cmath.exp(2j * math.pi * k / args.sides) for k in range(args.sides)]
         surface = make_doubled_polygon(pts)
-    elif args.kind == "translation-4g":
+    else:  # translation-4g, the last of the kinds argparse allows
         if args.genus is None:
             raise ConesurfError("make translation-4g needs --genus")
         surface = make_regular_4g_gon(args.genus)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConesurfError(f"unknown kind {args.kind}")
     _surface_report(out, surface)
-    if args.output:
-        save_surface(surface, args.output)
-        _emit(out, "written", args.output)
-    return 0
+    return True, surface
 
 
 def _cmd_validate(args, out):
     surface = load_surface(args.surface)
     _surface_report(out, surface)
-    return 0
+    return True, None
 
 
 def _cmd_info(args, out):
@@ -146,7 +159,7 @@ def _cmd_info(args, out):
     _emit(out, "kernel_dim", system.kernel_dim)
     _emit(out, "chart_fingerprint", system.fingerprint())
     _emit(out, "half_turn_holonomy", str(bool(has_half_turn_holonomy(surface))).lower())
-    return 0
+    return True, None
 
 
 def _cmd_flip(args, out):
@@ -156,10 +169,7 @@ def _cmd_flip(args, out):
     _emit(out, "old_vector", f"{move.old_diagonal.real!r},{move.old_diagonal.imag!r}")
     _emit(out, "new_vector", f"{move.new_diagonal.real!r},{move.new_diagonal.imag!r}")
     _emit(out, "quad", ",".join(str(q) for q in move.quad))
-    if args.output:
-        save_surface(flipped, args.output)
-        _emit(out, "written", args.output)
-    return 0
+    return True, flipped
 
 
 def _cmd_delaunay(args, out):
@@ -168,15 +178,13 @@ def _cmd_delaunay(args, out):
     _emit(out, "flips", len(path))
     bad = [e for e in result.edges() if not is_delaunay_edge(result, e)]
     _emit(out, "violations", len(bad))
-    if args.output:
-        save_surface(result, args.output)
-        _emit(out, "written", args.output)
-    return 0 if not bad else 1
+    return not bad, result
 
 
 def _cmd_insert(args, out):
     surface = load_surface(args.surface)
     _known_halfedge(surface, args.corner, "--corner")
+    # written before the insertion runs, so it is there when the insertion fails
     if args.dump_development:
         polygon = developing_polygon(surface, args.corner, args.vec)
         with open(args.dump_development, "w", encoding="utf-8") as fh:
@@ -185,13 +193,10 @@ def _cmd_insert(args, out):
         _emit(out, "development", args.dump_development)
     result, path = insert_segment(surface, args.corner, args.vec)
     _emit(out, "flips", len(path))
-    present = any(abs(result.vec(h) - args.vec) <= VEC_TOL * (1 + abs(args.vec))
+    present = any(abs(result.vec(h) - args.vec) <= VEC_TOL * abs(args.vec)
                   for h in result.halfedges)
     _emit(out, "segment_is_edge", str(present).lower())
-    if args.output:
-        save_surface(result, args.output)
-        _emit(out, "written", args.output)
-    return 0 if present else 1
+    return present, result
 
 
 def _cmd_flip_path(args, out):
@@ -202,12 +207,7 @@ def _cmd_flip_path(args, out):
     replayed = path.replay(source)
     ok = isomorphic(replayed, target) is not None
     _emit(out, "replay_matches", str(ok).lower())
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(path.to_json() + "\n")
-        _emit(out, "written", args.output)
-    out.append("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return ok, path.to_json() + "\n"
 
 
 def _cmd_cut(args, out):
@@ -219,7 +219,7 @@ def _cmd_cut(args, out):
     _emit(out, "boundary_pairs", len(cut.pairings))
     for pair in cut.pairings:
         _emit(out, f"pair[{pair.edge}]", f"{pair.a},{pair.abar},{pair.rotation!r}")
-    return 0
+    return True, None
 
 
 def _cmd_chart(args, out):
@@ -230,11 +230,7 @@ def _cmd_chart(args, out):
     _emit(out, "rank", system.rank)
     _emit(out, "kernel_dim", system.kernel_dim)
     _emit(out, "chart_fingerprint", system.fingerprint())
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(system.to_json())
-        _emit(out, "written", args.output)
-    return 0
+    return True, system
 
 
 def _cmd_density(args, out):
@@ -246,11 +242,9 @@ def _cmd_density(args, out):
     _emit(out, "chart_fingerprint", report.fingerprint)
     residual = float(np.linalg.norm(system.rows @ system.kernel))
     _emit(out, "kernel_residual", residual)
-    import hashlib
-
     frame_hash = hashlib.sha256(np.ascontiguousarray(report.frame).tobytes()).hexdigest()[:16]
     _emit(out, "frame_hash", frame_hash)
-    return 0
+    return True, None
 
 
 def _cmd_check_flip_invariance(args, out):
@@ -267,11 +261,7 @@ def _cmd_check_flip_invariance(args, out):
         deviation = abs(report_b.value / report_a.value - 1.0)
         _emit(out, f"ratio_deviation[{k}]", deviation)
         worst = max(worst, deviation)
-    _emit(out, "max_deviation", worst)
-    _emit(out, "tolerance", PASS_TOL_FLIP)
-    ok = worst < PASS_TOL_FLIP
-    out.append("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return _within_tolerance(out, "max_deviation", worst, PASS_TOL_FLIP), None
 
 
 def _cmd_check_tree_invariance(args, out):
@@ -281,11 +271,7 @@ def _cmd_check_tree_invariance(args, out):
     _emit(out, "value_b", report_b.value)
     _emit(out, "ratio", ratio)
     deviation = abs(ratio - 1.0)
-    _emit(out, "deviation", deviation)
-    _emit(out, "tolerance", PASS_TOL_TREE)
-    ok = deviation < PASS_TOL_TREE
-    out.append("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return _within_tolerance(out, "deviation", deviation, PASS_TOL_TREE), None
 
 
 def _cmd_compare_period(args, out):
@@ -297,11 +283,7 @@ def _cmd_compare_period(args, out):
     _emit(out, "family", ",".join(str(e) for e in family))
     low, high = min(ratios), max(ratios)
     spread = (high - low) / abs(low)
-    _emit(out, "spread", spread)
-    _emit(out, "tolerance", PASS_TOL_PERIOD)
-    ok = spread < PASS_TOL_PERIOD
-    out.append("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return _within_tolerance(out, "spread", spread, PASS_TOL_PERIOD), None
 
 
 def _cmd_hyp_compare(args, out):
@@ -313,10 +295,7 @@ def _cmd_hyp_compare(args, out):
         _emit(out, f"ratio[{k}]", ratio)
         _emit(out, f"residual[{k}]", residual)
     _emit(out, "chart_constant", scan.chart_constant)
-    _emit(out, "spread", scan.spread)
-    _emit(out, "tolerance", PASS_TOL_HYP)
-    out.append("PASS" if scan.passed else "FAIL")
-    return 0 if scan.passed else 1
+    return _within_tolerance(out, "spread", scan.spread, PASS_TOL_HYP), None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,94 +304,69 @@ def build_parser() -> argparse.ArgumentParser:
         description="flat surfaces with cone singularities: charts, flips and densities")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_output(p):
-        p.add_argument("-o", dest="output", metavar="path", default=None)
+    def verb(name, func, *positionals, output=False, check=False, help=None, **flags):
+        """Add one verb: its positionals, a --flag per keyword (argparse
+        options), -o when it writes a file, and whether it ends in PASS/FAIL."""
+        p = sub.add_parser(name, **({} if help is None else {"help": help}))
+        for arg in positionals:
+            p.add_argument(arg)
+        for flag, options in flags.items():
+            p.add_argument("--" + flag.replace("_", "-"), **options)
+        if output:
+            p.add_argument("-o", dest="output", metavar="path")
+        p.set_defaults(func=func, output=None, check=check)
+        return p
 
-    p = sub.add_parser("make", help="construct an example surface")
-    p.add_argument("kind", choices=["torus", "polygon", "regular-polygon", "translation-4g"])
-    p.add_argument("--u", type=_parse_complex, default=None)
-    p.add_argument("--v", type=_parse_complex, default=None)
-    p.add_argument("--vertices", default=None)
-    p.add_argument("--sides", type=int, default=None)
-    p.add_argument("--genus", type=int, default=None)
-    add_output(p)
-    p.set_defaults(func=_cmd_make)
+    def required(kind):
+        return {"type": kind, "required": True}
 
-    for verb, func in (("validate", _cmd_validate), ("info", _cmd_info),
+    verb("make", _cmd_make, output=True, help="construct an example surface",
+         u={"type": _parse_complex}, v={"type": _parse_complex},
+         vertices={"type": _parse_polygon}, sides={"type": int}, genus={"type": int},
+         ).add_argument("kind", choices=["torus", "polygon", "regular-polygon", "translation-4g"])
+    for name, func in (("validate", _cmd_validate), ("info", _cmd_info),
                        ("cut", _cmd_cut), ("density", _cmd_density)):
-        p = sub.add_parser(verb)
-        p.add_argument("surface")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("chart")
-    p.add_argument("surface")
-    add_output(p)
-    p.set_defaults(func=_cmd_chart)
-
-    p = sub.add_parser("flip")
-    p.add_argument("surface")
-    p.add_argument("--edge", type=int, required=True)
-    add_output(p)
-    p.set_defaults(func=_cmd_flip)
-
-    p = sub.add_parser("delaunay")
-    p.add_argument("surface")
-    add_output(p)
-    p.set_defaults(func=_cmd_delaunay)
-
-    p = sub.add_parser("insert")
-    p.add_argument("surface")
-    p.add_argument("--corner", type=int, required=True)
-    p.add_argument("--vec", type=_parse_complex, required=True)
-    p.add_argument("--dump-development", dest="dump_development", default=None)
-    add_output(p)
-    p.set_defaults(func=_cmd_insert)
-
-    p = sub.add_parser("flip-path")
-    p.add_argument("surface")
-    p.add_argument("target")
-    add_output(p)
-    p.set_defaults(func=_cmd_flip_path)
-
-    p = sub.add_parser("check-flip-invariance")
-    p.add_argument("surface")
-    p.add_argument("--moves", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_check_flip_invariance)
-
-    p = sub.add_parser("check-tree-invariance")
-    p.add_argument("surface")
-    p.add_argument("--tree", type=_parse_edge_list, required=True)
-    p.set_defaults(func=_cmd_check_tree_invariance)
-
-    p = sub.add_parser("compare-period")
-    p.add_argument("surface")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_compare_period)
-
-    p = sub.add_parser("hyp-compare")
-    p.add_argument("surface")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_hyp_compare)
+        verb(name, func, "surface")
+    verb("chart", _cmd_chart, "surface", output=True)
+    verb("flip", _cmd_flip, "surface", output=True, edge=required(int))
+    verb("delaunay", _cmd_delaunay, "surface", output=True)
+    verb("insert", _cmd_insert, "surface", output=True, corner=required(int),
+         vec=required(_parse_complex), dump_development={})
+    verb("flip-path", _cmd_flip_path, "surface", "target", output=True, check=True)
+    verb("check-flip-invariance", _cmd_check_flip_invariance, "surface", check=True,
+         moves=required(_positive_int), seed=required(int))
+    verb("check-tree-invariance", _cmd_check_tree_invariance, "surface", check=True,
+         tree=required(_parse_edge_list))
+    verb("compare-period", _cmd_compare_period, "surface", check=True,
+         samples=required(_positive_int), seed=required(int))
+    verb("hyp-compare", _cmd_hyp_compare, "surface", check=True,
+         samples=required(_positive_int), seed=required(int))
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one verb.  Each _cmd_* emits its records and returns (ok, artifact):
+    ok sets the exit status and a check verb's PASS/FAIL line; -o writes the
+    artifact, a text or an object serialized by its to_json() only then."""
     parser = build_parser()
     args = parser.parse_args(argv)
     out = []
     _header(out)
     try:
-        status = args.func(args, out)
+        ok, artifact = args.func(args, out)
+        if args.output:
+            text = artifact if isinstance(artifact, str) else artifact.to_json()
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            _emit(out, "written", args.output)
+        if args.check:
+            out.append("PASS" if ok else "FAIL")
     except (ConesurfError, OSError, ValueError) as exc:
         _emit(out, "error", type(exc).__name__)
         _emit(out, "message", str(exc))
-        print("\n".join(out))
-        return 1
+        ok = False
     print("\n".join(out))
-    return status
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

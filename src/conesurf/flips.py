@@ -14,6 +14,7 @@ along the forest).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ from .charts import (
     _offset_between,
 )
 from .errors import (
+    DegenerateInput,
     DoesNotTerminateAtVertex,
     ExitsThroughForest,
     ForestEdge,
@@ -194,13 +196,13 @@ def delaunay_angle_sum(surface: FlatSurface, edge) -> float:
             + surface.corner_angle(surface.prev(surface.twin(h))))
 
 
-def is_delaunay_edge(surface: FlatSurface, edge, band: float = DELAUNAY_BAND) -> bool:
+def is_delaunay_edge(surface: FlatSurface, edge) -> bool:
     h = surface.edge_of(edge)
     if h in surface.forest:
         return True
     if surface.triangle_of(h) == surface.triangle_of(surface.twin(h)):
         return True
-    return delaunay_angle_sum(surface, h) <= math.pi + band
+    return delaunay_angle_sum(surface, h) <= math.pi + DELAUNAY_BAND
 
 
 def delaunay(surface: FlatSurface, rng=None):
@@ -222,9 +224,9 @@ def delaunay(surface: FlatSurface, rng=None):
             raise NonTermination(f"Delaunay flipping exceeded {cap} moves")
 
 
-def canonicalize_cocircular(surface: FlatSurface, band: float = DELAUNAY_BAND):
-    """Resolve cocircular quads deterministically: within the band, prefer the
-    diagonal with the smaller (vertex pair, direction) key.  Used to compare
+def canonicalize_cocircular(surface: FlatSurface):
+    """Resolve cocircular quads deterministically: within DELAUNAY_BAND, prefer
+    the diagonal with the smaller (vertex pair, direction) key.  Used to compare
     Delaunay triangulations produced in different flip orders."""
 
     def vec_key(v):
@@ -240,7 +242,7 @@ def canonicalize_cocircular(surface: FlatSurface, band: float = DELAUNAY_BAND):
         for e in surface.edges():
             if e in surface.forest:
                 continue
-            if abs(delaunay_angle_sum(surface, e) - math.pi) > band:
+            if abs(delaunay_angle_sum(surface, e) - math.pi) > DELAUNAY_BAND:
                 continue
             if not is_flippable(surface, e):
                 continue
@@ -294,7 +296,7 @@ class DevelopingPolygon:
 
 
 def _near(p, q, scale):
-    return abs(p - q) <= POSITION_TOL * (1.0 + scale)
+    return abs(p - q) <= POSITION_TOL * scale
 
 
 def develop_segment(surface: FlatSurface, corner, w: complex) -> Trace:
@@ -302,9 +304,12 @@ def develop_segment(surface: FlatSurface, corner, w: complex) -> Trace:
 
     The corner is an outgoing half-edge; the direction must lie in the closed
     sector from that half-edge's ray (inclusive) to the next corner's ray
-    (exclusive).  Forest edges may not be crossed."""
+    (exclusive).  Forest edges may not be crossed; w must be nonzero and
+    finite."""
     h0 = corner
     w = complex(w)
+    if w == 0 or not cmath.isfinite(w):
+        raise DegenerateInput(f"segment vector must be nonzero and finite, got {w!r}")
     u = surface.vec(h0)
     scale = max(abs(w), abs(u))
     ang = surface.corner_angle(h0)
@@ -382,7 +387,7 @@ def develop_segment(surface: FlatSurface, corner, w: complex) -> Trace:
             side_len = abs(q - p)
             if s < -POSITION_TOL * local / side_len or s > 1.0 + POSITION_TOL * local / side_len:
                 continue
-            if min(s, 1.0 - s) * side_len <= POSITION_TOL * (1.0 + local):
+            if min(s, 1.0 - s) * side_len <= POSITION_TOL * local:
                 vertex = surface.origin(x) if s < 0.5 else surface.head(x)
                 raise HitsVertexEarly(vertex, t)
             exit_he, exit_t = x, t
@@ -617,7 +622,7 @@ def flip_path(source: FlatSurface, target: FlatSurface) -> FlipPath:
     direction; more than one such vertex is not supported.
     """
     _check_same_metric(source, target)
-    if abs(source.total_area() - target.total_area()) > 1e-9 * (1 + source.total_area()):
+    if abs(source.total_area() - target.total_area()) > 1e-9 * source.total_area():
         raise NotSameMetric("areas differ")
     if not has_half_turn_holonomy(source) and source.genus() != 0:
         raise Unsupported("flip paths need half-turn holonomy or genus zero")

@@ -45,17 +45,6 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class HalfEdge:
-    """Read-only view of one half-edge."""
-
-    id: int
-    triangle: int
-    next: int
-    twin: int
-    origin: int
-
-
 class FlatSurface:
     """Validated triangulated flat surface.
 
@@ -192,7 +181,7 @@ class FlatSurface:
             v1, v2, v3 = self._vec[h1], self._vec[h2], self._vec[h3]
             scale = max(abs(v1), abs(v2), abs(v3))
             residual = abs(v1 + v2 + v3)
-            if residual > VEC_TOL * (1.0 + scale):
+            if residual > VEC_TOL * scale:
                 raise ClosureViolation(tid, residual)
             area = 0.5 * cross(v1, v2)
             if area <= AREA_TOL * scale * scale:
@@ -223,7 +212,7 @@ class FlatSurface:
             k = self._twin[h]
             if h < k and h not in forest:
                 residual = abs(self._vec[k] + self._vec[h])
-                if residual > VEC_TOL * (1.0 + abs(self._vec[h])):
+                if residual > VEC_TOL * abs(self._vec[h]):
                     raise GluingMismatch(h, residual)
 
         # the rotation across a forest edge is the cone-angle sum of the
@@ -238,7 +227,7 @@ class FlatSurface:
         subtree angle sum reduced to (-pi, pi]."""
         h, k = e, self._twin[e]
         rot = -cmath.exp(1j * theta)
-        scale = VEC_TOL * (1.0 + abs(self._vec[h]))
+        scale = VEC_TOL * abs(self._vec[h])
         if abs(self._vec[k] - rot * self._vec[h]) <= scale:
             return theta, h, k
         if abs(self._vec[h] - rot * self._vec[k]) <= scale:
@@ -300,9 +289,6 @@ class FlatSurface:
     def triangle(self, tid):
         return self._tris[tid]
 
-    def halfedge(self, h) -> HalfEdge:
-        return HalfEdge(h, self._tri_of[h], self._next[h], self._twin[h], self._origin[h])
-
     def edge_of(self, h):
         return min(h, self._twin[h])
 
@@ -349,10 +335,6 @@ class FlatSurface:
     def total_area(self) -> float:
         return sum(
             0.5 * cross(self._vec[h1], self._vec[h2]) for h1, h2, _ in self._tris.values())
-
-    def triangle_area(self, tid) -> float:
-        h1, h2, _ = self._tris[tid]
-        return 0.5 * cross(self._vec[h1], self._vec[h2])
 
     def crossing_rotation(self, h) -> float:
         """Rotation picked up by crossing the edge of h, in (-pi, pi].
@@ -641,12 +623,12 @@ def make_regular_4g_gon(g: int) -> FlatSurface:
 # canonical equality
 
 
-def isomorphic(s1: FlatSurface, s2: FlatSurface, tol: float = VEC_TOL):
+def isomorphic(s1: FlatSurface, s2: FlatSurface):
     """Canonical equality of surfaces.
 
     True when there is a bijection of half-edges commuting with next and twin,
     preserving origin vertex ids and forest membership, and matching vectors
-    within tolerance.  Returns the bijection (dict) or None.
+    within VEC_TOL.  Returns the bijection (dict) or None.
     """
     if len(s1.halfedges) != len(s2.halfedges):
         return None
@@ -656,9 +638,9 @@ def isomorphic(s1: FlatSurface, s2: FlatSurface, tol: float = VEC_TOL):
         return None
 
     def agree(h, k):
-        """Same origin, same vector within tol, same forest membership."""
+        """Same origin, same vector within VEC_TOL, same forest membership."""
         return (s1.origin(h) == s2.origin(k)
-                and abs(s1.vec(h) - s2.vec(k)) <= tol * (1.0 + abs(s1.vec(h)))
+                and abs(s1.vec(h) - s2.vec(k)) <= VEC_TOL * abs(s1.vec(h))
                 and (s1.edge_of(h) in s1.forest) == (s2.edge_of(k) in s2.forest))
 
     h0 = s1.halfedges[0]

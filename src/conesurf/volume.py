@@ -71,7 +71,7 @@ def _case_two_rows(system) -> np.ndarray:
     return rows
 
 
-def kernel_density(system, frame, complement=None, image_complement=None) -> DensityReport:
+def kernel_density(system, frame, complement=None) -> DensityReport:
     """Evaluate the induced kernel volume on a frame.
 
     Full row rank: value = |det [frame | W]|^2 / |det (A W)|^2 for any
@@ -111,9 +111,7 @@ def kernel_density(system, frame, complement=None, image_complement=None) -> Den
     complement = np.asarray(complement, dtype=complex)
     if complement.shape != (n1, r - 1):
         raise RankCaseMismatch(f"complement must be {n1} x {r - 1}")
-    if image_complement is None:
-        image_complement = np.full(r, 1.0 / r, dtype=complex)
-    image_complement = np.asarray(image_complement, dtype=complex).reshape(r, 1)
+    image_complement = np.full((r, 1), 1.0 / r, dtype=complex)
     s_w2 = image_complement.sum()
     numerator = _abs_det_sq(np.hstack([frame, complement])) * abs(s_w2) ** 2
     denominator = _abs_det_sq(np.hstack([adjusted @ complement, image_complement]))

@@ -1,8 +1,9 @@
 import math
+from pathlib import Path
 
 import pytest
 
-from conesurf.cli import main
+from conesurf.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -213,3 +214,72 @@ class TestUnknownIds:
         record = parse(out)
         assert record["error"] == "ValueError"
         assert "forest" in record["message"]
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("argv", [
+        ("check-flip-invariance", "--moves", "0", "--seed", "1"),
+        ("check-flip-invariance", "--moves", "-3", "--seed", "1"),
+        ("compare-period", "--samples", "0", "--seed", "1"),
+        ("hyp-compare", "--samples", "0", "--seed", "1"),
+        ("insert", "--corner", "0", "--vec", "nan,1"),
+        ("insert", "--corner", "0", "--vec", "1,inf"),
+    ])
+    def test_usage_error(self, torus_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], torus_path, *argv[1:]])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_bad_polygon_vertex_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["make", "polygon", "--vertices", "0,0;1"])
+        assert exc.value.code == 2
+
+    def test_zero_segment_is_an_error_record(self, torus_path, tmp_path, capsys):
+        dev = tmp_path / "dev.txt"
+        status, out = run(capsys, "insert", torus_path, "--corner", "0", "--vec", "0,0",
+                          "--dump-development", str(dev))
+        assert status == 1
+        assert parse(out)["error"] == "DegenerateInput"
+        assert not dev.exists()
+
+
+class TestVerbContract:
+    def test_failed_write_is_an_error_record_without_verdict(self, torus_path, tmp_path,
+                                                              capsys):
+        flipped = tmp_path / "f.json"
+        run(capsys, "flip", torus_path, "--edge", "2", "-o", str(flipped))
+        status, out = run(capsys, "flip-path", torus_path, str(flipped),
+                          "-o", str(tmp_path / "missing" / "path.json"))
+        assert status == 1
+        lines = out.strip().splitlines()
+        assert lines[-2].startswith("error = ")
+        assert "PASS" not in lines and "FAIL" not in lines
+
+    def test_written_record_follows_the_verb_records(self, torus_path, tmp_path, capsys):
+        target = tmp_path / "d.json"
+        status, out = run(capsys, "delaunay", torus_path, "-o", str(target))
+        assert status == 0
+        lines = out.strip().splitlines()
+        assert lines[-2:] == ["violations = 0", f"written = {target}"]
+        assert target.exists()
+
+
+def readme_commands():
+    """The ``conesurf`` lines of the sh block under "## Command line"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    return [line[1:] for line in lines if line and line[0] == "conesurf"]
+
+
+def test_readme_command_block(tmp_path, monkeypatch, capsys):
+    commands = readme_commands()
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        status, out = run(capsys, *argv)
+        assert status == 0, (argv, out)
+        if build_parser().parse_args(argv).check:
+            assert out.strip().splitlines()[-1] == "PASS", argv

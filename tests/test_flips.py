@@ -7,6 +7,7 @@ import pytest
 from conesurf import isomorphic, make_torus
 from conesurf.charts import exchange_sequence, spanning_forest
 from conesurf.errors import (
+    DegenerateInput,
     DoesNotTerminateAtVertex,
     ExitsThroughForest,
     ForestEdge,
@@ -319,3 +320,12 @@ class TestExchangeTree:
             current = (current - {out}) | {into}
             assert len(current) == 4
         assert current == set(star)
+
+
+class TestDegenerateSegment:
+    @pytest.mark.parametrize("w", [0, complex(math.nan, 1), complex(1, math.inf)])
+    @pytest.mark.parametrize("call", [develop_segment, trace_segment, developing_polygon,
+                                      insert_segment])
+    def test_zero_or_non_finite_vector_is_rejected(self, square_torus, call, w):
+        with pytest.raises(DegenerateInput):
+            call(square_torus, 0, w)
