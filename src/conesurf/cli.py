@@ -238,6 +238,7 @@ def _cmd_density(args, out):
     _, system = chart_for(surface)
     report = kernel_density(system, system.kernel)
     _emit(out, "value", report.value)
+    _emit(out, "log_value", report.log_value)
     _emit(out, "convention", report.convention)
     _emit(out, "chart_fingerprint", report.fingerprint)
     residual = float(np.linalg.norm(system.rows @ system.kernel))
@@ -304,10 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="flat surfaces with cone singularities: charts, flips and densities")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name, func, *positionals, output=False, check=False, help=None, **flags):
-        """Add one verb: its positionals, a --flag per keyword (argparse
-        options), -o when it writes a file, and whether it ends in PASS/FAIL."""
-        p = sub.add_parser(name, **({} if help is None else {"help": help}))
+    def verb(name, func, *positionals, help, output=False, check=False, **flags):
+        """Add one verb: its help line, positionals, a --flag per keyword
+        (argparse options), -o when it writes a file, and whether it ends in PASS/FAIL."""
+        p = sub.add_parser(name, help=help)
         for arg in positionals:
             p.add_argument(arg)
         for flag, options in flags.items():
@@ -324,22 +325,28 @@ def build_parser() -> argparse.ArgumentParser:
          u={"type": _parse_complex}, v={"type": _parse_complex},
          vertices={"type": _parse_polygon}, sides={"type": int}, genus={"type": int},
          ).add_argument("kind", choices=["torus", "polygon", "regular-polygon", "translation-4g"])
-    for name, func in (("validate", _cmd_validate), ("info", _cmd_info),
-                       ("cut", _cmd_cut), ("density", _cmd_density)):
-        verb(name, func, "surface")
-    verb("chart", _cmd_chart, "surface", output=True)
-    verb("flip", _cmd_flip, "surface", output=True, edge=required(int))
-    verb("delaunay", _cmd_delaunay, "surface", output=True)
-    verb("insert", _cmd_insert, "surface", output=True, corner=required(int),
-         vec=required(_parse_complex), dump_development={})
-    verb("flip-path", _cmd_flip_path, "surface", "target", output=True, check=True)
+    for name, func, text in (("validate", _cmd_validate, "validate a surface file"),
+                             ("info", _cmd_info, "genus, cut counts, rank and kernel dimension"),
+                             ("cut", _cmd_cut, "slit counts and boundary-pair rotations"),
+                             ("density", _cmd_density, "kernel density on the kernel frame")):
+        verb(name, func, "surface", help=text)
+    verb("chart", _cmd_chart, "surface", output=True, help="assemble the chart system")
+    verb("flip", _cmd_flip, "surface", output=True, help="flip one edge", edge=required(int))
+    verb("delaunay", _cmd_delaunay, "surface", output=True, help="flip until Delaunay")
+    verb("insert", _cmd_insert, "surface", output=True, help="flip a segment into an edge",
+         corner=required(int), vec=required(_parse_complex), dump_development={})
+    verb("flip-path", _cmd_flip_path, "surface", "target", output=True, check=True,
+         help="find and replay a flip path between two surfaces")
     verb("check-flip-invariance", _cmd_check_flip_invariance, "surface", check=True,
+         help="density ratios across random flips",
          moves=required(_positive_int), seed=required(int))
     verb("check-tree-invariance", _cmd_check_tree_invariance, "surface", check=True,
-         tree=required(_parse_edge_list))
+         help="density ratio across a forest change", tree=required(_parse_edge_list))
     verb("compare-period", _cmd_compare_period, "surface", check=True,
+         help="density against Lebesgue measure in period coordinates",
          samples=required(_positive_int), seed=required(int))
     verb("hyp-compare", _cmd_hyp_compare, "surface", check=True,
+         help="unit-area density against the complex hyperbolic density",
          samples=required(_positive_int), seed=required(int))
     return parser
 

@@ -306,6 +306,8 @@ def ratio_scan(chart: GenusZeroChart, samples: int, rng, rel: float = 0.01,
     """Sample nearby unit-area surfaces in one chart and compare the two
     densities; the ratio must be constant across samples (and equals a quarter
     of the chart constant with these conventions)."""
+    if samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
     form = normalize_form(area_form(chart))
     p = form.normalizer
     c0 = chart_constant(chart, p)

@@ -1,20 +1,34 @@
 """Volume densities on chart kernels via exact-sequence torsion.
 
 A surjective linear map between spaces carrying Lebesgue volumes induces a
-volume on its kernel; evaluating that induced volume on a kernel frame is a
-ratio of two complex determinants (squared, since a complex k-space counts as
-2k real dimensions).  When the system has a one-dimensional row relation (all
-cone angles full-turn multiples), the image is the zero-sum hyperplane and the
-density is the torsion of the four-term sequence through the coordinate-sum
-functional instead.
+volume on its kernel.  Counting a complex k-space as 2k real dimensions, its
+value on a frame F of the kernel of rows B of full rank is a Gram-determinant
+ratio,
+
+    density = det(F* F) / det(B B*),
+
+where B B* is a connection Laplacian on the dual graph (Kenyon, *Spanning
+forests and the vector bundle Laplacian*, Ann. Probab. 2011).
+
+- Full row rank (short sequence), B = A: with the complement W = A*(AA*)^-1,
+  the Gram matrix of [F | W] is block diagonal because AF = 0, and AW = 1, so
+  |det [F | W]|^2 / |det AW|^2 = det(F* F) / det(AA*).
+- Rank deficiency one (all cone angles full-turn multiples, four-term
+  sequence through the coordinate-sum functional), B = A without its last
+  row: the sign-normalized rows sum to zero, so replacing the last row of
+  [A W | w] by the sum of all rows gives (0, ..., 0, sum w), which leaves the
+  short-sequence value of B; row signs do not change |det|.
 
 Only ratios and constancy statements are geometrically meaningful: absolute
 values depend on the frame and on these conventions, so every report carries
-the frame and a convention tag.
+the frame and a convention tag.  Densities underflow on large charts, so every
+report carries the logarithm too, and the tree-change and split-edge ratios
+are taken from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,38 +62,24 @@ FOUR_TERM_SEQUENCE = "four-term-sequence"
 @dataclass(frozen=True)
 class DensityReport:
     value: float
+    log_value: float
     frame: np.ndarray
     convention: str
     fingerprint: str
 
 
-def _abs_det_sq(mat: np.ndarray) -> float:
-    return abs(np.linalg.det(mat)) ** 2
+def _log_gram_det(mat: np.ndarray) -> float:
+    """log det(M* M), from the diagonal of a thin QR of M."""
+    r = np.linalg.qr(mat, mode="r")
+    return 2.0 * float(np.sum(np.log(np.abs(np.diagonal(r)))))
 
 
-def _case_two_rows(system) -> np.ndarray:
-    """Rows with boundary-pair signs flipped so that all rows sum to zero
-    (the sign choice that makes the image equal the zero-sum hyperplane)."""
-    rows = system.rows.copy()
-    for i, (kind, _) in enumerate(system.row_kind):
-        if kind != "triangle":
-            rows[i] = -rows[i]
-    residual = np.linalg.norm(rows.sum(axis=0))
-    if residual > 1e-9 * (1.0 + np.linalg.norm(rows)):
-        raise RankCaseMismatch(
-            "row relation is not the expected sum after sign normalization")
-    return rows
-
-
-def kernel_density(system, frame, complement=None) -> DensityReport:
-    """Evaluate the induced kernel volume on a frame.
-
-    Full row rank: value = |det [frame | W]|^2 / |det (A W)|^2 for any
-    complement W (default: minimum-norm preimages of the standard codomain
-    basis, so the denominator is 1).  Rank deficiency one: two-stage torsion
-    through the zero-sum hyperplane with the coordinate-sum functional.
-    The value does not depend on the complement choices.
-    """
+def kernel_density(system, frame) -> DensityReport:
+    """Evaluate the induced kernel volume on a frame: det(F* F) / det(B B*),
+    with B the rows at full rank, and in rank deficiency one, once the rows are
+    checked to sum to zero with the boundary-pair rows negated, the rows without
+    the last one.  Both log-determinants come from thin QRs, so nothing
+    overflows and the condition number is not squared."""
     frame = np.asarray(frame, dtype=complex)
     rows = system.rows
     n1 = rows.shape[1]
@@ -93,29 +93,17 @@ def kernel_density(system, frame, complement=None) -> DensityReport:
 
     r = rows.shape[0]
     if system.rank == r:
-        if complement is None:
-            complement = np.linalg.pinv(rows)
-        complement = np.asarray(complement, dtype=complex)
-        if complement.shape != (n1, r):
-            raise RankCaseMismatch(f"complement must be {n1} x {r}")
-        value = _abs_det_sq(np.hstack([frame, complement])) / _abs_det_sq(rows @ complement)
-        return DensityReport(value, frame, SHORT_SEQUENCE, chart_fingerprint(rows))
-
-    if system.rank != r - 1:
+        convention, image_rows = SHORT_SEQUENCE, rows
+    elif system.rank == r - 1:
+        signs = np.array([1.0 if kind == "triangle" else -1.0 for kind, _ in system.row_kind])
+        if np.linalg.norm(signs @ rows) > 1e-9 * (1.0 + np.linalg.norm(rows)):
+            raise RankCaseMismatch(
+                "row relation is not the expected sum after sign normalization")
+        convention, image_rows = FOUR_TERM_SEQUENCE, rows[:-1]
+    else:
         raise RankCaseMismatch(f"rank {system.rank} is neither {r} nor {r - 1}")
-    adjusted = _case_two_rows(system)
-    if complement is None:
-        u, s, vh = np.linalg.svd(adjusted)
-        image_basis = u[:, : r - 1]
-        complement = np.linalg.lstsq(adjusted, image_basis, rcond=None)[0]
-    complement = np.asarray(complement, dtype=complex)
-    if complement.shape != (n1, r - 1):
-        raise RankCaseMismatch(f"complement must be {n1} x {r - 1}")
-    image_complement = np.full((r, 1), 1.0 / r, dtype=complex)
-    s_w2 = image_complement.sum()
-    numerator = _abs_det_sq(np.hstack([frame, complement])) * abs(s_w2) ** 2
-    denominator = _abs_det_sq(np.hstack([adjusted @ complement, image_complement]))
-    return DensityReport(numerator / denominator, frame, FOUR_TERM_SEQUENCE,
+    log_value = _log_gram_det(frame) - _log_gram_det(image_rows.conj().T)
+    return DensityReport(float(np.exp(log_value)), log_value, frame, convention,
                          chart_fingerprint(rows))
 
 
@@ -197,9 +185,9 @@ def split_constant(cut, edge, frame=None) -> float:
         frame = base.kernel
     frame = np.asarray(frame, dtype=complex)
     split = split_edge_system(cut, edge)
-    below = kernel_density(base, frame).value
-    above = kernel_density(split, split.embed(frame)).value
-    return above / below
+    below = kernel_density(base, frame).log_value
+    above = kernel_density(split, split.embed(frame)).log_value
+    return math.exp(above - below)
 
 
 def tree_change_densities(surface: FlatSurface, tree_a, tree_b, frame=None):
@@ -216,7 +204,7 @@ def tree_change_densities(surface: FlatSurface, tree_a, tree_b, frame=None):
     _, system_b = chart_for(surface_b)
     report_a = kernel_density(system_a, frame)
     report_b = kernel_density(system_b, transition @ frame)
-    ratio = report_b.value / report_a.value
+    ratio = math.exp(report_b.log_value - report_a.log_value)
     return report_a, report_b, ratio
 
 
@@ -243,6 +231,8 @@ def period_density_ratio(surface: FlatSurface, samples: int = 10, rng=None,
 
     Requires a translation surface presented with an empty forest.  Returns
     (ratios, primitive edge family)."""
+    if samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
     if surface.forest:
         raise NotTranslationSurface("period coordinates need an empty forest")
     for v in surface.vertex_ids:
@@ -267,7 +257,7 @@ def period_density_ratio(surface: FlatSurface, samples: int = 10, rng=None,
         frame = sys_k.kernel @ coeff
         density = kernel_density(sys_k, frame).value
         periods = frame[cols, :]
-        ratios.append(density / _abs_det_sq(periods))
+        ratios.append(density / abs(np.linalg.det(periods)) ** 2)
         if k + 1 < samples:
             current = perturb_surface(surface, rng, system=system)
     return ratios, family

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,29 @@ class TestOperations:
         record = parse(out)
         assert float(record["value"]) > 0
         assert record["convention"] == "short-sequence"
+
+
+    def test_density_log_value_follows_value(self, pentagon_path, capsys):
+        status, out = run(capsys, "density", pentagon_path)
+        keys = [line.split(" = ")[0] for line in out.splitlines()]
+        assert keys[keys.index("value") + 1] == "log_value"
+        record = parse(out)
+        assert math.exp(float(record["log_value"])) == pytest.approx(
+            float(record["value"]), rel=1e-14)
+
+
+VERBS = ("make", "validate", "info", "cut", "density", "chart", "flip", "delaunay",
+         "insert", "flip-path", "check-flip-invariance", "check-tree-invariance",
+         "compare-period", "hyp-compare")
+
+
+def test_top_level_help_lists_every_verb(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    # argparse lists a verb only when it has a help text, on its line or the next
+    listed = re.findall(r"^ {4}(\S+)(?: +|\n {24})\S", capsys.readouterr().out, re.M)
+    assert listed == list(VERBS)
 
 
 class TestChecks:

@@ -217,6 +217,11 @@ class TestRatioScan:
         assert scan.ratios[0] * 4.0 / scan.chart_constant == pytest.approx(1.0,
                                                                            rel=1e-6)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_non_positive_samples(self, doubled_pentagon, rng, samples):
+        with pytest.raises(ValueError, match="samples"):
+            ratio_scan(genus_zero_chart(doubled_pentagon), samples, rng)
+
     def test_two_charts_same_constant(self, doubled_pentagon, rng):
         chart_a = genus_zero_chart(doubled_pentagon)
         leaves = sorted({0, 4} & set(doubled_pentagon.vertex_ids))

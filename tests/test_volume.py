@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conesurf.charts import (
+    assemble_system,
     chart_for,
     cut_along_forest,
+    reforest,
     solution_vector,
     spanning_forest,
     transition_for_flip,
@@ -90,16 +92,17 @@ class TestKernelDensity:
 
     def test_complement_independence(self, doubled_pentagon, rng):
         _, system = chart_for(doubled_pentagon)
-        r = system.rows.shape[0]
-        values = []
+        rows, kernel = system.rows, system.kernel
+        r = rows.shape[0]
+        expected = kernel_density(system, kernel).value
         for _ in range(20):
-            w = np.linalg.pinv(system.rows) + system.kernel @ (
+            w = np.linalg.pinv(rows) + kernel @ (
                 rng.standard_normal((3, r)) + 1j * rng.standard_normal((3, r)))
             w += 0.3 * (rng.standard_normal((w.shape[0], r))
                         + 1j * rng.standard_normal((w.shape[0], r)))
-            values.append(kernel_density(system, system.kernel, complement=w).value)
-        spread = (max(values) - min(values)) / min(values)
-        assert spread < 1e-10
+            value = (abs(np.linalg.det(np.hstack([kernel, w]))) ** 2
+                     / abs(np.linalg.det(rows @ w)) ** 2)
+            assert value == pytest.approx(expected, rel=1e-10)
 
     def test_frame_equivariance(self, doubled_pentagon, marked_torus, rng):
         for s in (doubled_pentagon, marked_torus):
@@ -125,6 +128,75 @@ class TestKernelDensity:
             report = kernel_density(system, system.kernel)
             assert report.convention == tag
             assert len(report.fingerprint) == 16
+
+
+def oracle_systems(s, split):
+    """The chart system of a surface, or its split systems along every
+    interior edge (their "split" rows are negated in the row relation)."""
+    cut, system = chart_for(s)
+    if not split:
+        return [system]
+    return [split_edge_system(cut, e) for e in sorted(s.edges()) if e not in s.forest]
+
+
+class TestOracleCases:
+    """Both torsion cases against the independent real-determinant oracles,
+    on the kernel frame and on a random frame."""
+
+    @pytest.mark.parametrize("name, split, convention", [
+        ("doubled_triangle", False, "short-sequence"),
+        ("pillowcase", False, "short-sequence"),
+        ("octagon_surface", False, "four-term-sequence"),
+        ("marked_torus", False, "four-term-sequence"),
+        ("skew_torus", False, "four-term-sequence"),
+        ("doubled_triangle", True, "short-sequence"),
+        ("doubled_pentagon", True, "short-sequence"),
+        ("octagon_surface", True, "four-term-sequence"),
+    ])
+    def test_against_oracle(self, request, rng, name, split, convention):
+        for system in oracle_systems(request.getfixturevalue(name), split):
+            d = system.kernel.shape[1]
+            mixer = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for frame in (system.kernel, system.kernel @ mixer):
+                report = kernel_density(system, frame)
+                assert report.convention == convention
+                for _ in range(3):
+                    if convention == "short-sequence":
+                        oracle = oracle_density_full_rank(system.rows, frame, rng)
+                    else:
+                        oracle = oracle_density_rank_deficient(system, frame, rng)
+                    assert report.value == pytest.approx(oracle, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestUnderflow:
+    """A frame scaled by 1e-60 has a density below the smallest float on the
+    doubled pentagon; ratios are taken from the logarithms."""
+
+    SCALE = 1e-60
+
+    def test_log_value_scales(self, doubled_pentagon):
+        _, system = chart_for(doubled_pentagon)
+        base = kernel_density(system, system.kernel)
+        tiny = kernel_density(system, self.SCALE * system.kernel)
+        assert tiny.value == 0.0
+        expected = base.log_value + 2 * system.kernel_dim * np.log(self.SCALE)
+        assert tiny.log_value == pytest.approx(expected, rel=1e-13)
+
+    def test_tree_ratio(self, doubled_pentagon):
+        s = doubled_pentagon
+        path, star = sorted(s.forest), sorted(spanning_forest(s))
+        _, system_a = chart_for(reforest(s, path)[0])
+        _, _, ratio = tree_change_densities(s, path, star, self.SCALE * system_a.kernel)
+        assert abs(ratio - 1.0) < 1e-9
+
+    def test_split_constant(self, doubled_pentagon):
+        cut, _ = chart_for(doubled_pentagon)
+        kernel = assemble_system(cut).kernel
+        for e in sorted(doubled_pentagon.edges()):
+            if e not in doubled_pentagon.forest:
+                assert split_constant(cut, e, self.SCALE * kernel) == pytest.approx(
+                    split_constant(cut, e), rel=1e-10)
 
 
 class TestFlipInvariance:
@@ -245,6 +317,11 @@ class TestPeriodComparison:
             flipped, _ = flip(s, flippable[0])
             after = period_density_ratio(flipped, samples=1, rng=rng)[0][0]
             assert base == pytest.approx(after, rel=1e-9)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_non_positive_samples(self, square_torus, samples):
+        with pytest.raises(ValueError, match="samples"):
+            period_density_ratio(square_torus, samples=samples)
 
     def test_rejects_non_translation(self, doubled_pentagon, marked_torus):
         with pytest.raises(NotTranslationSurface):
