@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ._geom import (
@@ -148,38 +149,48 @@ def is_flippable(surface: FlatSurface, edge) -> bool:
 def flip(surface: FlatSurface, edge):
     """Replace the diagonal of a convex quadrilateral by the other one.
 
-    Returns (new surface, move).  The flipped edge keeps its half-edge pair;
-    everything outside the quad is untouched."""
+    Returns (new surface, move).  The flipped edge keeps its half-edge pair.
+    Only the quad's two triangles, six corner angles, the flipped pair's
+    vectors and origins, and its four vertices' rotations, cone angles and
+    order change (the forest pairings too, if a cone angle moves)."""
     if not is_flippable(surface, edge):
         raise NotFlippable(f"edge {surface.edge_of(edge)} is not flippable")
     h, hb, a, b, c, d = _quad(surface, surface.edge_of(edge))
     new_vec = surface.vec(h) + surface.vec(a) - surface.vec(c)
+    move = FlipMove(h, surface.vec(h), new_vec, (c, d, a, b))
+    return surface._flipped(h, hb, a, b, c, d, new_vec), move
 
-    triangles = surface.triangles
-    triangles[surface.triangle_of(h)] = (h, b, c)
-    triangles[surface.triangle_of(hb)] = (hb, d, a)
-    vectors = {x: surface.vec(x) for x in surface.halfedges}
-    vectors[h] = new_vec
-    vectors[hb] = -new_vec
-    origin = {x: surface.origin(x) for x in surface.halfedges}
-    origin[h] = surface.origin(d)
-    origin[hb] = surface.origin(b)
-    targets = {v: surface.angle_target(v) for v in surface.vertex_ids}
-    result = FlatSurface(triangles, {x: surface.twin(x) for x in surface.halfedges},
-                         vectors, surface.forest, origin_map=origin, angle_targets=targets)
-    move = FlipMove(surface.edge_of(edge), surface.vec(h), new_vec, (c, d, a, b))
-    return result, move
+
+def _worklist(surface, test):
+    """Sorted non-forest edges e with test(surface, e)."""
+    return [e for e in surface.edges() if e not in surface.forest and test(surface, e)]
+
+
+def _flip_tracked(surface, edge, worklist, test):
+    """Flip the edge and keep the sorted worklist equal to
+    _worklist(new surface, test).  A flip changes only the two triangles of
+    its quad, so only the five quad edges are tested again."""
+    surface, move = flip(surface, edge)
+    for e in {move.edge, *(surface.edge_of(x) for x in move.quad)}:
+        i = bisect_left(worklist, e)
+        listed = i < len(worklist) and worklist[i] == e
+        if listed != (e not in surface.forest and test(surface, e)):
+            if listed:
+                del worklist[i]
+            else:
+                worklist.insert(i, e)
+    return surface, move
 
 
 def random_flips(surface: FlatSurface, count, rng):
     """Random walk in the flip graph; returns (surface, path)."""
     moves = []
+    candidates = _worklist(surface, is_flippable)
     for _ in range(count):
-        candidates = [e for e in surface.edges()
-                      if e not in surface.forest and is_flippable(surface, e)]
         if not candidates:
             break
-        surface, move = flip(surface, candidates[rng.integers(len(candidates))])
+        edge = candidates[rng.integers(len(candidates))]
+        surface, move = _flip_tracked(surface, edge, candidates, is_flippable)
         moves.append(move)
     return surface, FlipPath(tuple(moves))
 
@@ -205,6 +216,10 @@ def is_delaunay_edge(surface: FlatSurface, edge) -> bool:
     return delaunay_angle_sum(surface, h) <= math.pi + DELAUNAY_BAND
 
 
+def _violates(surface, edge):
+    return not is_delaunay_edge(surface, edge)
+
+
 def delaunay(surface: FlatSurface, rng=None):
     """Flip until every non-forest interior edge passes the local predicate.
 
@@ -212,16 +227,14 @@ def delaunay(surface: FlatSurface, rng=None):
     violating edges (the metric result is the same up to cocircular flips)."""
     cap = 50 * (len(surface.halfedges) // 2 + len(surface.forest)) ** 2
     moves = []
-    while True:
-        bad = [e for e in surface.edges()
-               if e not in surface.forest and not is_delaunay_edge(surface, e)]
-        if not bad:
-            return surface, FlipPath(tuple(moves))
+    bad = _worklist(surface, _violates)
+    while bad:
         e = bad[0] if rng is None else bad[rng.integers(len(bad))]
-        surface, move = flip(surface, e)
+        surface, move = _flip_tracked(surface, e, bad, _violates)
         moves.append(move)
         if len(moves) > cap:
             raise NonTermination(f"Delaunay flipping exceeded {cap} moves")
+    return surface, FlipPath(tuple(moves))
 
 
 def canonicalize_cocircular(surface: FlatSurface):
@@ -235,30 +248,24 @@ def canonicalize_cocircular(surface: FlatSurface):
     def edge_key(verts, v):
         return (tuple(sorted(verts)), vec_key(v))
 
+    def improvable(surface, e):
+        if (abs(delaunay_angle_sum(surface, e) - math.pi) > DELAUNAY_BAND
+                or not is_flippable(surface, e)):
+            return False
+        h, hb, a, b, c, d = _quad(surface, e)
+        old = edge_key((surface.origin(h), surface.origin(hb)), surface.vec(h))
+        new_vec = surface.vec(h) + surface.vec(a) - surface.vec(c)
+        return edge_key((surface.origin(b), surface.origin(d)), new_vec) < old
+
     cap = 50 * (len(surface.halfedges) // 2) ** 2
     count = 0
-    while True:
-        improved = False
-        for e in surface.edges():
-            if e in surface.forest:
-                continue
-            if abs(delaunay_angle_sum(surface, e) - math.pi) > DELAUNAY_BAND:
-                continue
-            if not is_flippable(surface, e):
-                continue
-            h, hb, a, b, c, d = _quad(surface, e)
-            old = edge_key((surface.origin(h), surface.origin(hb)), surface.vec(h))
-            new_vec = surface.vec(h) + surface.vec(a) - surface.vec(c)
-            new = edge_key((surface.origin(b), surface.origin(d)), new_vec)
-            if new < old:
-                surface, _ = flip(surface, e)
-                improved = True
-                count += 1
-                if count > cap:
-                    raise NonTermination("cocircular canonicalization did not settle")
-                break
-        if not improved:
-            return surface
+    todo = _worklist(surface, improvable)
+    while todo:
+        surface, _ = _flip_tracked(surface, todo[0], todo, improvable)
+        count += 1
+        if count > cap:
+            raise NonTermination("cocircular canonicalization did not settle")
+    return surface
 
 
 # ---------------------------------------------------------------------------

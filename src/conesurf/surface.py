@@ -45,16 +45,22 @@ from .errors import (
 )
 
 
+def _canonical(cycle):
+    """Rotation of a cycle tuple that starts at its smallest element."""
+    k = cycle.index(min(cycle))
+    return cycle[k:] + cycle[:k]
+
+
 class FlatSurface:
     """Validated triangulated flat surface.
 
     Instances are immutable; every mutating-style operation returns a new
     surface.  Construction runs the full validation suite and raises one of
-    the errors from :mod:`conesurf.errors` on the first violated invariant.
+    the errors from :mod:`conesurf.errors` on the first violated invariant;
+    :func:`conesurf.flips.flip` runs its local form on the flipped quad.
     """
 
-    def __init__(self, triangles, twin, vectors, forest=(), vertices=None,
-                 origin_map=None, angle_targets=None):
+    def __init__(self, triangles, twin, vectors, forest=(), vertices=None):
         """
         Parameters
         ----------
@@ -72,9 +78,6 @@ class FlatSurface:
             Optional list of (vertex id, target cone angle or None), one per
             vertex, listed in the order of vertex orbits sorted by their
             smallest half-edge id.
-        origin_map / angle_targets:
-            Alternative to ``vertices``: a per-half-edge origin vertex id
-            (checked for consistency on each orbit) with optional targets.
         """
         if not isinstance(triangles, dict):
             triangles = {i: tuple(t) for i, t in enumerate(triangles)}
@@ -85,9 +88,7 @@ class FlatSurface:
             cyc = tuple(int(h) for h in cyc)
             if len(cyc) != 3 or len(set(cyc)) != 3:
                 raise ValueError(f"triangle {tid} is not a triple of distinct half-edges")
-            # canonical rotation: start the cycle at the smallest half-edge
-            k = cyc.index(min(cyc))
-            cyc = cyc[k:] + cyc[:k]
+            cyc = _canonical(cyc)
             tris[int(tid)] = cyc
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 if a in nxt:
@@ -117,39 +118,18 @@ class FlatSurface:
         self._twin = twin
         self._vec = vec
         self._halfedges = tuple(halfedges)
+        self._prev = {nxt[h]: h for h in halfedges}
 
-        prev = {nxt[h]: h for h in halfedges}
-        self._prev = prev
-
-        # vertex orbits of sigma(h) = twin(prev(h)), the ccw rotation of
-        # outgoing half-edges around the origin of h
+        # twin and next are permutations, so every orbit walk closes; visiting
+        # the half-edges in increasing order starts each orbit at its smallest
+        # half-edge and lists the orbits sorted by it
         orbits = []
         seen = set()
         for h in halfedges:
-            if h in seen:
-                continue
-            orbit = []
-            x = h
-            while x not in seen:
-                seen.add(x)
-                orbit.append(x)
-                x = twin[prev[x]]
-            if x != h:
-                raise ValueError("vertex rotation is not a permutation")
-            orbits.append(tuple(orbit))
-        orbits.sort(key=lambda o: min(o))
+            if h not in seen:
+                orbits.append(self._orbit(h))
+                seen.update(orbits[-1])
 
-        if origin_map is not None:
-            if vertices is not None:
-                raise ValueError("pass either vertices or origin_map, not both")
-            vertices = []
-            for orbit in orbits:
-                ids = {origin_map[h] for h in orbit}
-                if len(ids) != 1:
-                    raise ValueError("origin map is inconsistent on a vertex orbit")
-                vid = ids.pop()
-                target = None if angle_targets is None else angle_targets.get(vid)
-                vertices.append((vid, target))
         if vertices is None:
             vertices = [(i, None) for i in range(len(orbits))]
         vertices = [(int(v), None if a is None else float(a)) for v, a in vertices]
@@ -173,26 +153,71 @@ class FlatSurface:
         self._validate_forest(forest)
         self._validate_angles()
 
+    def _orbit(self, h):
+        """Outgoing half-edges at origin(h) in ccw order from h (sigma orbit)."""
+        orbit = [h]
+        x = self._twin[self._prev[h]]
+        while x != h:
+            orbit.append(x)
+            x = self._twin[self._prev[x]]
+        return tuple(orbit)
+
+    def _corner_of(self, h):
+        u = self._vec[h]
+        w = -self._vec[self._prev[h]]
+        return math.atan2(cross(u, w), (u.conjugate() * w).real)
+
+    def _flipped(self, h, hb, a, b, c, d, new_vec):
+        """Surface with the diagonal h of the quad (h, a, b | hb, c, d) replaced
+        by new_vec from origin(d) to origin(b): copies the maps, rewrites what
+        the flip changes and checks it as construction would."""
+        s = FlatSurface.__new__(FlatSurface)
+        s.__dict__ = {k: dict(v) if isinstance(v, dict) else v for k, v in self.__dict__.items()}
+
+        s._vec[h], s._vec[hb] = new_vec, -new_vec
+        s._origin[h], s._origin[hb] = self._origin[d], self._origin[b]
+        for tid, cyc in ((self._tri_of[h], (h, b, c)), (self._tri_of[hb], (hb, d, a))):
+            s._tris[tid] = _canonical(cyc)
+            for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+                s._next[x], s._prev[y], s._tri_of[x] = y, x, tid
+            s._check_triangle(tid)
+        for x in (h, b, c, hb, d, a):
+            s._corner[x] = s._corner_of(x)
+
+        # re-walk each quad vertex's rotation, re-sum its cone angle in order
+        changed = False
+        for v, x in {self._origin[x]: x for x in (a, b, c, d)}.items():
+            orbit = _canonical(s._orbit(x))
+            alpha = sum(s._corner[y] for y in orbit)
+            s._check_angle(v, alpha, self._vertex_angle[v])
+            s._check_angle(v, alpha, self._angle_target[v])
+            changed |= alpha != self._vertex_angle[v]
+            s._corners_at[v], s._vertex_angle[v] = orbit, alpha
+        s._vertex_ids = tuple(sorted(self._vertex_ids, key=lambda v: s._corners_at[v][0]))
+        if changed:
+            s._pair_forest()
+        return s
+
     # -- validation ---------------------------------------------------------
 
+    def _check_triangle(self, tid):
+        """Closure and positive orientation of one triangle."""
+        h1, h2, h3 = self._tris[tid]
+        v1, v2, v3 = self._vec[h1], self._vec[h2], self._vec[h3]
+        scale = max(abs(v1), abs(v2), abs(v3))
+        residual = abs(v1 + v2 + v3)
+        if residual > VEC_TOL * scale:
+            raise ClosureViolation(tid, residual)
+        area = 0.5 * cross(v1, v2)
+        if area <= AREA_TOL * scale * scale:
+            raise OrientationViolation(tid, area)
+
     def _validate_geometry(self):
-        corner = {}
-        for tid, (h1, h2, h3) in self._tris.items():
-            v1, v2, v3 = self._vec[h1], self._vec[h2], self._vec[h3]
-            scale = max(abs(v1), abs(v2), abs(v3))
-            residual = abs(v1 + v2 + v3)
-            if residual > VEC_TOL * scale:
-                raise ClosureViolation(tid, residual)
-            area = 0.5 * cross(v1, v2)
-            if area <= AREA_TOL * scale * scale:
-                raise OrientationViolation(tid, area)
-        for h in self._halfedges:
-            u = self._vec[h]
-            w = -self._vec[self._prev[h]]
-            corner[h] = math.atan2(cross(u, w), (u.conjugate() * w).real)
-        self._corner = corner
+        for tid in self._tris:
+            self._check_triangle(tid)
+        self._corner = {h: self._corner_of(h) for h in self._halfedges}
         self._vertex_angle = {
-            v: sum(corner[h] for h in orbit) for v, orbit in self._corners_at.items()
+            v: sum(self._corner[h] for h in orbit) for v, orbit in self._corners_at.items()
         }
 
     def _validate_forest(self, forest):
@@ -214,12 +239,16 @@ class FlatSurface:
                 residual = abs(self._vec[k] + self._vec[h])
                 if residual > VEC_TOL * abs(self._vec[h]):
                     raise GluingMismatch(h, residual)
+        # flips keep the forest and its endpoints, so this graph never changes
+        self._forest_graph = adjacency(self._vertex_ids, edges)
+        self._pair_forest()
 
+    def _pair_forest(self):
         # the rotation across a forest edge is the cone-angle sum of the
         # subtree it cuts off, on the side away from the tree's smallest vertex
-        angles = subtree_sums(adjacency(self._vertex_ids, edges), self._vertex_angle)
+        angles = subtree_sums(self._forest_graph, self._vertex_angle)
         self._forest_pairing = {
-            e: self._forest_rotation(e, reduce_angle(angles[e])) for e in sorted(forest)}
+            e: self._forest_rotation(e, reduce_angle(angles[e])) for e in sorted(self._forest)}
 
     def _forest_rotation(self, e, theta):
         """Oriented pairing (theta, a, abar) of forest edge e with
@@ -235,15 +264,18 @@ class FlatSurface:
         actual = ccw_angle(self._vec[h], -self._vec[k])
         raise InconsistentRotation(e, theta, reduce_angle(actual))
 
+    def _check_angle(self, v, alpha, expected):
+        """Cone angle alpha at v matches expected (None: anything)."""
+        if expected is not None and abs(alpha - expected) > angle_tol(expected):
+            raise AngleMismatch(v, alpha, expected)
+
     def _validate_angles(self):
         on_forest = edge_vertices(self, self._forest)
         for v in self._vertex_ids:
             alpha = self._vertex_angle[v]
             if v not in on_forest and not is_turn_multiple(alpha):
                 raise AngleMismatch(v, alpha, TWO_PI * round(alpha / TWO_PI))
-            target = self._angle_target[v]
-            if target is not None and abs(alpha - target) > angle_tol(target):
-                raise AngleMismatch(v, alpha, target)
+            self._check_angle(v, alpha, self._angle_target[v])
 
         chi = len(self._vertex_ids) - len(self._halfedges) // 2 + len(self._tris)
         if chi % 2 != 0 or chi > 2:
@@ -451,28 +483,43 @@ class SurfaceSpec:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("surface file must contain a JSON object")
-        required = {"vertices", "triangles", "gluing", "vectors", "forest"}
-        unknown = set(doc) - required
+        fields = ("vertices", "triangles", "gluing", "vectors", "forest")
+        unknown = set(doc) - set(fields)
         if unknown:
             raise ValueError(f"unknown fields in surface file: {sorted(unknown)}")
-        missing = required - set(doc)
+        missing = set(fields) - set(doc)
         if missing:
             raise ValueError(f"missing fields in surface file: {sorted(missing)}")
-        verts = []
-        for entry in doc["vertices"]:
-            extra = set(entry) - {"id", "angle"}
+        verts, tris, glue, vecs, forest = (doc[name] for name in fields)
+        pairs = list(vecs.values()) if type(vecs) is dict else None
+        shapes = (  # (JSON type and entry shape hold, what the field must be)
+            (type(verts) is list and _types(verts) <= {dict}
+             and _types(v.get("id") for v in verts) <= {int}
+             and _types(v.get("angle", 0.0) for v in verts) <= {int, float},
+             'an array of {"id": integer, "angle": number} objects'),
+            (type(tris) is list and _types(tris) <= {list}
+             and _types(h for t in tris for h in t) <= {int}, "an array of integer lists"),
+            (type(glue) is list and _types(glue) <= {list} and {len(g) for g in glue} <= {2}
+             and _types(h for g in glue for h in g) <= {int}, "an array of integer pairs"),
+            (pairs is not None and _types(pairs) <= {list} and {len(z) for z in pairs} <= {2}
+             and _types(x for z in pairs for x in z) <= {int, float}, "an object of number pairs"),
+            (type(forest) is list and _types(forest) <= {int}, "an array of integers"),
+        )
+        for name, (ok, shape) in zip(fields, shapes):
+            if not ok:
+                raise ValueError(f"surface file field {name!r} must be {shape}")
+        for v in verts:
+            extra = set(v) - {"id", "angle"}
             if extra:
                 raise ValueError(f"unknown vertex fields: {sorted(extra)}")
-            verts.append((int(entry["id"]),
-                          float(entry["angle"]) if "angle" in entry else None))
-        triangles = tuple(tuple(int(h) for h in t) for t in doc["triangles"])
-        gluing = tuple((int(a), int(b)) for a, b in doc["gluing"])
-        vectors = {}
-        for key, val in doc["vectors"].items():
-            re, im = val
-            vectors[int(key)] = complex(float(re), float(im))
-        forest = tuple(int(e) for e in doc["forest"])
-        return cls(tuple(verts), triangles, gluing, vectors, forest)
+        verts = tuple((v["id"], float(v["angle"]) if "angle" in v else None) for v in verts)
+        vectors = {int(key): complex(re, im) for key, (re, im) in vecs.items()}
+        return cls(verts, tuple(map(tuple, tris)), tuple(map(tuple, glue)), vectors, tuple(forest))
+
+
+def _types(values):
+    """The JSON types among decoded values; bool is a type of its own."""
+    return {type(x) for x in values}
 
 
 def build_surface(spec: SurfaceSpec) -> FlatSurface:

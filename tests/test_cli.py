@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from pathlib import Path
@@ -238,6 +239,28 @@ class TestUnknownIds:
         record = parse(out)
         assert record["error"] == "ValueError"
         assert "forest" in record["message"]
+
+
+class TestMalformedSurfaceFile:
+    @pytest.mark.parametrize("field, value", [
+        ("vertices", [5]),
+        ("vertices", 5),
+        ("gluing", 3),
+        ("forest", 1),
+        ("vectors", [[1, 0]]),
+        ("forest", [None]),
+    ])
+    def test_wrong_json_shape_is_an_error_record(self, torus_path, tmp_path, capsys,
+                                                 field, value):
+        doc = json.loads(Path(torus_path).read_text(encoding="utf-8"))
+        doc[field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        status, out = run(capsys, "validate", str(path))
+        assert status == 1
+        record = parse(out)
+        assert record["error"] == "ValueError"
+        assert repr(field) in record["message"]
 
 
 class TestBadArguments:

@@ -3,9 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conesurf import isomorphic, make_torus
-from conesurf.charts import exchange_sequence, spanning_forest
+from conesurf import (
+    FlatSurface,
+    isomorphic,
+    make_doubled_polygon,
+    make_regular_4g_gon,
+    make_torus,
+)
+from conesurf._geom import DELAUNAY_BAND
+from conesurf.charts import exchange_sequence, perturb_surface, spanning_forest
 from conesurf.errors import (
     DegenerateInput,
     DoesNotTerminateAtVertex,
@@ -329,3 +338,140 @@ class TestDegenerateSegment:
     def test_zero_or_non_finite_vector_is_rejected(self, square_torus, call, w):
         with pytest.raises(DegenerateInput):
             call(square_torus, 0, w)
+
+
+def rebuilt(s):
+    """The surface rebuilt and revalidated by the public constructor."""
+    return FlatSurface(s.triangles, {h: s.twin(h) for h in s.halfedges},
+                       {h: s.vec(h) for h in s.halfedges}, s.forest,
+                       [(v, s.angle_target(v)) for v in s.vertex_ids])
+
+
+def assert_same_surface(s, r):
+    """Every public accessor of s equals that of r, bit for bit."""
+    assert s.halfedges == r.halfedges
+    for h in s.halfedges:
+        assert (s.next(h), s.prev(h), s.twin(h), s.origin(h)) == \
+            (r.next(h), r.prev(h), r.twin(h), r.origin(h))
+        assert (s.vec(h), s.triangle_of(h), s.corner_angle(h)) == \
+            (r.vec(h), r.triangle_of(h), r.corner_angle(h))
+    assert s.triangles == r.triangles
+    assert s.vertex_ids == r.vertex_ids
+    for v in s.vertex_ids:
+        assert (s.corners_at(v), s.cone_angle(v)) == (r.corners_at(v), r.cone_angle(v))
+    assert s.forest == r.forest
+    for e in s.forest:
+        assert s.forest_pairing(e) == r.forest_pairing(e)
+    assert s.genus() == r.genus()
+    assert s.to_json() == r.to_json()
+
+
+class TestLocalFlip:
+    """A flip updates the quad in place of a rebuild; every accessor must
+    come out exactly as the constructor computes it."""
+
+    @pytest.mark.parametrize("name", ["square_torus", "octagon", "doubled_triangle",
+                                      "pillowcase", "doubled_pentagon", "marked_torus",
+                                      "doubled_12_gon", "genus_5"])
+    def test_walk_equals_rebuild(self, golden_surfaces, marked_torus, name):
+        surfaces = dict(golden_surfaces, marked_torus=marked_torus,
+                        doubled_12_gon=make_doubled_polygon(
+                            [cmath.exp(2j * math.pi * k / 12) for k in range(12)]),
+                        genus_5=make_regular_4g_gon(5))
+        rng = np.random.default_rng(314)
+        s = perturb_surface(surfaces[name], rng)
+        for _ in range(40):
+            edges = [e for e in s.edges() if e not in s.forest and is_flippable(s, e)]
+            s, _ = flip(s, edges[rng.integers(len(edges))])
+            assert_same_surface(s, rebuilt(s))
+
+
+# Full-rescan versions of the flip loops: each rescans every edge after every
+# flip.  The worklist versions must take the same path to the same surface.
+
+
+def rescan_random_flips(surface, count, rng):
+    moves = []
+    for _ in range(count):
+        candidates = [e for e in surface.edges()
+                      if e not in surface.forest and is_flippable(surface, e)]
+        if not candidates:
+            break
+        surface, move = flip(surface, candidates[rng.integers(len(candidates))])
+        moves.append(move)
+    return surface, FlipPath(tuple(moves))
+
+
+def rescan_delaunay(surface, rng=None):
+    moves = []
+    while True:
+        bad = [e for e in surface.edges()
+               if e not in surface.forest and not is_delaunay_edge(surface, e)]
+        if not bad:
+            return surface, FlipPath(tuple(moves))
+        e = bad[0] if rng is None else bad[rng.integers(len(bad))]
+        surface, move = flip(surface, e)
+        moves.append(move)
+
+
+def rescan_canonicalize_cocircular(surface):
+    def vec_key(v):
+        return max((v.real, v.imag), (-v.real, -v.imag))
+
+    def edge_key(verts, v):
+        return (tuple(sorted(verts)), vec_key(v))
+
+    while True:
+        improved = False
+        for e in surface.edges():
+            if e in surface.forest:
+                continue
+            if abs(delaunay_angle_sum(surface, e) - math.pi) > DELAUNAY_BAND:
+                continue
+            if not is_flippable(surface, e):
+                continue
+            h = surface.edge_of(e)
+            hb = surface.twin(h)
+            a, c = surface.next(h), surface.next(hb)
+            b, d = surface.next(a), surface.next(c)
+            old = edge_key((surface.origin(h), surface.origin(hb)), surface.vec(h))
+            new_vec = surface.vec(h) + surface.vec(a) - surface.vec(c)
+            new = edge_key((surface.origin(b), surface.origin(d)), new_vec)
+            if new < old:
+                surface, _ = flip(surface, e)
+                improved = True
+                break
+        if not improved:
+            return surface
+
+
+@st.composite
+def convex_polygons(draw):
+    """Strictly convex polygons with 4 to 9 vertices on an ellipse (a circle
+    for aspect 1, where every quad is cocircular within rounding)."""
+    gaps = draw(st.lists(st.floats(1.0, 3.0), min_size=4, max_size=9))
+    aspect = draw(st.sampled_from([1.0, 0.7, 0.45]))
+    turns = np.cumsum([0.0] + gaps[:-1]) / sum(gaps)
+    return [complex(math.cos(TWO_PI * t), aspect * math.sin(TWO_PI * t)) for t in turns]
+
+
+class TestWorklists:
+    """random_flips, delaunay and canonicalize_cocircular keep their edge
+    lists up to date over each flipped quad; a full rescan is the oracle."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(points=convex_polygons(), seed=st.integers(0, 2**32 - 1))
+    def test_same_paths_as_full_rescans(self, points, seed):
+        s = make_doubled_polygon(points)
+        count = 3 * len(points)
+        walked, path = random_flips(s, count, np.random.default_rng(seed))
+        ref, ref_path = rescan_random_flips(s, count, np.random.default_rng(seed))
+        assert (walked.to_json(), path.to_json()) == (ref.to_json(), ref_path.to_json())
+
+        for rng, ref_rng in ((None, None),
+                             (np.random.default_rng(seed + 1), np.random.default_rng(seed + 1))):
+            result, path = delaunay(walked, rng=rng)
+            ref, ref_path = rescan_delaunay(walked, rng=ref_rng)
+            assert (result.to_json(), path.to_json()) == (ref.to_json(), ref_path.to_json())
+            assert canonicalize_cocircular(result).to_json() == \
+                rescan_canonicalize_cocircular(result).to_json()
