@@ -15,11 +15,12 @@ AREA_TOL = 1e-12              # relative: a signed area must exceed AREA_TOL * (
 KERNEL_RANK_TOL = 1e-8        # relative: singular values below KERNEL_RANK_TOL * s_max are zero
 KERNEL_RESIDUAL_TOL = 1e-10   # relative: a kernel basis K needs |A K| <= KERNEL_RESIDUAL_TOL * |A|
 SOLUTION_RESIDUAL_TOL = 1e-8  # relative: a chart point z needs |A z| <= SOLUTION_RESIDUAL_TOL * |z|
-CONVEXITY_TOL = 1e-12         # relative: a convex quad corner needs cross > CONVEXITY_TOL * side**2
 DELAUNAY_BAND = 1e-9          # absolute: an opposite-angle sum up to pi + DELAUNAY_BAND is Delaunay
 POSITION_TOL = 1e-9           # relative: developed points coincide within POSITION_TOL * scale
 FRAME_RESIDUAL_TOL = 1e-8     # relative: a frame F needs |A F| <= FRAME_RESIDUAL_TOL*|F|*(1 + |A|)
 Q1_TOL = 1e-9                 # absolute: a point Z on the quadric has |f(Z) + 1| <= Q1_TOL
+GERM_TOL = 1e-9               # absolute, radians: a direction this close to a corner's leading ray
+                              # lies on it, and this close to its trailing ray in the next corner
 TANGENT_TOL = 1e-8            # relative: a tangent x has |<Z, x>| <= TANGENT_TOL * (1 + |x|)
 
 

@@ -22,9 +22,7 @@ from ._geom import (
     KERNEL_RANK_TOL,
     KERNEL_RESIDUAL_TOL,
     SOLUTION_RESIDUAL_TOL,
-    VEC_TOL,
     angle_tol,
-    ccw_angle,
     fmt_float,
     is_turn_multiple,
     reduce_angle,
@@ -44,20 +42,14 @@ from .errors import (
     ClosureViolation,
     DegenerateTriangle,
     DimensionMismatch,
-    DoesNotTerminateAtVertex,
-    ExitsThroughForest,
     ForestNotErasing,
-    HitsVertexEarly,
     NotErasing,
     NotInKernel,
-    NotSameMetric,
     NotSpanningTree,
     OrientationViolation,
     PartitionUnrealizable,
-    TransitionUndefined,
-    Unsupported,
 )
-from .surface import TWO_PI, FlatSurface
+from .surface import FlatSurface
 
 
 # ---------------------------------------------------------------------------
@@ -428,153 +420,6 @@ def transition_for_flip(source: FlatSurface, edge) -> np.ndarray:
     row[col_a] += sign_a
     row[col_c] -= sign_c
     mat[col_e] = row
-    return mat
-
-
-def _check_same_metric(source: FlatSurface, target: FlatSurface):
-    """Require equal vertex labels, cone angles and forest sizes."""
-    if sorted(source.vertex_ids) != sorted(target.vertex_ids):
-        raise NotSameMetric("vertex labels differ")
-    for v in source.vertex_ids:
-        if abs(source.cone_angle(v) - target.cone_angle(v)) > angle_tol(source.cone_angle(v)):
-            raise NotSameMetric(f"cone angles differ at vertex {v}")
-    if len(source.forest) != len(target.forest):
-        raise NotSameMetric("forests differ")
-
-
-def _match_forest_halfedges(source: FlatSurface, target: FlatSurface):
-    """Map each forest half-edge of target onto the geometrically identical
-    forest half-edge of source (same origin vertex, same vector)."""
-    matching = {}
-    used = set()
-    for e in target.forest:
-        for h in (e, target.twin(e)):
-            v, w = target.origin(h), target.vec(h)
-            cands = [x for x in source.corners_at(v)
-                     if source.edge_of(x) in source.forest and x not in used
-                     and abs(source.vec(x) - w) <= VEC_TOL * abs(w)]
-            if len(cands) != 1:
-                raise NotSameMetric(
-                    f"forest half-edge at vertex {v} has {len(cands)} geometric matches")
-            matching[h] = cands[0]
-            used.add(cands[0])
-    return matching
-
-
-def _anchor_and_offset(surf: FlatSurface, germ_halfedge):
-    """(anchor half-edge, ccw angle from the anchor germ to the germ of the
-    given outgoing half-edge) at its origin vertex.
-
-    The anchor is the smallest forest half-edge at the vertex when one exists;
-    otherwise the vertex must be a full-turn regular point, germs there are
-    determined by the absolute direction alone, and (None, None) is returned.
-    A vertex with cone angle above 2*pi and no forest edge has several germs
-    per direction and no canonical way to match them between triangulations.
-    """
-    v = surf.origin(germ_halfedge)
-    forest_out = [h for h in surf.corners_at(v) if surf.edge_of(h) in surf.forest]
-    if not forest_out:
-        if abs(surf.cone_angle(v) - TWO_PI) > angle_tol(TWO_PI):
-            raise Unsupported(
-                f"vertex {v} has cone angle {surf.cone_angle(v)!r} and no forest edge "
-                "to anchor directions; germs there are ambiguous")
-        return None, None
-    anchor = min(forest_out)
-    return anchor, _offset_between(surf, anchor, germ_halfedge)
-
-
-def _offset_between(surf: FlatSurface, from_corner, to_corner) -> float:
-    """ccw angle at a common vertex from one outgoing germ to another."""
-    theta = 0.0
-    h = from_corner
-    for _ in range(len(surf.corners_at(surf.origin(from_corner))) + 1):
-        if h == to_corner:
-            return theta
-        theta += surf.corner_angle(h)
-        h = surf.sigma(h)
-    raise AssertionError("corners do not share a vertex")
-
-
-def _locate_germ(surf: FlatSurface, vertex, anchor, theta, direction, length):
-    """Resolve a germ description to a (corner half-edge, vector) pair.
-
-    Anchored form: ``theta`` is the ccw angle from the anchor germ.  Anchor
-    None: ``direction`` is an absolute plane direction at a full-turn vertex.
-    """
-    if anchor is None:
-        tol = 1e-9
-        for h in surf.corners_at(vertex):
-            ang = surf.corner_angle(h)
-            delta = ccw_angle(surf.vec(h), direction)
-            if delta <= tol or delta >= TWO_PI - tol:
-                delta = 0.0
-            elif delta >= ang - tol:
-                continue
-            unit = surf.vec(h) / abs(surf.vec(h))
-            return h, unit * cmath.exp(1j * delta) * length
-        raise TransitionUndefined(f"no corner at vertex {vertex} contains the direction")
-
-    total = surf.cone_angle(vertex)
-    theta %= total
-    h = anchor
-    acc = 0.0
-    for _ in range(len(surf.corners_at(vertex)) + 1):
-        ang = surf.corner_angle(h)
-        delta = theta - acc
-        if delta <= ang - angle_tol(ang):
-            delta = max(delta, 0.0)
-            unit = surf.vec(h) / abs(surf.vec(h))
-            return h, unit * cmath.exp(1j * delta) * length
-        if delta <= ang + angle_tol(ang):
-            # lands on the trailing ray, which is the next corner's leading ray
-            h = surf.sigma(h)
-            unit = surf.vec(h) / abs(surf.vec(h))
-            return h, unit * length
-        acc += ang
-        h = surf.sigma(h)
-    raise TransitionUndefined("angle offset exceeds the cone angle")
-
-
-def chart_transition(source: FlatSurface, target: FlatSurface) -> np.ndarray:
-    """Linear map sending source-chart coordinates to target-chart coordinates.
-
-    The two surfaces must carry the same metric, vertex labels and forest;
-    each target edge is developed across the source triangulation and written
-    as a signed sum of source columns (a combinatorial expression, constant on
-    a chart neighbourhood)."""
-    from .flips import develop_segment
-
-    _check_same_metric(source, target)
-    cut_s = cut_along_forest(source)
-    cut_t = cut_along_forest(target)
-    matching = _match_forest_halfedges(source, target)
-
-    mat = np.zeros((cut_t.num_edges, cut_s.num_edges), dtype=complex)
-    for col_t, rep in enumerate(cut_t.columns):
-        if rep in cut_t.boundary:
-            col_s, sign = cut_s.column_of(matching[rep])
-            mat[col_t, col_s] = sign
-            continue
-        v = target.origin(rep)
-        w = target.vec(rep)
-        anchor_t, theta = _anchor_and_offset(target, rep)
-        anchor_s = matching[anchor_t] if anchor_t is not None else None
-        corner, w_src = _locate_germ(source, v, anchor_s, theta, w / abs(w), abs(w))
-        try:
-            trace = develop_segment(source, corner, w_src)
-        except (DoesNotTerminateAtVertex, HitsVertexEarly) as exc:
-            raise NotSameMetric(
-                f"target edge {rep} does not develop to a source geodesic") from exc
-        except ExitsThroughForest as exc:
-            raise TransitionUndefined(
-                f"target edge {rep} crosses the forest") from exc
-        for h, sign in trace.chain:
-            col_s, rep_sign = cut_s.column_of(h)
-            mat[col_t, col_s] += sign * rep_sign
-    z_s = solution_vector(cut_s)
-    z_t = solution_vector(cut_t)
-    if np.linalg.norm(mat @ z_s - z_t) > SOLUTION_RESIDUAL_TOL * np.linalg.norm(z_t):
-        raise NotSameMetric("transition does not reproduce the target coordinates")
     return mat
 
 

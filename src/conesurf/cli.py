@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import hashlib
 import math
 import sys
@@ -299,7 +300,9 @@ def _cmd_hyp_compare(args, out):
     return _within_tolerance(out, "spread", scan.spread, PASS_TOL_HYP), None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="conesurf",
         description="flat surfaces with cone singularities: charts, flips and densities")

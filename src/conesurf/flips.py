@@ -1,6 +1,7 @@
 """Elementary moves on geodesic triangulations, Delaunay canonicalization,
-straight-segment tracing and insertion, and flip paths between triangulations
-of the same flat metric.
+straight-segment tracing and insertion, and flip paths and chart transitions
+between triangulations of the same flat metric, matched through direction
+germs.
 
 The insertion algorithm unfolds the triangles crossed by the target segment
 into a planar strip (the developing polygon), picks the highest vertex of the
@@ -19,11 +20,15 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._geom import (
-    CONVEXITY_TOL,
     DELAUNAY_BAND,
+    GERM_TOL,
     POSITION_TOL,
+    SOLUTION_RESIDUAL_TOL,
     TWO_PI,
+    VEC_TOL,
     angle_tol,
     ccw_angle,
     cross,
@@ -31,13 +36,7 @@ from ._geom import (
     reduce_angle,
 )
 from ._graph import edge_vertices
-from .charts import (
-    _anchor_and_offset,
-    _check_same_metric,
-    _locate_germ,
-    _match_forest_halfedges,
-    _offset_between,
-)
+from .charts import cut_along_forest, solution_vector
 from .errors import (
     DegenerateInput,
     DoesNotTerminateAtVertex,
@@ -48,6 +47,7 @@ from .errors import (
     NonTermination,
     NotFlippable,
     NotSameMetric,
+    TransitionUndefined,
     Unsupported,
 )
 from .surface import FlatSurface, isomorphic
@@ -121,29 +121,29 @@ class FlipPath:
         return "[" + ", ".join(items) + "]"
 
 
-def _quad(surface: FlatSurface, edge):
+def _flip_quad(surface: FlatSurface, edge):
+    """(h, hb, a, b, c, d, new diagonal) for the quad (h, a, b | hb, c, d) of
+    a flippable edge; None when its two triangles are one or a triangle the
+    flip builds fails the constructor's check."""
     h = surface.edge_of(edge)
+    if h in surface.forest:
+        raise ForestEdge(f"edge {h} lies in the forest")
     hb = surface.twin(h)
     a = surface.next(h)
     b = surface.next(a)
     c = surface.next(hb)
     d = surface.next(c)
-    return h, hb, a, b, c, d
+    quad = h, hb, a, b, c, d, surface.vec(h) + surface.vec(a) - surface.vec(c)
+    if surface.triangle_of(h) == surface.triangle_of(hb) or surface._flip_fault(*quad):
+        return None
+    return quad
 
 
 def is_flippable(surface: FlatSurface, edge) -> bool:
-    """True when the two triangles of the edge form a strictly convex quad."""
-    e = surface.edge_of(edge)
-    if e in surface.forest:
-        raise ForestEdge(f"edge {e} lies in the forest")
-    h, hb, a, b, c, d = _quad(surface, e)
-    if surface.triangle_of(h) == surface.triangle_of(hb):
-        return False
-    va, vb, vc, vd = surface.vec(a), surface.vec(b), surface.vec(c), surface.vec(d)
-    scale = max(abs(va), abs(vb), abs(vc), abs(vd))
-    tol = CONVEXITY_TOL * scale * scale
-    return (cross(vc, vd) > tol and cross(vd, va) > tol
-            and cross(va, vb) > tol and cross(vb, vc) > tol)
+    """True when the two triangles of the edge form a strictly convex quad:
+    the two flipped triangles pass the constructor's check, read exactly as
+    ``flip`` builds them."""
+    return _flip_quad(surface, edge) is not None
 
 
 def flip(surface: FlatSurface, edge):
@@ -153,12 +153,12 @@ def flip(surface: FlatSurface, edge):
     Only the quad's two triangles, six corner angles, the flipped pair's
     vectors and origins, and its four vertices' rotations, cone angles and
     order change (the forest pairings too, if a cone angle moves)."""
-    if not is_flippable(surface, edge):
+    quad = _flip_quad(surface, edge)
+    if quad is None:
         raise NotFlippable(f"edge {surface.edge_of(edge)} is not flippable")
-    h, hb, a, b, c, d = _quad(surface, surface.edge_of(edge))
-    new_vec = surface.vec(h) + surface.vec(a) - surface.vec(c)
+    h, hb, a, b, c, d, new_vec = quad
     move = FlipMove(h, surface.vec(h), new_vec, (c, d, a, b))
-    return surface._flipped(h, hb, a, b, c, d, new_vec), move
+    return surface._flipped(*quad), move
 
 
 def _worklist(surface, test):
@@ -252,9 +252,8 @@ def canonicalize_cocircular(surface: FlatSurface):
         if (abs(delaunay_angle_sum(surface, e) - math.pi) > DELAUNAY_BAND
                 or not is_flippable(surface, e)):
             return False
-        h, hb, a, b, c, d = _quad(surface, e)
+        h, hb, a, b, c, d, new_vec = _flip_quad(surface, e)
         old = edge_key((surface.origin(h), surface.origin(hb)), surface.vec(h))
-        new_vec = surface.vec(h) + surface.vec(a) - surface.vec(c)
         return edge_key((surface.origin(b), surface.origin(d)), new_vec) < old
 
     cap = 50 * (len(surface.halfedges) // 2) ** 2
@@ -566,18 +565,170 @@ def insert_segment(surface: FlatSurface, corner, w: complex):
 
 
 # ---------------------------------------------------------------------------
-# flip paths between triangulations
+# direction germs
+#
+# A germ is an outgoing direction at a vertex; a vertex of cone angle k*2*pi
+# has k germs per plane direction.  Two triangulations of one metric share
+# their germs, and a germ is carried from one to the other through an anchor,
+# an outgoing half-edge present in both, as its ccw offset from that anchor.
 
 
-def _flip_path_anchored(source, target, matching, free_anchor):
-    """Insert all target edges with germ anchoring.
+def _check_same_metric(source: FlatSurface, target: FlatSurface):
+    """Require equal vertex labels, cone angles and forest sizes."""
+    if sorted(source.vertex_ids) != sorted(target.vertex_ids):
+        raise NotSameMetric("vertex labels differ")
+    for v in source.vertex_ids:
+        if abs(source.cone_angle(v) - target.cone_angle(v)) > angle_tol(source.cone_angle(v)):
+            raise NotSameMetric(f"cone angles differ at vertex {v}")
+    if len(source.forest) != len(target.forest):
+        raise NotSameMetric("forests differ")
 
-    ``free_anchor``, when given, is (vertex, (source corner, offset, target
-    reference corner)): the reference corner's edge is inserted first with the
-    candidate germ and then serves as a stable anchor for every later germ at
-    that vertex (inserted target edges are never flipped again, since flips
-    only hit edges crossing the segment being inserted and target edges do not
-    cross each other)."""
+
+def _match_forest_halfedges(source: FlatSurface, target: FlatSurface):
+    """Map each forest half-edge of target onto the geometrically identical
+    forest half-edge of source (same origin vertex, same vector)."""
+    matching = {}
+    used = set()
+    for e in target.forest:
+        for h in (e, target.twin(e)):
+            v, w = target.origin(h), target.vec(h)
+            cands = [x for x in source.corners_at(v)
+                     if source.edge_of(x) in source.forest and x not in used
+                     and abs(source.vec(x) - w) <= VEC_TOL * abs(w)]
+            if len(cands) != 1:
+                raise NotSameMetric(
+                    f"forest half-edge at vertex {v} has {len(cands)} geometric matches")
+            matching[h] = cands[0]
+            used.add(cands[0])
+    return matching
+
+
+def _offset_between(surf: FlatSurface, from_corner, to_corner) -> float:
+    """ccw angle at a common vertex from one outgoing germ to another."""
+    theta = 0.0
+    h = from_corner
+    for _ in range(len(surf.corners_at(surf.origin(from_corner))) + 1):
+        if h == to_corner:
+            return theta
+        theta += surf.corner_angle(h)
+        h = surf.sigma(h)
+    raise AssertionError("corners do not share a vertex")
+
+
+def _anchor_and_offset(surf: FlatSurface, germ_halfedge, anchors):
+    """(anchor, ccw angle from its germ to the germ of the given outgoing
+    half-edge), the anchor being the smallest half-edge of ``anchors`` at the
+    origin.  Without one the vertex must be a full-turn regular point, where
+    the absolute direction fixes the germ, and (None, None) is returned."""
+    v = surf.origin(germ_halfedge)
+    anchored = [h for h in surf.corners_at(v) if h in anchors]
+    if not anchored:
+        if abs(surf.cone_angle(v) - TWO_PI) > angle_tol(TWO_PI):
+            raise Unsupported(
+                f"vertex {v} has cone angle {surf.cone_angle(v)!r} and no forest edge "
+                "to anchor directions; germs there are ambiguous")
+        return None, None
+    anchor = min(anchored)
+    return anchor, _offset_between(surf, anchor, germ_halfedge)
+
+
+def _germs(surf: FlatSurface, vertex, direction):
+    """Every (corner half-edge, ccw offset from its leading ray) at the vertex
+    whose sector, leading ray included, holds the plane direction: one per
+    full turn of the cone angle."""
+    for h in surf.corners_at(vertex):
+        delta = ccw_angle(surf.vec(h), direction)
+        if delta <= GERM_TOL or delta >= TWO_PI - GERM_TOL:
+            yield h, 0.0
+        elif delta < surf.corner_angle(h) - GERM_TOL:
+            yield h, delta
+
+
+def _locate_germ(surf: FlatSurface, vertex, anchor, theta, direction, length):
+    """Resolve a germ description to a (corner half-edge, vector) pair.
+
+    Anchored form: ``theta`` is the ccw angle from the anchor germ.  Anchor
+    None: ``direction`` is an absolute plane direction at a full-turn vertex.
+    """
+    if anchor is None:
+        for h, delta in _germs(surf, vertex, direction):
+            unit = surf.vec(h) / abs(surf.vec(h))
+            return h, unit * cmath.exp(1j * delta) * length
+        raise TransitionUndefined(f"no corner at vertex {vertex} contains the direction")
+
+    theta %= surf.cone_angle(vertex)
+    h = anchor
+    acc = 0.0
+    for _ in range(len(surf.corners_at(vertex)) + 1):
+        ang = surf.corner_angle(h)
+        delta = theta - acc
+        if delta <= ang - angle_tol(ang):
+            delta = max(delta, 0.0)
+            unit = surf.vec(h) / abs(surf.vec(h))
+            return h, unit * cmath.exp(1j * delta) * length
+        if delta <= ang + angle_tol(ang):
+            # lands on the trailing ray, which is the next corner's leading ray
+            h = surf.sigma(h)
+            unit = surf.vec(h) / abs(surf.vec(h))
+            return h, unit * length
+        acc += ang
+        h = surf.sigma(h)
+    raise TransitionUndefined("angle offset exceeds the cone angle")
+
+
+# ---------------------------------------------------------------------------
+# chart transitions and flip paths between triangulations
+
+
+def chart_transition(source: FlatSurface, target: FlatSurface) -> np.ndarray:
+    """Linear map sending source-chart coordinates to target-chart coordinates.
+
+    The two surfaces must carry the same metric, vertex labels and forest;
+    each target edge is developed across the source triangulation and written
+    as a signed sum of source columns (a combinatorial expression, constant on
+    a chart neighbourhood)."""
+    _check_same_metric(source, target)
+    cut_s = cut_along_forest(source)
+    cut_t = cut_along_forest(target)
+    matching = _match_forest_halfedges(source, target)
+
+    mat = np.zeros((cut_t.num_edges, cut_s.num_edges), dtype=complex)
+    for col_t, rep in enumerate(cut_t.columns):
+        if rep in cut_t.boundary:
+            col_s, sign = cut_s.column_of(matching[rep])
+            mat[col_t, col_s] = sign
+            continue
+        w = target.vec(rep)
+        anchor_t, theta = _anchor_and_offset(target, rep, matching)
+        anchor_s = matching[anchor_t] if anchor_t is not None else None
+        corner, w_src = _locate_germ(source, target.origin(rep), anchor_s, theta,
+                                     w / abs(w), abs(w))
+        try:
+            trace = develop_segment(source, corner, w_src)
+        except (DoesNotTerminateAtVertex, HitsVertexEarly) as exc:
+            raise NotSameMetric(
+                f"target edge {rep} does not develop to a source geodesic") from exc
+        except ExitsThroughForest as exc:
+            raise TransitionUndefined(
+                f"target edge {rep} crosses the forest") from exc
+        for h, sign in trace.chain:
+            col_s, rep_sign = cut_s.column_of(h)
+            mat[col_t, col_s] += sign * rep_sign
+    z_s = solution_vector(cut_s)
+    z_t = solution_vector(cut_t)
+    if np.linalg.norm(mat @ z_s - z_t) > SOLUTION_RESIDUAL_TOL * np.linalg.norm(z_t):
+        raise NotSameMetric("transition does not reproduce the target coordinates")
+    return mat
+
+
+def _flip_path_anchored(source, target, matching, first=None):
+    """Insert all target edges, each germ located through the smallest
+    anchored target half-edge at its origin (``matching`` maps anchors to
+    source half-edges).  ``first``, when given, is (target half-edge, source
+    corner, offset) at a vertex without anchors: that edge goes in first and
+    its inserted half-edge anchors every later germ there, since flips only
+    hit edges crossing the segment being inserted, and target edges do not
+    cross each other."""
     current = source
     moves = []
 
@@ -593,23 +744,17 @@ def _flip_path_anchored(source, target, matching, free_anchor):
         return trace
 
     edges = [e for e in sorted(target.edges()) if e not in target.forest]
-    v_free = ref_t = anchor_free = None
-    if free_anchor is not None:
-        v_free, (corner_s, delta, ref_t) = free_anchor
+    if first is not None:
+        ref_t, corner_s, delta = first
         ref_edge = target.edge_of(ref_t)
-        trace = insert(v_free, corner_s, delta, target.vec(ref_t), ref_edge)
-        anchor_free = trace.corner
-        edges = [e for e in edges if e != ref_edge]
+        trace = insert(target.origin(ref_t), corner_s, delta, target.vec(ref_t), ref_edge)
+        matching = {**matching, ref_t: trace.corner}
+        edges.remove(ref_edge)
 
     for e2 in edges:
-        v = target.origin(e2)
-        if v_free is not None and v == v_free:
-            anchor_s = anchor_free
-            theta = _offset_between(target, ref_t, e2)
-        else:
-            anchor_t, theta = _anchor_and_offset(target, e2)
-            anchor_s = matching[anchor_t] if anchor_t is not None else None
-        insert(v, anchor_s, theta, target.vec(e2), e2)
+        anchor_t, theta = _anchor_and_offset(target, e2, matching)
+        anchor_s = matching[anchor_t] if anchor_t is not None else None
+        insert(target.origin(e2), anchor_s, theta, target.vec(e2), e2)
     if isomorphic(current, target) is None:
         raise NotSameMetric("inserted triangulation is not the target")
     return FlipPath(tuple(moves))
@@ -639,25 +784,17 @@ def flip_path(source: FlatSurface, target: FlatSurface) -> FlipPath:
     fat = [v for v in source.vertex_ids if v not in anchored
            and abs(source.cone_angle(v) - TWO_PI) > angle_tol(TWO_PI)]
     if not fat:
-        return _flip_path_anchored(source, target, matching, None)
+        return _flip_path_anchored(source, target, matching)
     if len(fat) > 1:
         raise Unsupported(
             "more than one cone vertex without a forest anchor; direction "
             "germs cannot be matched canonically")
 
-    v = fat[0]
-    ref_t = min(target.corners_at(v))
-    direction = target.vec(ref_t) / abs(target.vec(ref_t))
+    ref_t = min(target.corners_at(fat[0]))
     failure = None
-    for h in source.corners_at(v):
-        delta = ccw_angle(source.vec(h), direction)
-        if delta >= TWO_PI - 1e-9:
-            delta = 0.0
-        if delta >= source.corner_angle(h) - 1e-9 and delta > 1e-9:
-            continue
+    for h, delta in _germs(source, fat[0], target.vec(ref_t) / abs(target.vec(ref_t))):
         try:
-            return _flip_path_anchored(source, target, matching,
-                                       (v, (h, max(delta, 0.0), ref_t)))
+            return _flip_path_anchored(source, target, matching, (ref_t, h, delta))
         except (NotSameMetric, NonTermination, Unsupported) as exc:
             failure = exc
     raise NotSameMetric("no direction germ reproduces the target") from failure

@@ -51,6 +51,28 @@ def _canonical(cycle):
     return cycle[k:] + cycle[:k]
 
 
+def triangle_fault(tid, v1, v2, v3):
+    """The ClosureViolation or OrientationViolation of the triangle with ccw
+    side vectors v1, v2, v3, or None: the sides must close and span a positive
+    area, both relative to the longest side.  Every orientation decision is
+    this test, on a surface triangle read from its smallest half-edge."""
+    scale = max(abs(v1), abs(v2), abs(v3))
+    residual = abs(v1 + v2 + v3)
+    if residual > VEC_TOL * scale:
+        return ClosureViolation(tid, residual)
+    area = 0.5 * cross(v1, v2)
+    if area <= AREA_TOL * scale * scale:
+        return OrientationViolation(tid, area)
+    return None
+
+
+def _require_triangles(sides, message):
+    """Raise DegenerateInput unless every ccw triangle of side vectors passes
+    the constructor's test."""
+    if any(triangle_fault(None, *vs) is not None for vs in sides):
+        raise DegenerateInput(message)
+
+
 class FlatSurface:
     """Validated triangulated flat surface.
 
@@ -169,8 +191,9 @@ class FlatSurface:
 
     def _flipped(self, h, hb, a, b, c, d, new_vec):
         """Surface with the diagonal h of the quad (h, a, b | hb, c, d) replaced
-        by new_vec from origin(d) to origin(b): copies the maps, rewrites what
-        the flip changes and checks it as construction would."""
+        by new_vec from origin(d) to origin(b), once _flip_fault has passed:
+        copies the maps, rewrites what the flip changes and checks the rest as
+        construction would."""
         s = FlatSurface.__new__(FlatSurface)
         s.__dict__ = {k: dict(v) if isinstance(v, dict) else v for k, v in self.__dict__.items()}
 
@@ -180,7 +203,6 @@ class FlatSurface:
             s._tris[tid] = _canonical(cyc)
             for x, y in zip(cyc, cyc[1:] + cyc[:1]):
                 s._next[x], s._prev[y], s._tri_of[x] = y, x, tid
-            s._check_triangle(tid)
         for x in (h, b, c, hb, d, a):
             s._corner[x] = s._corner_of(x)
 
@@ -198,23 +220,25 @@ class FlatSurface:
             s._pair_forest()
         return s
 
+    def _flip_fault(self, h, hb, a, b, c, d, new_vec):
+        """The fault of the first of the two triangles _flipped builds, each
+        read from its smallest half-edge as construction reads it, or None."""
+        vec = self._vec
+        for tid, cyc, sides in ((self._tri_of[h], (h, b, c), (new_vec, vec[b], vec[c])),
+                                (self._tri_of[hb], (hb, d, a), (-new_vec, vec[d], vec[a]))):
+            k = cyc.index(min(cyc))
+            fault = triangle_fault(tid, *sides[k:], *sides[:k])
+            if fault is not None:
+                return fault
+        return None
+
     # -- validation ---------------------------------------------------------
 
-    def _check_triangle(self, tid):
-        """Closure and positive orientation of one triangle."""
-        h1, h2, h3 = self._tris[tid]
-        v1, v2, v3 = self._vec[h1], self._vec[h2], self._vec[h3]
-        scale = max(abs(v1), abs(v2), abs(v3))
-        residual = abs(v1 + v2 + v3)
-        if residual > VEC_TOL * scale:
-            raise ClosureViolation(tid, residual)
-        area = 0.5 * cross(v1, v2)
-        if area <= AREA_TOL * scale * scale:
-            raise OrientationViolation(tid, area)
-
     def _validate_geometry(self):
-        for tid in self._tris:
-            self._check_triangle(tid)
+        for tid, cyc in self._tris.items():
+            fault = triangle_fault(tid, *(self._vec[h] for h in cyc))
+            if fault is not None:
+                raise fault
         self._corner = {h: self._corner_of(h) for h in self._halfedges}
         self._vertex_angle = {
             v: sum(self._corner[h] for h in orbit) for v, orbit in self._corners_at.items()
@@ -550,11 +574,10 @@ def save_surface(surface: FlatSurface, path) -> None:
 def make_torus(u: complex, v: complex) -> FlatSurface:
     """Torus obtained from the parallelogram spanned by u, v (ccw)."""
     u, v = complex(u), complex(v)
-    if cross(u, v) <= AREA_TOL * max(abs(u), abs(v)) ** 2:
-        raise DegenerateInput("need Im(conj(u) v) > 0")
     triangles = [(0, 1, 2), (3, 4, 5)]
     twin = {0: 3, 3: 0, 1: 4, 4: 1, 2: 5, 5: 2}
     vectors = {0: u, 1: v, 2: -u - v, 3: -u, 4: -v, 5: u + v}
+    _require_triangles([[vectors[h] for h in t] for t in triangles], "need Im(conj(u) v) > 0")
     return FlatSurface(triangles, twin, vectors, (), [(0, TWO_PI)])
 
 
@@ -571,10 +594,9 @@ def make_doubled_polygon(points) -> FlatSurface:
     k = len(pts)
     if k < 3:
         raise DegenerateInput("need at least 3 vertices")
-    for i in range(k):
-        a, b, c = pts[i - 1], pts[i], pts[(i + 1) % k]
-        if cross(b - a, c - b) <= AREA_TOL * max(abs(b - a), abs(c - b)) ** 2:
-            raise DegenerateInput("polygon must be strictly convex and ccw")
+    convex = "polygon must be strictly convex and ccw"
+    corners = zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])
+    _require_triangles([(b - a, c - b, a - c) for a, b, c in corners], convex)
 
     axis = pts[0] - pts[-1]
     rot = (axis / abs(axis)) ** 2
@@ -601,6 +623,7 @@ def make_doubled_polygon(points) -> FlatSurface:
         vectors[b] = qts[t + 1] - qts[t + 2]
         vectors[c] = qts[0] - qts[t + 1]
 
+    _require_triangles([[vectors[h] for h in t] for t in triangles.values()], convex)
     twin = {}
 
     def glue(x, y):

@@ -29,20 +29,20 @@ are taken from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._geom import FRAME_RESIDUAL_TOL, KERNEL_RANK_TOL, is_turn_multiple
+from ._geom import FRAME_RESIDUAL_TOL, is_turn_multiple
 from ._graph import kruskal
 from .charts import (
+    BoundaryPair,
     assemble_system,
     chart_fingerprint,
     chart_for,
     cut_along_forest,
     perturb_surface,
     reforest,
-    solution_vector,
     transition_for_flip,
 )
 from .errors import (
@@ -148,33 +148,20 @@ class SplitSystem:
 
 
 def split_edge_system(cut, edge) -> SplitSystem:
-    """System after splitting the cut surface along an interior edge."""
+    """System after splitting the cut surface along an interior edge: the cut
+    with one more zero-rotation slit, the edge against its twin, whose column
+    comes last, assembled and rank-checked like any chart."""
     surface = cut.surface
     edge = surface.edge_of(edge)
     if edge in surface.forest:
         raise EdgeNotInterior(f"edge {edge} is a boundary slit, not interior")
-    base = assemble_system(cut)
-    col0, _ = cut.column_of(edge)
-    n1 = cut.num_edges
-    r = base.rows.shape[0]
-
-    rows = np.zeros((r + 1, n1 + 1), dtype=complex)
-    rows[:r, :n1] = base.rows
-    twin_tri = surface.triangle_of(surface.twin(edge))
-    row_index = next(i for i, (kind, ident) in enumerate(base.row_kind)
-                     if kind == "triangle" and ident == twin_tri)
-    rows[row_index, n1] = -rows[row_index, col0]
-    rows[row_index, col0] = 0.0
-    rows[r, col0] = 1.0
-    rows[r, n1] = 1.0
-    row_kind = base.row_kind + (("split", edge),)
-
-    u, s, vh = np.linalg.svd(rows)
-    rank = int(np.sum(s > KERNEL_RANK_TOL * s[0]))
-    if rank != base.rank + 1:
-        raise RankCaseMismatch("splitting must raise the rank by exactly one")
-    kernel = vh[rank:].conj().T
-    return SplitSystem(rows, row_kind, kernel, rank, edge, col0)
+    twin = surface.twin(edge)
+    system = assemble_system(replace(
+        cut, columns=cut.columns + (twin,), boundary=cut.boundary | {edge, twin},
+        pairings=cut.pairings + (BoundaryPair(edge, twin, 0.0, edge),),
+        num_edges=cut.num_edges + 1, num_rows=cut.num_rows + 1))
+    return SplitSystem(system.rows, system.row_kind[:-1] + (("split", edge),), system.kernel,
+                       system.rank, edge, cut.column_of(edge)[0])
 
 
 def split_constant(cut, edge, frame=None) -> float:

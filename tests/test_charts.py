@@ -11,7 +11,6 @@ from conesurf.charts import (
     assemble_system,
     boundary_rotation,
     chart_for,
-    chart_transition,
     cut_along_forest,
     exchange_sequence,
     is_erasing,
@@ -28,7 +27,7 @@ from conesurf.errors import (
     NotSameMetric,
     NotSpanningTree,
 )
-from conesurf.flips import flip, is_flippable
+from conesurf.flips import chart_transition, flip, is_flippable
 
 
 def exact_rank_pm1(rows):

@@ -48,6 +48,11 @@ class TestMakeValidate:
         assert record["version"] == "0.1.0"
         assert "density_conventions" in record
 
+    def test_near_degenerate_torus_is_an_error_record(self, capsys):
+        status, out = run(capsys, "make", "torus", "--u", "1,0", "--v", "1,5e-12")
+        assert status == 1
+        assert parse(out)["error"] == "DegenerateInput"
+
     def test_validate_missing_file(self, capsys):
         status, out = run(capsys, "validate", "/nonexistent/surface.json")
         assert status == 1

@@ -16,6 +16,7 @@ from conesurf import (
 from conesurf._geom import DELAUNAY_BAND
 from conesurf.charts import exchange_sequence, perturb_surface, spanning_forest
 from conesurf.errors import (
+    ConesurfError,
     DegenerateInput,
     DoesNotTerminateAtVertex,
     ExitsThroughForest,
@@ -128,6 +129,34 @@ class TestFlip:
         assert not is_flippable(s, fold)
         with pytest.raises(NotFlippable):
             flip(s, fold)
+
+    def test_long_walk_on_perturbed_torus(self):
+        # the flipped triangles of an accepted quad once failed the orientation
+        # check at flip 65, sides near 6e5 with area 0.5
+        rng = np.random.default_rng(5)
+        _, path = random_flips(perturb_surface(make_torus(1, 1j), rng), 300, rng)
+        assert len(path) == 300
+
+    @pytest.mark.parametrize("name", ["square_torus", "octagon", "doubled_triangle",
+                                      "pillowcase", "doubled_pentagon", "perturbed_torus"])
+    def test_flippable_exactly_when_flip_succeeds(self, golden_surfaces, name):
+        rng = np.random.default_rng(5)
+        surfaces = dict(golden_surfaces,
+                        perturbed_torus=perturb_surface(make_torus(1, 1j), rng))
+        s = surfaces[name]
+        for _ in range(80):
+            for e in s.edges():
+                if e in s.forest:
+                    continue
+                try:
+                    flip(s, e)
+                    flipped = True
+                except ConesurfError:
+                    flipped = False
+                assert is_flippable(s, e) == flipped, e
+            s, path = random_flips(s, 1, rng)
+            if not len(path):
+                break
 
 
 class TestDelaunay:
@@ -256,10 +285,10 @@ class TestInsert:
 def corner_for_direction_any(surface, w, original, edge):
     """Corner of the flipped surface at the old diagonal's origin vertex whose
     sector contains the old diagonal direction (anchored by the forest)."""
-    from conesurf.charts import _anchor_and_offset, _locate_germ, _match_forest_halfedges
+    from conesurf.flips import _anchor_and_offset, _locate_germ, _match_forest_halfedges
 
     matching = _match_forest_halfedges(surface, original)
-    anchor_o, theta = _anchor_and_offset(original, edge)
+    anchor_o, theta = _anchor_and_offset(original, edge, matching)
     corner, _ = _locate_germ(surface, original.origin(edge),
                              matching[anchor_o] if anchor_o is not None else None,
                              theta, w / abs(w), abs(w))

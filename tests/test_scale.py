@@ -7,9 +7,9 @@ import math
 import pytest
 
 from conesurf import FlatSurface, isomorphic, make_doubled_polygon, make_torus
-from conesurf.charts import chart_for, chart_transition
+from conesurf.charts import chart_for
 from conesurf.errors import ClosureViolation, GluingMismatch, NotSameMetric
-from conesurf.flips import flip_path, trace_segment
+from conesurf.flips import chart_transition, flip_path, trace_segment
 
 SCALES = [1e-10, 1e-9, 1e-8, 1.0]
 

@@ -238,6 +238,14 @@ class TestConstructors:
         with pytest.raises(DegenerateInput):
             make_doubled_polygon([0, 1, 1 + 1j, 0.5 + 0.4j])  # reflex corner
 
+    def test_near_degenerate_input_is_degenerate(self):
+        # the constructors test their triangles as the surface does, so an
+        # input they accept never fails its orientation check afterwards
+        with pytest.raises(DegenerateInput):
+            make_torus(1, 1 + 5e-12j)
+        with pytest.raises(DegenerateInput):
+            make_doubled_polygon([0, 1, 2 + 6e-12j, 1j])
+
     def test_doubled_pentagon_gauss_bonnet(self, doubled_pentagon):
         total = sum(doubled_pentagon.cone_angle(v) for v in doubled_pentagon.vertex_ids)
         assert total == pytest.approx(6 * math.pi, abs=1e-9)  # 2 pi (n - 2), n = 5
