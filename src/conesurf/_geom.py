@@ -12,7 +12,14 @@ TWO_PI = 2.0 * math.pi
 # any mismatch between lengths that are themselves smaller than tol.
 VEC_TOL = 1e-9                # relative: vectors u, v agree when |u - v| <= VEC_TOL * |v|
 AREA_TOL = 1e-12              # relative: a signed area must exceed AREA_TOL * (longest side)**2
-KERNEL_RANK_TOL = 1e-8        # relative: singular values below KERNEL_RANK_TOL * s_max are zero
+HOLONOMY_GAP_TOL = 1e-8       # absolute: a cycle holonomy h (|h| = 1) is trivial when
+                              # |1 - h| <= HOLONOMY_GAP_TOL
+KERNEL_BASIS_TOL = 1e-6       # absolute: a projected unit vector left shorter than this by
+                              # Gram-Schmidt is dependent
+KERNEL_PHASE_TOL = 1e-9       # absolute: a unit kernel vector's phase is fixed at its first
+                              # entry above this modulus
+ROW_RELATION_TOL = 1e-9       # relative: sign-normalized rows A sum to zero when
+                              # |s A| <= ROW_RELATION_TOL * (1 + |A|)
 KERNEL_RESIDUAL_TOL = 1e-10   # relative: a kernel basis K needs |A K| <= KERNEL_RESIDUAL_TOL * |A|
 SOLUTION_RESIDUAL_TOL = 1e-8  # relative: a chart point z needs |A z| <= SOLUTION_RESIDUAL_TOL * |z|
 DELAUNAY_BAND = 1e-9          # absolute: an opposite-angle sum up to pi + DELAUNAY_BAND is Delaunay

@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import cmath
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._geom import (
-    KERNEL_RANK_TOL,
+    HOLONOMY_GAP_TOL,
+    KERNEL_BASIS_TOL,
+    KERNEL_PHASE_TOL,
     KERNEL_RESIDUAL_TOL,
     SOLUTION_RESIDUAL_TOL,
     angle_tol,
@@ -234,6 +237,38 @@ def solution_vector(cut: CutSurface) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class ChartTree:
+    """The rows as the nodes of a graph whose edges are the columns.
+
+    Every column has exactly two entries, both of unit modulus, so the system
+    is the incidence matrix of a U(1) connection on this graph.  A BFS
+    spanning tree rooted at the last row gives the square block S of the
+    tree-minor density: the tree columns, and in the short case also the
+    free column whose fundamental cycle has the largest holonomy gap
+    |1 - h|.  ``free`` lists the remaining columns T, on which frames are
+    read, and ``det_s`` is |det B_S|: 1 in the four-term case, where B is
+    the rows without the last one, and |1 - h| in the short case."""
+
+    cols: np.ndarray    # (rows, width): the columns of each row's entries, padded with 0
+    coefs: np.ndarray   # (rows, width): the entries, padded with 0
+    free: np.ndarray
+    det_s: float
+
+    def apply(self, x) -> np.ndarray:
+        """rows @ x, from the entries of each row."""
+        x = np.asarray(x, dtype=complex)
+        shape = (-1,) + (1,) * (x.ndim - 1)
+        out = self.coefs[:, 0].reshape(shape) * x[self.cols[:, 0]]
+        for k in range(1, self.cols.shape[1]):
+            out += self.coefs[:, k].reshape(shape) * x[self.cols[:, k]]
+        return out
+
+    def norm(self) -> float:
+        """Frobenius norm of the rows."""
+        return float(np.sqrt(np.sum(np.abs(self.coefs) ** 2)))
+
+
+@dataclass(frozen=True)
 class ChartSystem:
     """Normalized linear system whose kernel is the local chart."""
 
@@ -243,6 +278,7 @@ class ChartSystem:
     kernel: np.ndarray
     rank: int
     cut: CutSurface
+    tree: ChartTree
 
     @property
     def kernel_dim(self) -> int:
@@ -276,71 +312,136 @@ def chart_fingerprint(rows: np.ndarray) -> str:
     return digest.hexdigest()[:16]
 
 
-def _deterministic_kernel(nullspace: np.ndarray) -> np.ndarray:
-    """Fixed basis of a numeric null space: orthonormalize the projections of
-    the standard basis vectors taken in column order, with a phase convention."""
-    n, d = nullspace.shape
+def _deterministic_kernel(basis: np.ndarray) -> np.ndarray:
+    """Fixed orthonormal basis of the span of ``basis``: orthonormalize the
+    projections of the standard basis vectors taken in column order, with a
+    phase convention.
+
+    With Q an orthonormal basis of the span, the projection of e_j is Q c_j,
+    where c_j is the conjugate of row j of Q, so the Gram-Schmidt runs on
+    those d-vectors, twice per vector to keep them orthogonal.  A phase does
+    not change later projections, so it is fixed at the end."""
+    n, d = basis.shape
     if d == 0:
-        return nullspace
-    proj = nullspace @ nullspace.conj().T
-    basis = []
-    for j in range(n):
-        v = proj[:, j].copy()
-        for b in basis:
-            v -= (b.conj() @ v) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            v /= norm
-            k = np.argmax(np.abs(v) > 1e-9)
-            v *= abs(v[k]) / v[k]
-            basis.append(v)
-            if len(basis) == d:
+        return basis
+    q = np.linalg.qr(basis)[0]
+    chosen = np.zeros((d, d), dtype=complex)  # accepted coordinate vectors, as columns
+    adjoint = np.zeros((d, d), dtype=complex)  # their conjugates, as rows
+    k = 0
+    for c in q.conj():
+        for _ in range(2):
+            c = c - chosen[:, :k] @ (adjoint[:k] @ c)
+            norm = math.sqrt(np.vdot(c, c).real)
+            if norm <= KERNEL_BASIS_TOL:
+                break  # dependent: a second pass would only shorten it
+        else:
+            chosen[:, k] = c / norm
+            adjoint[k] = chosen[:, k].conj()
+            k += 1
+            if k == d:
                 break
-    if len(basis) != d:
+    else:
         raise AssertionError("failed to orthonormalize the kernel basis")
-    return np.column_stack(basis)
+    kernel = q @ chosen
+    lead = kernel[np.argmax(np.abs(kernel) > KERNEL_PHASE_TOL, axis=0), np.arange(d)]
+    return kernel * (np.abs(lead) / lead)
+
+
+def _tree_kernel(entries, num_columns):
+    """Kernel basis from a BFS spanning tree of the row graph rooted at the
+    last row, given each row's entries as {column: coefficient}: the free
+    (non-tree) columns are set to the identity and the tree columns solved in
+    one leaf-to-root sweep for all of them at once.
+
+    The root row's residual for a free column has modulus |1 - h|, h the
+    holonomy of that column's fundamental cycle.  When every residual is
+    within HOLONOMY_GAP_TOL the rank is one less than the row count;
+    otherwise the free column with the largest residual joins the tree
+    columns in S and is eliminated.  Returns (basis, free, det_s, rank)."""
+    num_rows = len(entries)
+    ends = [[] for _ in range(num_columns)]
+    for i, row in enumerate(entries):
+        for j in row:
+            ends[j].append(i)
+    if any(len(e) != 2 for e in ends):
+        raise AssertionError("a column does not join two rows")
+    root = num_rows - 1
+    prev = bfs(adjacency(range(num_rows), ((j, a, b) for j, (a, b) in enumerate(ends))), root)
+    if len(prev) != num_rows:
+        raise AssertionError("the row graph is disconnected")
+    in_tree = np.zeros(num_columns, dtype=bool)
+    in_tree[[link[0] for link in prev.values() if link is not None]] = True
+    free = np.flatnonzero(~in_tree)
+    m = len(free)
+    basis = np.zeros((num_columns, m), dtype=complex)
+    acc = np.zeros((num_rows, m), dtype=complex)  # each row applied to the solved columns
+    for k, j in enumerate(free.tolist()):
+        basis[j, k] = 1.0
+        for i in ends[j]:
+            acc[i, k] = entries[i][j]
+    for row in reversed(list(prev)[1:]):
+        col, parent = prev[row]
+        x = acc[row] / -entries[row][col]
+        basis[col] = x
+        acc[parent] += entries[parent][col] * x
+    residual = acc[root]
+    gaps = np.abs(residual)
+    if m == 0 or gaps.max() <= HOLONOMY_GAP_TOL:
+        return basis, free, 1.0, num_rows - 1
+    k = int(np.argmax(gaps))
+    keep = np.arange(m) != k
+    basis = basis[:, keep] - np.outer(basis[:, k], residual[keep] / residual[k])
+    return basis, free[keep], float(gaps[k]), num_rows
 
 
 def assemble_system(cut: CutSurface) -> ChartSystem:
     """Build the normalized system and its kernel for a cut surface.
 
     Row order: triangle rows by triangle id, then boundary-pair rows by forest
-    edge id.  The numeric rank must match the closed-form prediction (one less
-    than the row count exactly when every cone angle is a full-turn multiple).
+    edge id.  The rank found by the tree sweep must match the closed-form
+    prediction (one less than the row count exactly when every cone angle is
+    a full-turn multiple).
     """
     surface = cut.surface
     rows = np.zeros((cut.num_rows, cut.num_edges), dtype=complex)
+    entries = [{} for _ in range(cut.num_rows)]  # {column: coefficient} per row
+
+    def put(r, col, coef):
+        rows[r, col] += coef
+        entries[r][col] = entries[r].get(col, 0.0) + coef
+
     row_kind = []
     r = 0
     for tid in sorted(surface.triangles):
         for h in surface.triangle(tid):
             col, sign = cut.column_of(h)
-            rows[r, col] += sign
+            put(r, col, sign)
         row_kind.append(("triangle", tid))
         r += 1
     for pair in cut.pairings:
-        col_a, _ = cut.column_of(pair.a)
-        col_abar, _ = cut.column_of(pair.abar)
-        rows[r, col_a] += cmath.exp(1j * pair.rotation)
-        rows[r, col_abar] += 1.0
+        put(r, cut.column_of(pair.a)[0], cmath.exp(1j * pair.rotation))
+        put(r, cut.column_of(pair.abar)[0], 1.0)
         row_kind.append(("pair", pair.edge))
         r += 1
 
     all_multiples = all(is_turn_multiple(surface.cone_angle(v)) for v in surface.vertex_ids)
     predicted = cut.num_rows - (1 if all_multiples else 0)
-
-    u, s, vh = np.linalg.svd(rows)
-    rank = int(np.sum(s > KERNEL_RANK_TOL * s[0]))
+    basis, free, det_s, rank = _tree_kernel(entries, cut.num_edges)
     if rank != predicted:
         raise DimensionMismatch(rank, predicted)
-    kernel = _deterministic_kernel(vh[rank:].conj().T)
+    width = max(map(len, entries))
+    padded = np.array([list(row.items()) + [(0, 0)] * (width - len(row)) for row in entries],
+                      dtype=complex)
+    tree = ChartTree(padded[..., 0].real.astype(np.intp), padded[..., 1], free, det_s)
+    kernel = _deterministic_kernel(basis)
 
-    if np.linalg.norm(rows @ kernel) > KERNEL_RESIDUAL_TOL * np.linalg.norm(rows):
+    norm_rows = tree.norm()
+    if np.linalg.norm(tree.apply(kernel)) > KERNEL_RESIDUAL_TOL * norm_rows:
         raise DimensionMismatch(rank, predicted)
     z0 = solution_vector(cut)
-    if np.linalg.norm(rows @ z0) > KERNEL_RESIDUAL_TOL * np.linalg.norm(rows) * np.linalg.norm(z0):
+    if np.linalg.norm(tree.apply(z0)) > KERNEL_RESIDUAL_TOL * norm_rows * np.linalg.norm(z0):
         raise DimensionMismatch(rank, predicted)
-    return ChartSystem(rows, tuple(row_kind), cut.columns, kernel, rank, cut)
+    return ChartSystem(rows, tuple(row_kind), cut.columns, kernel, rank, cut, tree)
 
 
 def surface_from_solution(cut: CutSurface, z, system: ChartSystem | None = None) -> FlatSurface:
@@ -348,7 +449,8 @@ def surface_from_solution(cut: CutSurface, z, system: ChartSystem | None = None)
     z = np.asarray(z, dtype=complex)
     if system is None:
         system = assemble_system(cut)
-    if np.linalg.norm(system.rows @ z) > SOLUTION_RESIDUAL_TOL * max(np.linalg.norm(z), 1e-300):
+    if np.linalg.norm(system.tree.apply(z)) > SOLUTION_RESIDUAL_TOL * max(
+            np.linalg.norm(z), 1e-300):
         raise NotInKernel("vector is not in the kernel of the chart system")
 
     surface = cut.surface
@@ -406,7 +508,12 @@ def transition_for_flip(source: FlatSurface, edge) -> np.ndarray:
     """Linear map from the chart of ``source`` to the chart after flipping
     ``edge``: identity on every column except the flipped edge, whose new
     value is z_e + s_a z_{e(a)} - s_c z_{e(c)} read off the source quad."""
-    cut = cut_along_forest(source)
+    return _flip_transition(cut_along_forest(source), edge)
+
+
+def _flip_transition(cut: CutSurface, edge) -> np.ndarray:
+    """``transition_for_flip`` on the source's cut."""
+    source = cut.surface
     h = source.edge_of(edge)
     a = source.next(h)
     c = source.next(source.twin(h))

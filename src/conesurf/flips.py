@@ -680,18 +680,51 @@ def _locate_germ(surf: FlatSurface, vertex, anchor, theta, direction, length):
 # chart transitions and flip paths between triangulations
 
 
+def _unanchored_cone_vertices(surface: FlatSurface):
+    """Vertices with no forest edge whose cone angle is not a single turn:
+    there a plane direction has several germs and nothing picks one."""
+    anchored = edge_vertices(surface, surface.forest)
+    return [v for v in surface.vertex_ids if v not in anchored
+            and abs(surface.cone_angle(v) - TWO_PI) > angle_tol(TWO_PI)]
+
+
 def chart_transition(source: FlatSurface, target: FlatSurface) -> np.ndarray:
     """Linear map sending source-chart coordinates to target-chart coordinates.
 
     The two surfaces must carry the same metric, vertex labels and forest;
     each target edge is developed across the source triangulation and written
     as a signed sum of source columns (a combinatorial expression, constant on
-    a chart neighbourhood)."""
+    a chart neighbourhood).  At one cone vertex without a forest edge, as in
+    ``flip_path``, each germ of its smallest target corner is tried in turn,
+    and the first whose matrix reproduces the target coordinates is kept."""
     _check_same_metric(source, target)
     cut_s = cut_along_forest(source)
     cut_t = cut_along_forest(target)
     matching = _match_forest_halfedges(source, target)
+    fat = _unanchored_cone_vertices(source)
+    if len(fat) != 1:
+        return _transition_matrix(source, target, cut_s, cut_t, matching)
 
+    ref_t = min(target.corners_at(fat[0]))
+    failure = None
+    for h, delta in _germs(source, fat[0], target.vec(ref_t) / abs(target.vec(ref_t))):
+        try:
+            return _transition_matrix(source, target, cut_s, cut_t, matching,
+                                      (ref_t, h, delta))
+        except (NotSameMetric, TransitionUndefined, NonTermination) as exc:
+            failure = exc
+    raise NotSameMetric("no direction germ reproduces the target") from failure
+
+
+def _transition_matrix(source, target, cut_s, cut_t, matching, first=None):
+    """``chart_transition`` with germs located through the forest half-edges
+    in ``matching`` and, when given, ``first`` = (target half-edge, source
+    corner, offset from its leading ray), which anchors every direction at
+    its vertex."""
+    anchors = {h: (h_s, 0.0) for h, h_s in matching.items()}
+    if first is not None:
+        ref_t, corner_s, delta = first
+        anchors[ref_t] = (corner_s, delta)
     mat = np.zeros((cut_t.num_edges, cut_s.num_edges), dtype=complex)
     for col_t, rep in enumerate(cut_t.columns):
         if rep in cut_t.boundary:
@@ -699,8 +732,11 @@ def chart_transition(source: FlatSurface, target: FlatSurface) -> np.ndarray:
             mat[col_t, col_s] = sign
             continue
         w = target.vec(rep)
-        anchor_t, theta = _anchor_and_offset(target, rep, matching)
-        anchor_s = matching[anchor_t] if anchor_t is not None else None
+        anchor_t, theta = _anchor_and_offset(target, rep, anchors)
+        anchor_s = None
+        if anchor_t is not None:
+            anchor_s, offset = anchors[anchor_t]
+            theta += offset
         corner, w_src = _locate_germ(source, target.origin(rep), anchor_s, theta,
                                      w / abs(w), abs(w))
         try:
@@ -711,6 +747,8 @@ def chart_transition(source: FlatSurface, target: FlatSurface) -> np.ndarray:
         except ExitsThroughForest as exc:
             raise TransitionUndefined(
                 f"target edge {rep} crosses the forest") from exc
+        if trace.end_vertex != target.head(rep):
+            raise NotSameMetric(f"target edge {rep} develops to another vertex")
         for h, sign in trace.chain:
             col_s, rep_sign = cut_s.column_of(h)
             mat[col_t, col_s] += sign * rep_sign
@@ -780,9 +818,7 @@ def flip_path(source: FlatSurface, target: FlatSurface) -> FlipPath:
         raise Unsupported("flip paths need half-turn holonomy or genus zero")
 
     matching = _match_forest_halfedges(source, target)
-    anchored = edge_vertices(source, source.forest)
-    fat = [v for v in source.vertex_ids if v not in anchored
-           and abs(source.cone_angle(v) - TWO_PI) > angle_tol(TWO_PI)]
+    fat = _unanchored_cone_vertices(source)
     if not fat:
         return _flip_path_anchored(source, target, matching)
     if len(fat) > 1:

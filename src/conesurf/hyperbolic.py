@@ -91,8 +91,8 @@ def genus_zero_chart(surface: FlatSurface, excluded_vertex=None) -> GenusZeroCha
 
     selection = system.kernel[list(columns), :]
     expansion = system.kernel @ np.linalg.inv(selection)
-    if np.linalg.norm(system.rows @ expansion) > KERNEL_RESIDUAL_TOL * (
-            1 + np.linalg.norm(system.rows)):
+    if np.linalg.norm(system.tree.apply(expansion)) > KERNEL_RESIDUAL_TOL * (
+            1 + system.tree.norm()):
         raise SignatureUnexpected("expansion does not satisfy the chart system")
     return GenusZeroChart(surface, system, excluded_vertex, edges, columns, expansion)
 

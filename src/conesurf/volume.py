@@ -19,6 +19,21 @@ forests and the vector bundle Laplacian*, Ann. Probab. 2011).
   [A W | w] by the sum of all rows gives (0, ..., 0, sum w), which leaves the
   short-sequence value of B; row signs do not change |det|.
 
+The ratio is evaluated as a tree minor.  Every column of the rows has two
+unit-modulus entries, so the rows are the nodes of a graph and the columns
+its edges.  Let S be the columns of a spanning tree rooted at the last row,
+together with, at full rank, the free column whose fundamental cycle has the
+holonomy h farthest from 1, and T the other columns, so that B_S is square and
+invertible.  By Cauchy-Binet both Gram determinants are sums of squared
+maximal minors, and by the Jacobi complementary-minor identity the minor of
+a kernel basis K with K_T = 1 on any column set T' has the modulus of the
+minor of B on the complement of T' divided by |det B_S|, so
+
+    det(F* F) / det(B B*) = |det F_T|^2 / |det B_S|^2,
+
+where |det B_S| is 1 in the four-term case (a tree with its root row removed
+is triangular with unit-modulus diagonal) and |1 - h| in the short case.
+
 Only ratios and constancy statements are geometrically meaningful: absolute
 values depend on the frame and on these conventions, so every report carries
 the frame and a convention tag.  Densities underflow on large charts, so every
@@ -33,17 +48,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._geom import FRAME_RESIDUAL_TOL, is_turn_multiple
+from ._geom import FRAME_RESIDUAL_TOL, ROW_RELATION_TOL, is_turn_multiple
 from ._graph import kruskal
 from .charts import (
     BoundaryPair,
+    ChartTree,
+    _flip_transition,
     assemble_system,
     chart_fingerprint,
     chart_for,
     cut_along_forest,
     perturb_surface,
     reforest,
-    transition_for_flip,
 )
 from .errors import (
     EdgeNotInterior,
@@ -68,43 +84,38 @@ class DensityReport:
     fingerprint: str
 
 
-def _log_gram_det(mat: np.ndarray) -> float:
-    """log det(M* M), from the diagonal of a thin QR of M."""
-    r = np.linalg.qr(mat, mode="r")
-    return 2.0 * float(np.sum(np.log(np.abs(np.diagonal(r)))))
-
-
 def kernel_density(system, frame) -> DensityReport:
     """Evaluate the induced kernel volume on a frame: det(F* F) / det(B B*),
     with B the rows at full rank, and in rank deficiency one, once the rows are
     checked to sum to zero with the boundary-pair rows negated, the rows without
-    the last one.  Both log-determinants come from thin QRs, so nothing
-    overflows and the condition number is not squared."""
+    the last one.  The value is taken as the tree minor |det F_T|^2 / |det B_S|^2
+    from the system's spanning tree, with one d x d log-determinant, so nothing
+    overflows."""
     frame = np.asarray(frame, dtype=complex)
-    rows = system.rows
-    n1 = rows.shape[1]
+    tree = system.tree
+    r, n1 = system.rows.shape
     d = n1 - system.rank
     if frame.shape != (n1, d):
         raise FrameNotInKernel(f"frame must be {n1} x {d}, got {frame.shape}")
-    norm_frame = np.linalg.norm(frame)
-    if np.linalg.norm(rows @ frame) > FRAME_RESIDUAL_TOL * max(norm_frame, 1e-300) * (
-            1.0 + np.linalg.norm(rows)):
+    norm_rows = tree.norm()
+    if np.linalg.norm(tree.apply(frame)) > FRAME_RESIDUAL_TOL * max(
+            np.linalg.norm(frame), 1e-300) * (1.0 + norm_rows):
         raise FrameNotInKernel("frame columns do not lie in the kernel")
 
-    r = rows.shape[0]
     if system.rank == r:
-        convention, image_rows = SHORT_SEQUENCE, rows
+        convention = SHORT_SEQUENCE
     elif system.rank == r - 1:
         signs = np.array([1.0 if kind == "triangle" else -1.0 for kind, _ in system.row_kind])
-        if np.linalg.norm(signs @ rows) > 1e-9 * (1.0 + np.linalg.norm(rows)):
+        if np.linalg.norm(signs @ system.rows) > ROW_RELATION_TOL * (1.0 + norm_rows):
             raise RankCaseMismatch(
                 "row relation is not the expected sum after sign normalization")
-        convention, image_rows = FOUR_TERM_SEQUENCE, rows[:-1]
+        convention = FOUR_TERM_SEQUENCE
     else:
         raise RankCaseMismatch(f"rank {system.rank} is neither {r} nor {r - 1}")
-    log_value = _log_gram_det(frame) - _log_gram_det(image_rows.conj().T)
+    log_det_t = np.linalg.slogdet(frame[tree.free])[1]
+    log_value = 2.0 * float(log_det_t) - 2.0 * math.log(tree.det_s)
     return DensityReport(float(np.exp(log_value)), log_value, frame, convention,
-                         chart_fingerprint(rows))
+                         chart_fingerprint(system.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +125,10 @@ def kernel_density(system, frame) -> DensityReport:
 def flip_density_pair(surface: FlatSurface, edge, frame=None):
     """Densities before and after one flip, on frames matched through the
     chart transition of the flip.  Returns (report_a, report_b)."""
-    _, system = chart_for(surface)
+    cut, system = chart_for(surface)
     if frame is None:
         frame = system.kernel
-    transition = transition_for_flip(surface, edge)
+    transition = _flip_transition(cut, edge)
     flipped, _ = flip(surface, edge)
     _, system_b = chart_for(flipped)
     report_a = kernel_density(system, frame)
@@ -139,6 +150,7 @@ class SplitSystem:
     rank: int
     split_edge: int
     split_column: int
+    tree: ChartTree
 
     def embed(self, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec, dtype=complex)
@@ -161,7 +173,7 @@ def split_edge_system(cut, edge) -> SplitSystem:
         pairings=cut.pairings + (BoundaryPair(edge, twin, 0.0, edge),),
         num_edges=cut.num_edges + 1, num_rows=cut.num_rows + 1))
     return SplitSystem(system.rows, system.row_kind[:-1] + (("split", edge),), system.kernel,
-                       system.rank, edge, cut.column_of(edge)[0])
+                       system.rank, edge, cut.column_of(edge)[0], system.tree)
 
 
 def split_constant(cut, edge, frame=None) -> float:

@@ -27,7 +27,7 @@ from conesurf.errors import (
     NotSameMetric,
     NotSpanningTree,
 )
-from conesurf.flips import chart_transition, flip, is_flippable
+from conesurf.flips import chart_transition, flip, is_flippable, random_flips
 
 
 def exact_rank_pm1(rows):
@@ -306,6 +306,30 @@ class TestTransitions:
         z_s = solution_vector(cut_along_forest(square_torus))
         z_t = solution_vector(cut_along_forest(skew_torus))
         assert np.allclose(mat @ z_s, z_t, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scrambles_without_a_forest_anchor(self, octagon_surface, seed):
+        # the octagon's one vertex (cone angle 6*pi) has no forest edge; the
+        # transition must equal the product of the flip transitions of the walk
+        s = octagon_surface
+        target, walk = random_flips(s, 10, np.random.default_rng(seed))
+        expected = np.eye(cut_along_forest(s).num_edges)
+        current = s
+        for move in walk:
+            expected = transition_for_flip(current, move.edge) @ expected
+            current, _ = flip(current, move.edge)
+        _, system = chart_for(s)
+        direct = chart_transition(s, target)
+        assert np.max(np.abs((direct - expected) @ system.kernel)) < 1e-10
+
+    def test_octagon_single_flips(self, octagon_surface):
+        s = octagon_surface
+        _, system = chart_for(s)
+        for edge in [e for e in s.edges() if is_flippable(s, e)]:
+            flipped, _ = flip(s, edge)
+            direct = chart_transition(s, flipped)
+            assert np.max(np.abs((direct - transition_for_flip(s, edge))
+                                 @ system.kernel)) < 1e-10
 
     def test_transition_rejects_different_metric(self, square_torus):
         from conesurf import make_torus
