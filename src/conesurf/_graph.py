@@ -82,23 +82,24 @@ def path_keys(prev, goal):
 
 
 def subtree_sums(adj, weight):
-    """Root each tree of a forest at its smallest node and return, per edge
+    """Root each tree of a forest at its smallest node.  Returns, per edge
     key, the total weight on the side of the edge away from the root,
-    accumulated bottom-up in one traversal per tree."""
+    accumulated bottom-up in one traversal per tree, and per node its
+    (key, parent) link toward the root, None at a root."""
     sums = {}
-    seen = set()
+    links = {}
     for root in sorted(adj):
-        if root in seen:
+        if root in links:
             continue
         prev = bfs(adj, root)
-        seen.update(prev)
+        links.update(prev)
         below = {v: weight[v] for v in prev}
         for v in reversed(list(prev)):
             if prev[v] is not None:
                 key, parent = prev[v]
                 below[parent] += below[v]
                 sums[key] = below[v]
-    return sums
+    return sums, links
 
 
 def dual_bfs(surface, blocked):

@@ -124,8 +124,12 @@ class FlipPath:
 def _flip_quad(surface: FlatSurface, edge):
     """(h, hb, a, b, c, d, new diagonal) for the quad (h, a, b | hb, c, d) of
     a flippable edge; None when its two triangles are one or a triangle the
-    flip builds fails the constructor's check."""
-    h = surface.edge_of(edge)
+    flip builds fails the constructor's check.  An edge id that names no
+    half-edge is a ValueError."""
+    try:
+        h = surface.edge_of(edge)
+    except KeyError:
+        raise ValueError(f"unknown half-edge {edge}") from None
     if h in surface.forest:
         raise ForestEdge(f"edge {h} lies in the forest")
     hb = surface.twin(h)
@@ -152,7 +156,8 @@ def flip(surface: FlatSurface, edge):
     Returns (new surface, move).  The flipped edge keeps its half-edge pair.
     Only the quad's two triangles, six corner angles, the flipped pair's
     vectors and origins, and its four vertices' rotations, cone angles and
-    order change (the forest pairings too, if a cone angle moves)."""
+    order change, and, where a cone angle moves, the forest pairings on that
+    vertex's path to its tree's root."""
     quad = _flip_quad(surface, edge)
     if quad is None:
         raise NotFlippable(f"edge {surface.edge_of(edge)} is not flippable")

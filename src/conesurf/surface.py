@@ -30,7 +30,7 @@ from ._geom import (
     is_turn_multiple,
     reduce_angle,
 )
-from ._graph import adjacency, edge_vertices, kruskal, subtree_sums, vertex_edges
+from ._graph import adjacency, edge_vertices, kruskal, path_keys, subtree_sums, vertex_edges
 from .errors import (
     AngleMismatch,
     ClosureViolation,
@@ -43,6 +43,31 @@ from .errors import (
     OrientationViolation,
     UnknownVertex,
 )
+
+
+# Subtree cone-angle sums are kept exactly, as integers in units of the
+# smallest subnormal 2**-1074: a flip adds exact angle changes to them, and
+# int / int true division rounds correctly, so every theta is the math.fsum
+# of its subtree and equals the one a rebuild computes.
+_ULP_BITS = 1074
+
+
+def _exact(x):
+    """The float x as an integer multiple of 2**-1074."""
+    n, d = x.as_integer_ratio()
+    return n << (_ULP_BITS + 1 - d.bit_length())
+
+
+def _theta(total):
+    """Pairing rotation of an exact subtree sum: the sum correctly rounded,
+    reduced to (-pi, pi]."""
+    return reduce_angle(total / (1 << _ULP_BITS))
+
+
+# Fields a flipped surface shares with its source: the forest's root links
+# never change, and _move_pairings copies the sums and pairings before it
+# writes them.
+_FLIP_SHARED = frozenset({"_forest_link", "_forest_sum", "_forest_pairing"})
 
 
 def _canonical(cycle):
@@ -80,6 +105,9 @@ class FlatSurface:
     surface.  Construction runs the full validation suite and raises one of
     the errors from :mod:`conesurf.errors` on the first violated invariant;
     :func:`conesurf.flips.flip` runs its local form on the flipped quad.
+    Each forest edge keeps the exact cone-angle sum of the subtree it cuts
+    off, and each vertex its link toward its tree's root, so a flip moves
+    only the pairings on the root paths of the vertices it touches.
     """
 
     def __init__(self, triangles, twin, vectors, forest=(), vertices=None):
@@ -193,9 +221,12 @@ class FlatSurface:
         """Surface with the diagonal h of the quad (h, a, b | hb, c, d) replaced
         by new_vec from origin(d) to origin(b), once _flip_fault has passed:
         copies the maps, rewrites what the flip changes and checks the rest as
-        construction would."""
+        construction would.  The forest data is shared, and only the pairings
+        on the root paths of quad vertices whose cone angle moved are
+        recomputed (_move_pairings)."""
         s = FlatSurface.__new__(FlatSurface)
-        s.__dict__ = {k: dict(v) if isinstance(v, dict) else v for k, v in self.__dict__.items()}
+        s.__dict__ = {k: v if k in _FLIP_SHARED or not isinstance(v, dict) else dict(v)
+                      for k, v in self.__dict__.items()}
 
         s._vec[h], s._vec[hb] = new_vec, -new_vec
         s._origin[h], s._origin[hb] = self._origin[d], self._origin[b]
@@ -207,18 +238,36 @@ class FlatSurface:
             s._corner[x] = s._corner_of(x)
 
         # re-walk each quad vertex's rotation, re-sum its cone angle in order
-        changed = False
+        moved = {}
         for v, x in {self._origin[x]: x for x in (a, b, c, d)}.items():
             orbit = _canonical(s._orbit(x))
             alpha = sum(s._corner[y] for y in orbit)
             s._check_angle(v, alpha, self._vertex_angle[v])
             s._check_angle(v, alpha, self._angle_target[v])
-            changed |= alpha != self._vertex_angle[v]
+            if alpha != self._vertex_angle[v]:
+                moved[v] = _exact(alpha) - _exact(self._vertex_angle[v])
             s._corners_at[v], s._vertex_angle[v] = orbit, alpha
         s._vertex_ids = tuple(sorted(self._vertex_ids, key=lambda v: s._corners_at[v][0]))
-        if changed:
-            s._pair_forest()
+        if moved:
+            s._move_pairings(moved)
         return s
+
+    def _move_pairings(self, moved):
+        """Add each vertex's exact cone-angle change to the subtree sums on
+        its root path, and pair again only the edges whose theta changed: a
+        pairing depends on theta and on the two forest vectors, which no flip
+        writes."""
+        sums = self._forest_sum = dict(self._forest_sum)
+        path = set()
+        for v, delta in moved.items():
+            for e in path_keys(self._forest_link, v):
+                sums[e] += delta
+                path.add(e)
+        thetas = {e: _theta(sums[e]) for e in sorted(path)}
+        repaired = {e: self._forest_rotation(e, theta) for e, theta in thetas.items()
+                    if theta != self._forest_pairing[e][0]}
+        if repaired:
+            self._forest_pairing = {**self._forest_pairing, **repaired}
 
     def _flip_fault(self, h, hb, a, b, c, d, new_vec):
         """The fault of the first of the two triangles _flipped builds, each
@@ -263,16 +312,18 @@ class FlatSurface:
                 residual = abs(self._vec[k] + self._vec[h])
                 if residual > VEC_TOL * abs(self._vec[h]):
                     raise GluingMismatch(h, residual)
-        # flips keep the forest and its endpoints, so this graph never changes
-        self._forest_graph = adjacency(self._vertex_ids, edges)
-        self._pair_forest()
+        self._pair_forest(edges)
 
-    def _pair_forest(self):
-        # the rotation across a forest edge is the cone-angle sum of the
-        # subtree it cuts off, on the side away from the tree's smallest vertex
-        angles = subtree_sums(self._forest_graph, self._vertex_angle)
+    def _pair_forest(self, edges):
+        """Pair every forest edge.  The rotation across a forest edge is the
+        cone-angle sum of the subtree it cuts off, on the side away from the
+        tree's smallest vertex, summed exactly.  Flips keep the forest and its
+        endpoints, so they keep the root links and update the exact sums."""
+        exact = {v: _exact(alpha) for v, alpha in self._vertex_angle.items()}
+        self._forest_sum, self._forest_link = subtree_sums(
+            adjacency(self._vertex_ids, edges), exact)
         self._forest_pairing = {
-            e: self._forest_rotation(e, reduce_angle(angles[e])) for e in sorted(self._forest)}
+            e: self._forest_rotation(e, _theta(self._forest_sum[e])) for e in sorted(self._forest)}
 
     def _forest_rotation(self, e, theta):
         """Oriented pairing (theta, a, abar) of forest edge e with

@@ -236,6 +236,11 @@ class TestUnknownIds:
         assert record["error"] == error
         assert "unknown" in record["message"]
 
+    def test_unknown_edge_message_names_the_flag(self, pentagon_path, capsys):
+        status, out = run(capsys, "flip", pentagon_path, "--edge", "9999")
+        assert status == 1
+        assert parse(out)["message"] == "--edge names unknown half-edge 9999"
+
     def test_surface_file_missing_field(self, tmp_path, capsys):
         path = tmp_path / "partial.json"
         path.write_text('{"vertices": [], "triangles": [], "gluing": [], "vectors": {}}\n')

@@ -90,6 +90,11 @@ class TestHolonomy:
 
 
 class TestFlip:
+    @pytest.mark.parametrize("call", [flip, is_flippable])
+    def test_unknown_halfedge_is_a_value_error(self, pillowcase, call):
+        with pytest.raises(ValueError, match="unknown half-edge 1000000"):
+            call(pillowcase, 10**6)
+
     def test_square_torus_diagonal(self, square_torus):
         assert is_flippable(square_torus, 2)
         flipped, move = flip(square_torus, 2)
@@ -377,7 +382,8 @@ def rebuilt(s):
 
 
 def assert_same_surface(s, r):
-    """Every public accessor of s equals that of r, bit for bit."""
+    """Every public accessor and every field of s equals that of r, bit for
+    bit."""
     assert s.halfedges == r.halfedges
     for h in s.halfedges:
         assert (s.next(h), s.prev(h), s.twin(h), s.origin(h)) == \
@@ -393,6 +399,33 @@ def assert_same_surface(s, r):
         assert s.forest_pairing(e) == r.forest_pairing(e)
     assert s.genus() == r.genus()
     assert s.to_json() == r.to_json()
+    assert vars(s) == vars(r)
+
+
+def doubled_regular(k):
+    return make_doubled_polygon([cmath.exp(2j * math.pi * j / k) for j in range(k)])
+
+
+def root_paths(surface):
+    """Vertex -> the forest edges on its path to its tree's smallest vertex."""
+    adj = {v: [] for v in surface.vertex_ids}
+    for e in surface.forest:
+        a, b = surface.origin(e), surface.head(e)
+        adj[a].append((e, b))
+        adj[b].append((e, a))
+    paths = {}
+    for root in sorted(adj):
+        if root in paths:
+            continue
+        paths[root] = frozenset()
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for e, w in adj[v]:
+                if w not in paths:
+                    paths[w] = paths[v] | {e}
+                    stack.append(w)
+    return paths
 
 
 class TestLocalFlip:
@@ -401,18 +434,46 @@ class TestLocalFlip:
 
     @pytest.mark.parametrize("name", ["square_torus", "octagon", "doubled_triangle",
                                       "pillowcase", "doubled_pentagon", "marked_torus",
-                                      "doubled_12_gon", "genus_5"])
+                                      "doubled_12_gon", "genus_5", "doubled_48_gon",
+                                      "doubled_48_gon_1e-8", "doubled_48_gon_1e8"])
     def test_walk_equals_rebuild(self, golden_surfaces, marked_torus, name):
         surfaces = dict(golden_surfaces, marked_torus=marked_torus,
-                        doubled_12_gon=make_doubled_polygon(
-                            [cmath.exp(2j * math.pi * k / 12) for k in range(12)]),
-                        genus_5=make_regular_4g_gon(5))
+                        doubled_12_gon=doubled_regular(12), genus_5=make_regular_4g_gon(5))
+        scales = {"doubled_48_gon": 1.0, "doubled_48_gon_1e-8": 1e-8, "doubled_48_gon_1e8": 1e8}
+        if name in scales:
+            surfaces[name] = doubled_regular(48).scale(scales[name])
         rng = np.random.default_rng(314)
         s = perturb_surface(surfaces[name], rng)
         for _ in range(40):
             edges = [e for e in s.edges() if e not in s.forest and is_flippable(s, e)]
             s, _ = flip(s, edges[rng.integers(len(edges))])
             assert_same_surface(s, rebuilt(s))
+
+    def test_flip_rechecks_only_root_path_pairings(self, monkeypatch):
+        """A flip moves the cone angles of its quad vertices only, so it
+        checks no forest pairing off their paths to the root."""
+        rng = np.random.default_rng(314)
+        s = perturb_surface(doubled_regular(48), rng)
+        paths = root_paths(s)
+        assert max(len(p) for p in paths.values()) == len(s.forest) == 47
+        checked = []
+        rotation = FlatSurface._forest_rotation
+
+        def counted(surface, e, theta):
+            checked.append(e)
+            return rotation(surface, e, theta)
+
+        monkeypatch.setattr(FlatSurface, "_forest_rotation", counted)
+        rechecks = 0
+        for _ in range(60):
+            edges = [e for e in s.edges() if e not in s.forest and is_flippable(s, e)]
+            checked.clear()
+            s, move = flip(s, edges[rng.integers(len(edges))])
+            allowed = frozenset().union(*(paths[s.origin(x)] for x in move.quad))
+            assert set(checked) <= allowed
+            assert len(checked) == len(set(checked))
+            rechecks += len(checked)
+        assert rechecks > 0
 
 
 # Full-rescan versions of the flip loops: each rescans every edge after every

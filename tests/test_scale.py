@@ -11,7 +11,7 @@ from conesurf.charts import chart_for
 from conesurf.errors import ClosureViolation, GluingMismatch, NotSameMetric
 from conesurf.flips import chart_transition, flip_path, trace_segment
 
-SCALES = [1e-10, 1e-9, 1e-8, 1.0]
+SCALES = [1e-10, 1e-9, 1e-8, 1.0, 1e4, 1e8]
 
 
 @pytest.mark.parametrize("s", SCALES)

@@ -15,8 +15,8 @@ from conesurf import (
     make_regular_4g_gon,
     make_torus,
 )
-from conesurf._geom import angle_tol
-from conesurf.charts import reforest, spanning_forest
+from conesurf._geom import angle_tol, reduce_angle
+from conesurf.charts import perturb_surface, reforest, spanning_forest
 from conesurf.errors import (
     AngleMismatch,
     ClosureViolation,
@@ -26,6 +26,7 @@ from conesurf.errors import (
     OrientationViolation,
     UnknownVertex,
 )
+from conesurf.flips import random_flips
 
 TWO_PI = 2 * math.pi
 
@@ -179,13 +180,35 @@ def forest_component(surface, start, skip=None):
     return comp
 
 
-def brute_force_rotation(surface, e):
-    """Split the tree holding e at e; sum the cone angles of the component
-    not containing the tree's smallest vertex."""
+def subtree_off(surface, e):
+    """Split the tree holding e at e; the component not containing the
+    tree's smallest vertex."""
     ca = forest_component(surface, surface.origin(e), skip=e)
     cb = forest_component(surface, surface.origin(surface.twin(e)), skip=e)
-    chosen = cb if min(ca | cb) in ca else ca
-    return sum(surface.cone_angle(v) for v in chosen)
+    return cb if min(ca | cb) in ca else ca
+
+
+def brute_force_rotation(surface, e):
+    return sum(surface.cone_angle(v) for v in subtree_off(surface, e))
+
+
+def doubled_regular(k):
+    return make_doubled_polygon([cmath.exp(2j * math.pi * j / k) for j in range(k)])
+
+
+def pentagon_star(doubled_pentagon):
+    """The doubled pentagon with its star tree at vertex 0 as the forest."""
+    star, _, _ = reforest(doubled_pentagon, spanning_forest(doubled_pentagon))
+    return star
+
+
+def two_tree_pillowcase(pillowcase):
+    """The pillowcase with a forest of two one-edge trees."""
+    forest = spanning_forest(pillowcase, parts=[{0, 1}, {2, 3}])
+    s = pillowcase
+    return FlatSurface(s.triangles, {h: s.twin(h) for h in s.halfedges},
+                       {h: s.vec(h) for h in s.halfedges}, forest,
+                       [(v, s.angle_target(v)) for v in s.vertex_ids])
 
 
 class TestForestRotations:
@@ -200,7 +223,7 @@ class TestForestRotations:
         assert surface.num_trees() == len(surface.vertex_ids) - len(surface.forest)
 
     def test_pentagon_star_tree(self, doubled_pentagon):
-        star, _, _ = reforest(doubled_pentagon, spanning_forest(doubled_pentagon))
+        star = pentagon_star(doubled_pentagon)
         assert star.forest != doubled_pentagon.forest
         self.check(star)
 
@@ -213,16 +236,31 @@ class TestForestRotations:
         self.check(star)
 
     def test_multi_tree_forest(self, pillowcase):
-        forest = spanning_forest(pillowcase, parts=[{0, 1}, {2, 3}])
-        s = pillowcase
-        two_trees = FlatSurface(s.triangles, {h: s.twin(h) for h in s.halfedges},
-                                {h: s.vec(h) for h in s.halfedges}, forest,
-                                [(v, s.angle_target(v)) for v in s.vertex_ids])
+        two_trees = two_tree_pillowcase(pillowcase)
         assert two_trees.num_trees() == 2
         self.check(two_trees)
 
     def test_marked_torus(self, marked_torus):
         self.check(marked_torus)
+
+    @pytest.mark.parametrize("name", ["doubled_12_gon", "doubled_48_gon", "walked_48_gon",
+                                      "pentagon_star", "two_tree_pillowcase"])
+    def test_pairing_is_the_correctly_rounded_subtree_sum(self, doubled_pentagon, pillowcase,
+                                                          name):
+        """Every theta equals the math.fsum of its subtree's cone angles, bit
+        for bit, whatever order the angles were added in."""
+        rng = np.random.default_rng(48)
+        make = {"doubled_12_gon": lambda: doubled_regular(12),
+                "doubled_48_gon": lambda: doubled_regular(48),
+                "walked_48_gon": lambda: random_flips(
+                    perturb_surface(doubled_regular(48), rng), 60, rng)[0],
+                "pentagon_star": lambda: pentagon_star(doubled_pentagon),
+                "two_tree_pillowcase": lambda: two_tree_pillowcase(pillowcase)}
+        s = make[name]()
+        assert s.forest
+        for e in s.forest:
+            oracle = reduce_angle(math.fsum(s.cone_angle(v) for v in subtree_off(s, e)))
+            assert s.forest_pairing(e)[0] == oracle, e
 
 
 class TestConstructors:
