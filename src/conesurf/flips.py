@@ -107,8 +107,9 @@ class FlipPath:
         return iter(self.moves)
 
     def replay(self, surface: FlatSurface) -> FlatSurface:
+        surface = surface._copy()
         for move in self.moves:
-            surface, _ = flip(surface, move.edge)
+            _flip_owned(surface, move.edge)
         return surface
 
     def to_json(self) -> str:
@@ -121,15 +122,20 @@ class FlipPath:
         return "[" + ", ".join(items) + "]"
 
 
+def _edge(surface: FlatSurface, halfedge):
+    """The edge of a half-edge id; an id that names no half-edge is a
+    ValueError."""
+    try:
+        return surface.edge_of(halfedge)
+    except KeyError:
+        raise ValueError(f"unknown half-edge {halfedge}") from None
+
+
 def _flip_quad(surface: FlatSurface, edge):
     """(h, hb, a, b, c, d, new diagonal) for the quad (h, a, b | hb, c, d) of
     a flippable edge; None when its two triangles are one or a triangle the
-    flip builds fails the constructor's check.  An edge id that names no
-    half-edge is a ValueError."""
-    try:
-        h = surface.edge_of(edge)
-    except KeyError:
-        raise ValueError(f"unknown half-edge {edge}") from None
+    flip builds fails the constructor's check."""
+    h = _edge(surface, edge)
     if h in surface.forest:
         raise ForestEdge(f"edge {h} lies in the forest")
     hb = surface.twin(h)
@@ -158,12 +164,21 @@ def flip(surface: FlatSurface, edge):
     vectors and origins, and its four vertices' rotations, cone angles and
     order change, and, where a cone angle moves, the forest pairings on that
     vertex's path to its tree's root."""
+    flipped = surface._copy()
+    return flipped, _flip_owned(flipped, edge)
+
+
+def _flip_owned(surface: FlatSurface, edge) -> FlipMove:
+    """``flip`` in place, on a surface the caller owns (a copy made at the
+    start of its walk); returns the move.  An edge that is not flippable
+    raises before anything changes."""
     quad = _flip_quad(surface, edge)
     if quad is None:
         raise NotFlippable(f"edge {surface.edge_of(edge)} is not flippable")
     h, hb, a, b, c, d, new_vec = quad
     move = FlipMove(h, surface.vec(h), new_vec, (c, d, a, b))
-    return surface._flipped(*quad), move
+    surface._flip_in_place(*quad)
+    return move
 
 
 def _worklist(surface, test):
@@ -172,10 +187,10 @@ def _worklist(surface, test):
 
 
 def _flip_tracked(surface, edge, worklist, test):
-    """Flip the edge and keep the sorted worklist equal to
-    _worklist(new surface, test).  A flip changes only the two triangles of
-    its quad, so only the five quad edges are tested again."""
-    surface, move = flip(surface, edge)
+    """Flip the edge of an owned surface in place and keep the sorted
+    worklist equal to _worklist(surface, test).  A flip changes only the two
+    triangles of its quad, so only the five quad edges are tested again."""
+    move = _flip_owned(surface, edge)
     for e in {move.edge, *(surface.edge_of(x) for x in move.quad)}:
         i = bisect_left(worklist, e)
         listed = i < len(worklist) and worklist[i] == e
@@ -184,19 +199,19 @@ def _flip_tracked(surface, edge, worklist, test):
                 del worklist[i]
             else:
                 worklist.insert(i, e)
-    return surface, move
+    return move
 
 
 def random_flips(surface: FlatSurface, count, rng):
     """Random walk in the flip graph; returns (surface, path)."""
+    surface = surface._copy()
     moves = []
     candidates = _worklist(surface, is_flippable)
     for _ in range(count):
         if not candidates:
             break
         edge = candidates[rng.integers(len(candidates))]
-        surface, move = _flip_tracked(surface, edge, candidates, is_flippable)
-        moves.append(move)
+        moves.append(_flip_tracked(surface, edge, candidates, is_flippable))
     return surface, FlipPath(tuple(moves))
 
 
@@ -207,13 +222,13 @@ def random_flips(surface: FlatSurface, count, rng):
 def delaunay_angle_sum(surface: FlatSurface, edge) -> float:
     """Sum of the two angles opposite the edge in its quad (<= pi means the
     edge is locally Delaunay)."""
-    h = surface.edge_of(edge)
+    h = _edge(surface, edge)
     return (surface.corner_angle(surface.prev(h))
             + surface.corner_angle(surface.prev(surface.twin(h))))
 
 
 def is_delaunay_edge(surface: FlatSurface, edge) -> bool:
-    h = surface.edge_of(edge)
+    h = _edge(surface, edge)
     if h in surface.forest:
         return True
     if surface.triangle_of(h) == surface.triangle_of(surface.twin(h)):
@@ -231,12 +246,12 @@ def delaunay(surface: FlatSurface, rng=None):
     Deterministic scan order by default; an rng randomizes the choice among
     violating edges (the metric result is the same up to cocircular flips)."""
     cap = 50 * (len(surface.halfedges) // 2 + len(surface.forest)) ** 2
+    surface = surface._copy()
     moves = []
     bad = _worklist(surface, _violates)
     while bad:
         e = bad[0] if rng is None else bad[rng.integers(len(bad))]
-        surface, move = _flip_tracked(surface, e, bad, _violates)
-        moves.append(move)
+        moves.append(_flip_tracked(surface, e, bad, _violates))
         if len(moves) > cap:
             raise NonTermination(f"Delaunay flipping exceeded {cap} moves")
     return surface, FlipPath(tuple(moves))
@@ -262,10 +277,11 @@ def canonicalize_cocircular(surface: FlatSurface):
         return edge_key((surface.origin(b), surface.origin(d)), new_vec) < old
 
     cap = 50 * (len(surface.halfedges) // 2) ** 2
+    surface = surface._copy()
     count = 0
     todo = _worklist(surface, improvable)
     while todo:
-        surface, _ = _flip_tracked(surface, todo[0], todo, improvable)
+        _flip_tracked(surface, todo[0], todo, improvable)
         count += 1
         if count > cap:
             raise NonTermination("cocircular canonicalization did not settle")
@@ -321,6 +337,7 @@ def develop_segment(surface: FlatSurface, corner, w: complex) -> Trace:
     w = complex(w)
     if w == 0 or not cmath.isfinite(w):
         raise DegenerateInput(f"segment vector must be nonzero and finite, got {w!r}")
+    _edge(surface, h0)  # an unknown corner id is a ValueError
     u = surface.vec(h0)
     scale = max(abs(w), abs(u))
     ang = surface.corner_angle(h0)
@@ -508,10 +525,12 @@ def _fan_flip_choice(surface: FlatSurface, trace: Trace):
 
 
 def _insert_located(surface, vertex, anchor, theta, direction, length):
-    """Insertion core: resolve the germ once, then keep it as (reference
-    half-edge at the vertex, ccw offset), re-anchoring before any flip that
-    would remove the reference edge.  The offset between two geodesic germs at
-    a vertex never changes, so the tracked germ survives every flip."""
+    """Insertion core, flipping a surface the caller owns in place; returns
+    (path, trace of the inserted segment).  Resolve the germ once, then keep
+    it as (reference half-edge at the vertex, ccw offset), re-anchoring before
+    any flip that would remove the reference edge.  The offset between two
+    geodesic germs at a vertex never changes, so the tracked germ survives
+    every flip."""
     corner, wv = _locate_germ(surface, vertex, anchor, theta, direction, length)
     u = surface.vec(corner)
     h_ref, delta = corner, max(math.atan2(cross(u, wv), (u.conjugate() * wv).real), 0.0)
@@ -526,7 +545,7 @@ def _insert_located(surface, vertex, anchor, theta, direction, length):
         trace = develop_segment(surface, corner, wv)
         m = len(trace.crossings)
         if m == 0:
-            return surface, FlipPath(tuple(moves)), trace
+            return FlipPath(tuple(moves)), trace
         if prev_m is None or m < prev_m:
             prev_m = m
             budget = m + 2
@@ -547,8 +566,7 @@ def _insert_located(surface, vertex, anchor, theta, direction, length):
             delta = (_offset_between(surface, h_new, h_ref) + delta) \
                 % surface.cone_angle(vertex)
             h_ref = h_new
-        surface, move = flip(surface, edge)
-        moves.append(move)
+        moves.append(_flip_owned(surface, edge))
         if len(moves) > cap:
             raise NonTermination(f"insertion exceeded {cap} flips")
 
@@ -564,8 +582,8 @@ def insert_segment(surface: FlatSurface, corner, w: complex):
     develop_segment(surface, corner, w)  # validate the trace up front
     u = surface.vec(corner)
     delta = max(math.atan2(cross(u, w), (u.conjugate() * w).real), 0.0)
-    result, path, _ = _insert_located(surface, surface.origin(corner), corner, delta,
-                                      w / abs(w), abs(w))
+    result = surface._copy()
+    path, _ = _insert_located(result, surface.origin(corner), corner, delta, w / abs(w), abs(w))
     return result, path
 
 
@@ -771,15 +789,13 @@ def _flip_path_anchored(source, target, matching, first=None):
     corner, offset) at a vertex without anchors: that edge goes in first and
     its inserted half-edge anchors every later germ there, since flips only
     hit edges crossing the segment being inserted, and target edges do not
-    cross each other."""
-    current = source
+    cross each other.  The walk flips its own copy of the source."""
+    current = source._copy()
     moves = []
 
     def insert(vertex, anchor_s, theta, w, label):
-        nonlocal current
         try:
-            current, path, trace = _insert_located(
-                current, vertex, anchor_s, theta, w / abs(w), abs(w))
+            path, trace = _insert_located(current, vertex, anchor_s, theta, w / abs(w), abs(w))
         except (DoesNotTerminateAtVertex, HitsVertexEarly, ExitsThroughForest) as exc:
             raise NotSameMetric(
                 f"target edge {label} is not a geodesic of the source metric") from exc

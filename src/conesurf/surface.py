@@ -59,15 +59,26 @@ def _exact(x):
 
 
 def _theta(total):
-    """Pairing rotation of an exact subtree sum: the sum correctly rounded,
-    reduced to (-pi, pi]."""
-    return reduce_angle(total / (1 << _ULP_BITS))
+    """Pairing rotation of an exact subtree sum, the sum correctly rounded
+    and reduced to (-pi, pi], and the rounding window of that float."""
+    x = total / (1 << _ULP_BITS)
+    return reduce_angle(x), _window(x)
 
 
-# Fields a flipped surface shares with its source: the forest's root links
-# never change, and _move_pairings copies the sums and pairings before it
-# writes them.
-_FLIP_SHARED = frozenset({"_forest_link", "_forest_sum", "_forest_pairing"})
+def _window(x):
+    """(lo, hi): the least and greatest exact sums, in units of 2**-1074, that
+    int / int division rounds to the float x, ties to even.  A sum that stays
+    inside needs no new division: its float, and so its theta, is unchanged."""
+    n = _exact(x)
+    m, e = math.frexp(x)
+    shift = max(e + 1021, 0) if x else 0  # ulp(x) = 2**shift units
+    odd = (abs(n) >> shift) & 1
+    away = (1 << shift) >> 1  # half the gap to the next float away from zero
+    toward = away >> 1 if abs(m) == 0.5 and shift else away  # and toward zero
+    below, above = (toward, away) if x > 0 else (away, toward)
+    # a midpoint is an exact sum only when the half gap is whole; a tie there
+    # rounds to the even float
+    return n - below + (odd if below else 0), n + above - (odd if above else 0)
 
 
 def _canonical(cycle):
@@ -101,13 +112,17 @@ def _require_triangles(sides, message):
 class FlatSurface:
     """Validated triangulated flat surface.
 
-    Instances are immutable; every mutating-style operation returns a new
-    surface.  Construction runs the full validation suite and raises one of
-    the errors from :mod:`conesurf.errors` on the first violated invariant;
-    :func:`conesurf.flips.flip` runs its local form on the flipped quad.
-    Each forest edge keeps the exact cone-angle sum of the subtree it cuts
-    off, and each vertex its link toward its tree's root, so a flip moves
-    only the pairings on the root paths of the vertices it touches.
+    A surface that a caller sees never changes: every operation returns a
+    new surface.  A flip walk (:mod:`conesurf.flips`) copies its input once
+    and flips only that copy, in place.  Construction runs the full
+    validation suite and raises one of the errors from
+    :mod:`conesurf.errors` on the first violated invariant; a flip runs its
+    local form on the flipped quad.  Each forest edge keeps the exact
+    cone-angle sum of the subtree it cuts off and the window of sums that
+    round to the same float, and each vertex its link toward its tree's
+    root, so a flip moves only the pairings on the root paths of the
+    vertices it touches, and divides again only the sums that left their
+    windows.
     """
 
     def __init__(self, triangles, twin, vectors, forest=(), vertices=None):
@@ -217,61 +232,71 @@ class FlatSurface:
         w = -self._vec[self._prev[h]]
         return math.atan2(cross(u, w), (u.conjugate() * w).real)
 
-    def _flipped(self, h, hb, a, b, c, d, new_vec):
-        """Surface with the diagonal h of the quad (h, a, b | hb, c, d) replaced
-        by new_vec from origin(d) to origin(b), once _flip_fault has passed:
-        copies the maps, rewrites what the flip changes and checks the rest as
-        construction would.  The forest data is shared, and only the pairings
-        on the root paths of quad vertices whose cone angle moved are
-        recomputed (_move_pairings)."""
+    def _copy(self):
+        """A surface equal to this one that shares no map a flip writes; the
+        root links are never written and stay shared."""
         s = FlatSurface.__new__(FlatSurface)
-        s.__dict__ = {k: v if k in _FLIP_SHARED or not isinstance(v, dict) else dict(v)
+        s.__dict__ = {k: dict(v) if isinstance(v, dict) and k != "_forest_link" else v
                       for k, v in self.__dict__.items()}
+        return s
 
-        s._vec[h], s._vec[hb] = new_vec, -new_vec
-        s._origin[h], s._origin[hb] = self._origin[d], self._origin[b]
-        for tid, cyc in ((self._tri_of[h], (h, b, c)), (self._tri_of[hb], (hb, d, a))):
-            s._tris[tid] = _canonical(cyc)
+    def _flip_in_place(self, h, hb, a, b, c, d, new_vec):
+        """Replace the diagonal h of the quad (h, a, b | hb, c, d) by new_vec
+        from origin(d) to origin(b), once _flip_fault has passed: rewrites
+        what the flip changes and checks the rest as construction would.  Only
+        the pairings on the root paths of quad vertices whose cone angle moved
+        are recomputed (_move_pairings).  The surface must be the caller's
+        own copy."""
+        origin, tri_of, corner = self._origin, self._tri_of, self._corner
+        quad_vertices = {origin[x]: x for x in (a, b, c, d)}
+        self._vec[h], self._vec[hb] = new_vec, -new_vec
+        origin[h], origin[hb] = origin[d], origin[b]
+        for tid, cyc in ((tri_of[h], (h, b, c)), (tri_of[hb], (hb, d, a))):
+            self._tris[tid] = _canonical(cyc)
             for x, y in zip(cyc, cyc[1:] + cyc[:1]):
-                s._next[x], s._prev[y], s._tri_of[x] = y, x, tid
+                self._next[x], self._prev[y], tri_of[x] = y, x, tid
         for x in (h, b, c, hb, d, a):
-            s._corner[x] = s._corner_of(x)
+            corner[x] = self._corner_of(x)
 
         # re-walk each quad vertex's rotation, re-sum its cone angle in order
         moved = {}
-        for v, x in {self._origin[x]: x for x in (a, b, c, d)}.items():
-            orbit = _canonical(s._orbit(x))
-            alpha = sum(s._corner[y] for y in orbit)
-            s._check_angle(v, alpha, self._vertex_angle[v])
-            s._check_angle(v, alpha, self._angle_target[v])
-            if alpha != self._vertex_angle[v]:
-                moved[v] = _exact(alpha) - _exact(self._vertex_angle[v])
-            s._corners_at[v], s._vertex_angle[v] = orbit, alpha
-        s._vertex_ids = tuple(sorted(self._vertex_ids, key=lambda v: s._corners_at[v][0]))
+        resort = False
+        for v, x in quad_vertices.items():
+            orbit = _canonical(self._orbit(x))
+            alpha, old = sum(corner[y] for y in orbit), self._vertex_angle[v]
+            self._check_angle(v, alpha, old)
+            self._check_angle(v, alpha, self._angle_target[v])
+            if alpha != old:
+                moved[v] = _exact(alpha) - _exact(old)
+            resort = resort or orbit[0] != self._corners_at[v][0]
+            self._corners_at[v], self._vertex_angle[v] = orbit, alpha
+        if resort:  # the vertex order is by smallest outgoing half-edge
+            self._vertex_ids = tuple(sorted(self._vertex_ids,
+                                            key=lambda v: self._corners_at[v][0]))
         if moved:
-            s._move_pairings(moved)
-        return s
+            self._move_pairings(moved)
 
     def _move_pairings(self, moved):
         """Add each vertex's exact cone-angle change to the subtree sums on
-        its root path, and pair again only the edges whose theta changed: a
-        pairing depends on theta and on the two forest vectors, which no flip
-        writes."""
-        sums = self._forest_sum = dict(self._forest_sum)
+        its root path.  Only a sum that left its rounding window changes its
+        float: it alone is divided again, and paired again if its theta
+        changed.  A pairing depends on theta and on the two forest vectors,
+        which no flip writes."""
+        sums, windows, pairing = self._forest_sum, self._forest_window, self._forest_pairing
         path = set()
         for v, delta in moved.items():
             for e in path_keys(self._forest_link, v):
                 sums[e] += delta
                 path.add(e)
-        thetas = {e: _theta(sums[e]) for e in sorted(path)}
-        repaired = {e: self._forest_rotation(e, theta) for e, theta in thetas.items()
-                    if theta != self._forest_pairing[e][0]}
-        if repaired:
-            self._forest_pairing = {**self._forest_pairing, **repaired}
+        for e in sorted(e for e in path if not windows[e][0] <= sums[e] <= windows[e][1]):
+            theta, windows[e] = _theta(sums[e])
+            if theta != pairing[e][0]:
+                pairing[e] = self._forest_rotation(e, theta)
 
     def _flip_fault(self, h, hb, a, b, c, d, new_vec):
-        """The fault of the first of the two triangles _flipped builds, each
-        read from its smallest half-edge as construction reads it, or None."""
+        """The fault of the first of the two triangles _flip_in_place builds,
+        each read from its smallest half-edge as construction reads it, or
+        None."""
         vec = self._vec
         for tid, cyc, sides in ((self._tri_of[h], (h, b, c), (new_vec, vec[b], vec[c])),
                                 (self._tri_of[hb], (hb, d, a), (-new_vec, vec[d], vec[a]))):
@@ -318,12 +343,15 @@ class FlatSurface:
         """Pair every forest edge.  The rotation across a forest edge is the
         cone-angle sum of the subtree it cuts off, on the side away from the
         tree's smallest vertex, summed exactly.  Flips keep the forest and its
-        endpoints, so they keep the root links and update the exact sums."""
+        endpoints, so they keep the root links and update the exact sums and
+        their rounding windows."""
         exact = {v: _exact(alpha) for v, alpha in self._vertex_angle.items()}
         self._forest_sum, self._forest_link = subtree_sums(
             adjacency(self._vertex_ids, edges), exact)
-        self._forest_pairing = {
-            e: self._forest_rotation(e, _theta(self._forest_sum[e])) for e in sorted(self._forest)}
+        self._forest_window, self._forest_pairing = {}, {}
+        for e in sorted(self._forest):
+            theta, self._forest_window[e] = _theta(self._forest_sum[e])
+            self._forest_pairing[e] = self._forest_rotation(e, theta)
 
     def _forest_rotation(self, e, theta):
         """Oriented pairing (theta, a, abar) of forest edge e with

@@ -1,4 +1,5 @@
 import cmath
+import copy
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from conesurf import (
     make_regular_4g_gon,
     make_torus,
 )
+from conesurf import flips
+from conesurf import surface as surface_module
 from conesurf._geom import DELAUNAY_BAND
 from conesurf.charts import exchange_sequence, perturb_surface, spanning_forest
 from conesurf.errors import (
@@ -23,6 +26,7 @@ from conesurf.errors import (
     ForestEdge,
     HitsVertexEarly,
     HolonomyNotHalfTurn,
+    NonTermination,
     NotFlippable,
     NotSameMetric,
 )
@@ -89,8 +93,15 @@ class TestHolonomy:
         assert not check and check.witness in doubled_pentagon.forest
 
 
+def _segment_call(function):
+    return pytest.param(lambda s, h: function(s, h, 1 + 0j), id=function.__name__)
+
+
 class TestFlip:
-    @pytest.mark.parametrize("call", [flip, is_flippable])
+    @pytest.mark.parametrize("call", [
+        flip, is_flippable, is_delaunay_edge, delaunay_angle_sum,
+        *map(_segment_call, (develop_segment, trace_segment, developing_polygon,
+                             insert_segment))])
     def test_unknown_halfedge_is_a_value_error(self, pillowcase, call):
         with pytest.raises(ValueError, match="unknown half-edge 1000000"):
             call(pillowcase, 10**6)
@@ -428,6 +439,27 @@ def root_paths(surface):
     return paths
 
 
+def theta_exits(surface, path):
+    """Window exits of a walk, counted independently: each (flip, forest
+    edge) whose correctly rounded subtree cone-angle sum, math.fsum of the
+    public cone angles, changed."""
+    subtrees = {}
+    for v, edges in root_paths(surface).items():
+        for e in edges:
+            subtrees.setdefault(e, []).append(v)
+
+    def rounded(s):
+        return {e: math.fsum(s.cone_angle(v) for v in vs) for e, vs in subtrees.items()}
+
+    exits, before = 0, rounded(surface)
+    for move in path:
+        surface, _ = flip(surface, move.edge)
+        after = rounded(surface)
+        exits += sum(after[e] != before[e] for e in subtrees)
+        before = after
+    return exits
+
+
 class TestLocalFlip:
     """A flip updates the quad in place of a rebuild; every accessor must
     come out exactly as the constructor computes it."""
@@ -474,6 +506,110 @@ class TestLocalFlip:
             assert len(checked) == len(set(checked))
             rechecks += len(checked)
         assert rechecks > 0
+
+    def test_walk_copies_once_and_divides_only_on_window_exits(self, monkeypatch):
+        """random_flips copies its input once and flips the copy in place; a
+        subtree sum is divided again only when it leaves the window of sums
+        that round to its float."""
+        rng = np.random.default_rng(314)
+        s = perturb_surface(doubled_regular(48), rng)
+        calls = {"_copy": 0, "_theta": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(FlatSurface, "_copy")
+        counted(surface_module, "_theta")
+        walked, path = random_flips(s, 120, rng)
+        counts = dict(calls)
+        assert len(path) == 120
+        assert counts["_copy"] == 1
+        exits = theta_exits(s, path)
+        assert 0 < counts["_theta"] == exits
+        assert_same_surface(walked, rebuilt(walked))
+
+
+WALKS = ("random_flips", "delaunay", "delaunay_rng", "canonicalize_cocircular",
+         "insert_segment", "flip_path", "replay")
+
+
+def walk_cases():
+    """Name in WALKS -> (input surface, walk): every walk flips at least three
+    times."""
+    rng = np.random.default_rng(7)
+    base = perturb_surface(doubled_regular(12), rng)
+    scrambled, path = random_flips(base, 30, rng)
+    cocircular, _ = random_flips(doubled_regular(12), 30, np.random.default_rng(0))
+    torus = make_torus(1, 1j)
+    return {
+        "random_flips": (base, lambda s: random_flips(s, 30, np.random.default_rng(1))),
+        "delaunay": (scrambled, delaunay),
+        "delaunay_rng": (scrambled, lambda s: delaunay(s, rng=np.random.default_rng(2))),
+        "canonicalize_cocircular": (cocircular, canonicalize_cocircular),
+        "insert_segment": (torus, lambda s: insert_segment(
+            s, corner_for_direction(s, 0, 5 + 2j), 5 + 2j)),
+        "flip_path": (scrambled, lambda s: flip_path(s, base)),
+        "replay": (base, path.replay),
+    }
+
+
+class TestOwnership:
+    """A walk copies its input once and flips only its copy: the input's
+    fields are unchanged after the walk, also after one that raises
+    partway."""
+
+    @pytest.mark.parametrize("name", WALKS)
+    def test_walk_leaves_input(self, name):
+        surface, walk = walk_cases()[name]
+        snapshot = copy.deepcopy(vars(surface))
+        walk(surface)
+        assert vars(surface) == snapshot
+
+    @pytest.mark.parametrize("name", WALKS)
+    def test_walk_raising_partway_leaves_input(self, name, monkeypatch):
+        surface, walk = walk_cases()[name]
+        snapshot = copy.deepcopy(vars(surface))
+        flip_in_place = FlatSurface._flip_in_place
+        done = []
+
+        def third_flip_raises(owned, *quad):
+            flip_in_place(owned, *quad)
+            done.append(quad)
+            if len(done) == 3:
+                raise NonTermination("stopped after three flips")
+
+        monkeypatch.setattr(FlatSurface, "_flip_in_place", third_flip_raises)
+        with pytest.raises(NonTermination, match="three flips"):
+            walk(surface)
+        assert vars(surface) == snapshot
+
+    def test_failed_germ_attempt_leaves_input(self, octagon_surface, monkeypatch):
+        """The first germ of the octagon's 6-pi vertex fails for this scramble;
+        the second attempt starts again from an unflipped copy."""
+        scrambled, _ = random_flips(octagon_surface, 8, np.random.default_rng(0))
+        snapshot = copy.deepcopy(vars(octagon_surface))
+        attempts = []
+        anchored = flips._flip_path_anchored
+
+        def recorded(*args):
+            try:
+                path = anchored(*args)
+            except NotSameMetric:
+                attempts.append("failed")
+                raise
+            attempts.append("ok")
+            return path
+
+        monkeypatch.setattr(flips, "_flip_path_anchored", recorded)
+        path = flip_path(octagon_surface, scrambled)
+        assert attempts == ["failed", "ok"]
+        assert vars(octagon_surface) == snapshot
+        assert isomorphic(path.replay(octagon_surface), scrambled) is not None
 
 
 # Full-rescan versions of the flip loops: each rescans every edge after every
@@ -557,11 +693,14 @@ class TestWorklists:
         walked, path = random_flips(s, count, np.random.default_rng(seed))
         ref, ref_path = rescan_random_flips(s, count, np.random.default_rng(seed))
         assert (walked.to_json(), path.to_json()) == (ref.to_json(), ref_path.to_json())
+        assert_same_surface(walked, rebuilt(walked))
 
         for rng, ref_rng in ((None, None),
                              (np.random.default_rng(seed + 1), np.random.default_rng(seed + 1))):
             result, path = delaunay(walked, rng=rng)
             ref, ref_path = rescan_delaunay(walked, rng=ref_rng)
             assert (result.to_json(), path.to_json()) == (ref.to_json(), ref_path.to_json())
-            assert canonicalize_cocircular(result).to_json() == \
-                rescan_canonicalize_cocircular(result).to_json()
+            assert_same_surface(result, rebuilt(result))
+            canonical = canonicalize_cocircular(result)
+            assert canonical.to_json() == rescan_canonicalize_cocircular(result).to_json()
+            assert_same_surface(canonical, rebuilt(canonical))

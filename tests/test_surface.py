@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conesurf import (
@@ -15,6 +15,7 @@ from conesurf import (
     make_regular_4g_gon,
     make_torus,
 )
+from conesurf import surface as surface_module
 from conesurf._geom import angle_tol, reduce_angle
 from conesurf.charts import perturb_surface, reforest, spanning_forest
 from conesurf.errors import (
@@ -261,6 +262,32 @@ class TestForestRotations:
         for e in s.forest:
             oracle = reduce_angle(math.fsum(s.cone_angle(v) for v in subtree_off(s, e)))
             assert s.forest_pairing(e)[0] == oracle, e
+
+
+class TestRoundingWindow:
+    """_window(x) holds exactly the exact sums that int / int division rounds
+    to x: checked at each bound and one unit inside and outside it, on sums a
+    quarter-ulp step apart (midpoints, so ties to even, included)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scale=st.sampled_from([1e-8, 1.0, 1e8]),
+           mantissa=st.floats(1.0, 2.0, exclude_max=True),
+           quarters=st.integers(-6, 6), nudge=st.integers(-2, 2))
+    @example(scale=1.0, mantissa=1.0, quarters=-1, nudge=0)  # tie below a power of two
+    @example(scale=1e-8, mantissa=1.0, quarters=2, nudge=0)   # tie above one
+    @example(scale=1e8, mantissa=1.5, quarters=2, nudge=0)  # tie next to an even float
+    @example(scale=1e8, mantissa=1.5 + 2.0**-52, quarters=-2, nudge=0)  # and an odd one
+    @example(scale=2.0**-1070, mantissa=1.5, quarters=0, nudge=1)  # an odd subnormal
+    def test_window_classifies_as_division(self, scale, mantissa, quarters, nudge):
+        unit = 1 << surface_module._ULP_BITS
+        x0 = math.ldexp(mantissa, math.frexp(scale)[1])
+        quarter = surface_module._exact(math.ulp(x0)) // 4
+        total = surface_module._exact(x0) + quarters * quarter + nudge
+        x = total / unit
+        lo, hi = surface_module._window(x)
+        assert lo <= total <= hi
+        for exact in (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1):
+            assert (lo <= exact <= hi) == (exact / unit == x), exact - total
 
 
 class TestConstructors:
