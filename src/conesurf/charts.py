@@ -16,6 +16,7 @@ import cmath
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -247,12 +248,22 @@ class ChartTree:
     free column whose fundamental cycle has the largest holonomy gap
     |1 - h|.  ``free`` lists the remaining columns T, on which frames are
     read, and ``det_s`` is |det B_S|: 1 in the four-term case, where B is
-    the rows without the last one, and |1 - h| in the short case."""
+    the rows without the last one, and |1 - h| in the short case.  The
+    arrays are read-only."""
 
     cols: np.ndarray    # (rows, width): the columns of each row's entries, padded with 0
     coefs: np.ndarray   # (rows, width): the entries, padded with 0
     free: np.ndarray
     det_s: float
+    num_columns: int
+
+    def __post_init__(self):
+        for array in (self.cols, self.coefs, self.free):
+            array.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple:
+        return self.cols.shape[0], self.num_columns
 
     def apply(self, x) -> np.ndarray:
         """rows @ x, from the entries of each row."""
@@ -267,25 +278,61 @@ class ChartTree:
         """Frobenius norm of the rows."""
         return float(np.sqrt(np.sum(np.abs(self.coefs) ** 2)))
 
+    def dense(self) -> np.ndarray:
+        """The rows as a dense array, each entry written once; zero entries,
+        the padding among them, leave their places at zero."""
+        rows = np.zeros(self.shape, dtype=complex)
+        at = np.nonzero(self.coefs)
+        rows[at[0], self.cols[at]] = self.coefs[at]
+        return rows
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """``chart_fingerprint`` of the dense rows, computed on first read."""
+        return chart_fingerprint(self.dense())
+
 
 @dataclass(frozen=True)
 class ChartSystem:
-    """Normalized linear system whose kernel is the local chart."""
+    """Normalized linear system whose kernel is the local chart.
 
-    rows: np.ndarray
+    The rows are held only in ``tree``; ``rows``, ``kernel`` and the
+    fingerprint are derived from it and from the sweep's ``basis`` when they
+    are read, and the kernel and the fingerprint are kept once built.  A
+    system is shared by every caller of ``chart_for`` on the same surface,
+    so the arrays it hands out (``basis``, ``kernel`` and those of
+    ``tree``) are read-only; ``rows`` is a new array on every read."""
+
     row_kind: tuple
     column_map: tuple
-    kernel: np.ndarray
+    basis: np.ndarray   # kernel basis from the tree sweep, the identity on tree.free
     rank: int
     cut: CutSurface
     tree: ChartTree
 
+    def __post_init__(self):
+        self.basis.flags.writeable = False
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.tree.dense()
+
     @property
     def kernel_dim(self) -> int:
-        return self.kernel.shape[1]
+        return self.basis.shape[1]
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """Orthonormal basis of the kernel with fixed phases
+        (``_deterministic_kernel``), built on first read."""
+        kernel = _deterministic_kernel(self.basis)
+        if np.linalg.norm(self.tree.apply(kernel)) > KERNEL_RESIDUAL_TOL * self.tree.norm():
+            raise DimensionMismatch(self.rank, self.rank)
+        kernel.flags.writeable = False
+        return kernel
 
     def fingerprint(self) -> str:
-        return chart_fingerprint(self.rows)
+        return self.tree.fingerprint
 
     def to_json(self) -> str:
         rows = [[[fmt_float(z.real), fmt_float(z.imag)] for z in row] for row in self.rows]
@@ -395,19 +442,18 @@ def _tree_kernel(entries, num_columns):
 
 
 def assemble_system(cut: CutSurface) -> ChartSystem:
-    """Build the normalized system and its kernel for a cut surface.
+    """Build the normalized system and its kernel basis for a cut surface.
 
     Row order: triangle rows by triangle id, then boundary-pair rows by forest
     edge id.  The rank found by the tree sweep must match the closed-form
     prediction (one less than the row count exactly when every cone angle is
-    a full-turn multiple).
+    a full-turn multiple), and the sweep basis and the surface's own vector
+    must solve the rows.
     """
     surface = cut.surface
-    rows = np.zeros((cut.num_rows, cut.num_edges), dtype=complex)
     entries = [{} for _ in range(cut.num_rows)]  # {column: coefficient} per row
 
     def put(r, col, coef):
-        rows[r, col] += coef
         entries[r][col] = entries[r].get(col, 0.0) + coef
 
     row_kind = []
@@ -432,16 +478,16 @@ def assemble_system(cut: CutSurface) -> ChartSystem:
     width = max(map(len, entries))
     padded = np.array([list(row.items()) + [(0, 0)] * (width - len(row)) for row in entries],
                       dtype=complex)
-    tree = ChartTree(padded[..., 0].real.astype(np.intp), padded[..., 1], free, det_s)
-    kernel = _deterministic_kernel(basis)
+    tree = ChartTree(padded[..., 0].real.astype(np.intp), padded[..., 1], free, det_s,
+                     cut.num_edges)
 
     norm_rows = tree.norm()
-    if np.linalg.norm(tree.apply(kernel)) > KERNEL_RESIDUAL_TOL * norm_rows:
+    if np.linalg.norm(tree.apply(basis)) > KERNEL_RESIDUAL_TOL * norm_rows * np.linalg.norm(basis):
         raise DimensionMismatch(rank, predicted)
     z0 = solution_vector(cut)
     if np.linalg.norm(tree.apply(z0)) > KERNEL_RESIDUAL_TOL * norm_rows * np.linalg.norm(z0):
         raise DimensionMismatch(rank, predicted)
-    return ChartSystem(rows, tuple(row_kind), cut.columns, kernel, rank, cut, tree)
+    return ChartSystem(tuple(row_kind), cut.columns, basis, rank, cut, tree)
 
 
 def surface_from_solution(cut: CutSurface, z, system: ChartSystem | None = None) -> FlatSurface:
@@ -470,8 +516,17 @@ def surface_from_solution(cut: CutSurface, z, system: ChartSystem | None = None)
 
 
 def chart_for(surface: FlatSurface):
-    cut = cut_along_forest(surface)
-    return cut, assemble_system(cut)
+    """(cut, system) of a surface, built on the first call and kept on the
+    surface for later ones.  A surface never changes for its callers, and
+    neither a copy nor a surface flipped in place carries the chart, so it
+    cannot go stale.  A chart read only once is better built with
+    ``assemble_system(cut_along_forest(surface))``, which keeps nothing: a
+    kept chart refers back to its surface through the cut, so the two are
+    freed only by the cycle collector."""
+    if surface._chart is None:
+        cut = cut_along_forest(surface)
+        surface._chart = cut, assemble_system(cut)
+    return surface._chart
 
 
 def perturb_surface(surface: FlatSurface, rng, rel: float = 0.01,
@@ -480,9 +535,10 @@ def perturb_surface(surface: FlatSurface, rng, rel: float = 0.01,
 
     Perturbs the solution vector along a random kernel direction by ``rel``
     times its norm, rejecting samples that degenerate a triangle or drift out
-    of the angle targets; gives up after 60 samples."""
+    of the angle targets; gives up after 60 samples.  A caller perturbing one
+    surface again and again passes its ``system``."""
     if system is None:
-        _, system = chart_for(surface)
+        system = assemble_system(cut_along_forest(surface))
     cut = system.cut
     z0 = solution_vector(cut)
     d = system.kernel_dim

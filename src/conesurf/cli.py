@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from ._geom import TWO_PI, VEC_TOL
-from .charts import chart_for, cut_along_forest
+from .charts import assemble_system, cut_along_forest
 from .errors import ConesurfError
 from .flips import (
     delaunay,
@@ -151,7 +151,8 @@ def _cmd_validate(args, out):
 def _cmd_info(args, out):
     surface = load_surface(args.surface)
     _surface_report(out, surface)
-    cut, system = chart_for(surface)
+    cut = cut_along_forest(surface)
+    system = assemble_system(cut)
     _emit(out, "cut_edges", cut.num_edges)
     _emit(out, "cut_triangles", cut.num_triangles)
     _emit(out, "cut_trees", cut.num_trees)
@@ -225,7 +226,8 @@ def _cmd_cut(args, out):
 
 def _cmd_chart(args, out):
     surface = load_surface(args.surface)
-    cut, system = chart_for(surface)
+    cut = cut_along_forest(surface)
+    system = assemble_system(cut)
     _emit(out, "columns", cut.num_edges)
     _emit(out, "rows", cut.num_rows)
     _emit(out, "rank", system.rank)
@@ -236,7 +238,7 @@ def _cmd_chart(args, out):
 
 def _cmd_density(args, out):
     surface = load_surface(args.surface)
-    _, system = chart_for(surface)
+    system = assemble_system(cut_along_forest(surface))
     report = kernel_density(system, system.kernel)
     _emit(out, "value", report.value)
     _emit(out, "log_value", report.log_value)

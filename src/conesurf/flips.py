@@ -122,20 +122,11 @@ class FlipPath:
         return "[" + ", ".join(items) + "]"
 
 
-def _edge(surface: FlatSurface, halfedge):
-    """The edge of a half-edge id; an id that names no half-edge is a
-    ValueError."""
-    try:
-        return surface.edge_of(halfedge)
-    except KeyError:
-        raise ValueError(f"unknown half-edge {halfedge}") from None
-
-
 def _flip_quad(surface: FlatSurface, edge):
     """(h, hb, a, b, c, d, new diagonal) for the quad (h, a, b | hb, c, d) of
     a flippable edge; None when its two triangles are one or a triangle the
     flip builds fails the constructor's check."""
-    h = _edge(surface, edge)
+    h = surface.edge_of(edge)
     if h in surface.forest:
         raise ForestEdge(f"edge {h} lies in the forest")
     hb = surface.twin(h)
@@ -222,13 +213,13 @@ def random_flips(surface: FlatSurface, count, rng):
 def delaunay_angle_sum(surface: FlatSurface, edge) -> float:
     """Sum of the two angles opposite the edge in its quad (<= pi means the
     edge is locally Delaunay)."""
-    h = _edge(surface, edge)
+    h = surface.edge_of(edge)
     return (surface.corner_angle(surface.prev(h))
             + surface.corner_angle(surface.prev(surface.twin(h))))
 
 
 def is_delaunay_edge(surface: FlatSurface, edge) -> bool:
-    h = _edge(surface, edge)
+    h = surface.edge_of(edge)
     if h in surface.forest:
         return True
     if surface.triangle_of(h) == surface.triangle_of(surface.twin(h)):
@@ -337,7 +328,7 @@ def develop_segment(surface: FlatSurface, corner, w: complex) -> Trace:
     w = complex(w)
     if w == 0 or not cmath.isfinite(w):
         raise DegenerateInput(f"segment vector must be nonzero and finite, got {w!r}")
-    _edge(surface, h0)  # an unknown corner id is a ValueError
+    surface.edge_of(h0)  # an unknown corner id is a ValueError
     u = surface.vec(h0)
     scale = max(abs(w), abs(u))
     ang = surface.corner_angle(h0)

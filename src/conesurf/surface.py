@@ -122,8 +122,12 @@ class FlatSurface:
     round to the same float, and each vertex its link toward its tree's
     root, so a flip moves only the pairings on the root paths of the
     vertices it touches, and divides again only the sums that left their
-    windows.
+    windows.  The chart of a surface is kept on it once built
+    (``charts.chart_for``); a copy does not carry it, and a flip in place
+    drops it.
     """
+
+    _chart = None  # (cut, system), set by charts.chart_for
 
     def __init__(self, triangles, twin, vectors, forest=(), vertices=None):
         """
@@ -233,11 +237,11 @@ class FlatSurface:
         return math.atan2(cross(u, w), (u.conjugate() * w).real)
 
     def _copy(self):
-        """A surface equal to this one that shares no map a flip writes; the
-        root links are never written and stay shared."""
+        """A surface equal to this one that shares no map a flip writes and
+        carries no chart; the root links are never written and stay shared."""
         s = FlatSurface.__new__(FlatSurface)
         s.__dict__ = {k: dict(v) if isinstance(v, dict) and k != "_forest_link" else v
-                      for k, v in self.__dict__.items()}
+                      for k, v in self.__dict__.items() if k != "_chart"}
         return s
 
     def _flip_in_place(self, h, hb, a, b, c, d, new_vec):
@@ -246,7 +250,8 @@ class FlatSurface:
         what the flip changes and checks the rest as construction would.  Only
         the pairings on the root paths of quad vertices whose cone angle moved
         are recomputed (_move_pairings).  The surface must be the caller's
-        own copy."""
+        own copy.  A chart kept on it is dropped."""
+        self.__dict__.pop("_chart", None)
         origin, tri_of, corner = self._origin, self._tri_of, self._corner
         quad_vertices = {origin[x]: x for x in (a, b, c, d)}
         self._vec[h], self._vec[hb] = new_vec, -new_vec
@@ -425,7 +430,12 @@ class FlatSurface:
         return self._tris[tid]
 
     def edge_of(self, h):
-        return min(h, self._twin[h])
+        """The edge of a half-edge: the smaller id of the pair.  An id that
+        names no half-edge is a ValueError."""
+        try:
+            return min(h, self._twin[h])
+        except KeyError:
+            raise ValueError(f"unknown half-edge {h}") from None
 
     def edges(self):
         return tuple(h for h in self._halfedges if h < self._twin[h])

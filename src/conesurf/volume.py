@@ -44,7 +44,7 @@ are taken from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,10 +52,10 @@ from ._geom import FRAME_RESIDUAL_TOL, ROW_RELATION_TOL, is_turn_multiple
 from ._graph import kruskal
 from .charts import (
     BoundaryPair,
+    ChartSystem,
     ChartTree,
     _flip_transition,
     assemble_system,
-    chart_fingerprint,
     chart_for,
     cut_along_forest,
     perturb_surface,
@@ -77,11 +77,20 @@ FOUR_TERM_SEQUENCE = "four-term-sequence"
 
 @dataclass(frozen=True)
 class DensityReport:
+    """A density with its log, the frame it was taken on and the convention
+    tag.  ``fingerprint`` is the chart's fingerprint, read from the chart's
+    tree: it is computed on demand, once per chart, so a caller that never
+    reads it never hashes the rows."""
+
     value: float
     log_value: float
     frame: np.ndarray
     convention: str
-    fingerprint: str
+    tree: ChartTree = field(repr=False)
+
+    @property
+    def fingerprint(self) -> str:
+        return self.tree.fingerprint
 
 
 def kernel_density(system, frame) -> DensityReport:
@@ -93,7 +102,7 @@ def kernel_density(system, frame) -> DensityReport:
     overflows."""
     frame = np.asarray(frame, dtype=complex)
     tree = system.tree
-    r, n1 = system.rows.shape
+    r, n1 = tree.shape
     d = n1 - system.rank
     if frame.shape != (n1, d):
         raise FrameNotInKernel(f"frame must be {n1} x {d}, got {frame.shape}")
@@ -106,7 +115,9 @@ def kernel_density(system, frame) -> DensityReport:
         convention = SHORT_SEQUENCE
     elif system.rank == r - 1:
         signs = np.array([1.0 if kind == "triangle" else -1.0 for kind, _ in system.row_kind])
-        if np.linalg.norm(signs @ system.rows) > ROW_RELATION_TOL * (1.0 + norm_rows):
+        total = np.zeros(n1, dtype=complex)  # signs @ rows, added up from the entries
+        np.add.at(total, tree.cols, signs[:, None] * tree.coefs)
+        if np.linalg.norm(total) > ROW_RELATION_TOL * (1.0 + norm_rows):
             raise RankCaseMismatch(
                 "row relation is not the expected sum after sign normalization")
         convention = FOUR_TERM_SEQUENCE
@@ -114,8 +125,7 @@ def kernel_density(system, frame) -> DensityReport:
         raise RankCaseMismatch(f"rank {system.rank} is neither {r} nor {r - 1}")
     log_det_t = np.linalg.slogdet(frame[tree.free])[1]
     log_value = 2.0 * float(log_det_t) - 2.0 * math.log(tree.det_s)
-    return DensityReport(float(np.exp(log_value)), log_value, frame, convention,
-                         chart_fingerprint(system.rows))
+    return DensityReport(float(np.exp(log_value)), log_value, frame, convention, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -124,33 +134,31 @@ def kernel_density(system, frame) -> DensityReport:
 
 def flip_density_pair(surface: FlatSurface, edge, frame=None):
     """Densities before and after one flip, on frames matched through the
-    chart transition of the flip.  Returns (report_a, report_b)."""
+    chart transition of the flip.  Returns (report_a, report_b).  The
+    surface's chart is kept on it (``chart_for``); the flipped surface's is
+    read once and not kept."""
     cut, system = chart_for(surface)
     if frame is None:
         frame = system.kernel
     transition = _flip_transition(cut, edge)
     flipped, _ = flip(surface, edge)
-    _, system_b = chart_for(flipped)
+    system_b = assemble_system(cut_along_forest(flipped))
     report_a = kernel_density(system, frame)
     report_b = kernel_density(system_b, transition @ np.asarray(frame, dtype=complex))
     return report_a, report_b
 
 
 @dataclass(frozen=True)
-class SplitSystem:
+class SplitSystem(ChartSystem):
     """System of a cut surface split along one more interior edge.
 
     One extra column holds the second copy of the split edge and one extra
     row ties the two copies together; ``embed`` is the kernel isomorphism
-    appending the negated coordinate of the split column."""
+    appending the negated coordinate of the split column.  Rows, kernel and
+    fingerprint are derived as for any ``ChartSystem``."""
 
-    rows: np.ndarray
-    row_kind: tuple
-    kernel: np.ndarray
-    rank: int
     split_edge: int
     split_column: int
-    tree: ChartTree
 
     def embed(self, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec, dtype=complex)
@@ -172,8 +180,9 @@ def split_edge_system(cut, edge) -> SplitSystem:
         cut, columns=cut.columns + (twin,), boundary=cut.boundary | {edge, twin},
         pairings=cut.pairings + (BoundaryPair(edge, twin, 0.0, edge),),
         num_edges=cut.num_edges + 1, num_rows=cut.num_rows + 1))
-    return SplitSystem(system.rows, system.row_kind[:-1] + (("split", edge),), system.kernel,
-                       system.rank, edge, cut.column_of(edge)[0], system.tree)
+    return SplitSystem(system.row_kind[:-1] + (("split", edge),), system.column_map,
+                       system.basis, system.rank, system.cut, system.tree,
+                       edge, cut.column_of(edge)[0])
 
 
 def split_constant(cut, edge, frame=None) -> float:
@@ -195,12 +204,12 @@ def tree_change_densities(surface: FlatSurface, tree_a, tree_b, frame=None):
 
     Returns (report_a, report_b, ratio)."""
     surface_a, _, _ = reforest(surface, tree_a)
-    _, system_a = chart_for(surface_a)
+    system_a = assemble_system(cut_along_forest(surface_a))
     if frame is None:
         frame = system_a.kernel
     frame = np.asarray(frame, dtype=complex)
     surface_b, transition, _ = reforest(surface_a, tree_b)
-    _, system_b = chart_for(surface_b)
+    system_b = assemble_system(cut_along_forest(surface_b))
     report_a = kernel_density(system_a, frame)
     report_b = kernel_density(system_b, transition @ frame)
     ratio = math.exp(report_b.log_value - report_a.log_value)
@@ -241,22 +250,20 @@ def period_density_ratio(surface: FlatSurface, samples: int = 10, rng=None,
         rng = np.random.default_rng(0)
 
     family = primitive_family(surface, reverse=reverse_family)
-    cut = cut_along_forest(surface)
+    cut, system = chart_for(surface)
     cols = [cut.column_of(e)[0] for e in family]
-    system = assemble_system(cut)
     d = system.kernel_dim
     if len(cols) != d:
         raise NoPrimitiveFamily(f"family size {len(cols)} != kernel dimension {d}")
 
     ratios = []
-    current = surface
+    sys_k = system
     for k in range(samples):
-        _, sys_k = chart_for(current)
         coeff = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         frame = sys_k.kernel @ coeff
         density = kernel_density(sys_k, frame).value
         periods = frame[cols, :]
         ratios.append(density / abs(np.linalg.det(periods)) ** 2)
         if k + 1 < samples:
-            current = perturb_surface(surface, rng, system=system)
+            sys_k = assemble_system(cut_along_forest(perturb_surface(surface, rng, system=system)))
     return ratios, family

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from conesurf import make_doubled_polygon, make_regular_4g_gon
-from conesurf.charts import BoundaryPair, assemble_system, chart_for, cut_along_forest
+from conesurf.charts import (
+    BoundaryPair,
+    assemble_system,
+    chart_fingerprint,
+    chart_for,
+    cut_along_forest,
+)
 from conesurf.errors import DimensionMismatch
 from conesurf.volume import kernel_density, split_edge_system
 
@@ -119,7 +125,33 @@ def test_rank_disagreeing_with_the_prediction_is_refused(marked_torus):
         assemble_system(twisted)
 
 
+GOLDEN_FINGERPRINTS = {
+    "square_torus": "dc672083772a7f2b",
+    "octagon": "9cf68d0bee6d8408",
+    "doubled_triangle": "60484cc0faddcf1a",
+    "pillowcase": "61f2b4e82c7ffd36",
+    "doubled_pentagon": "633977d9073771a0",
+}
+
+
 def test_rows_are_filled_as_before(golden_surfaces, marked_torus):
-    for s in list(golden_surfaces.values()) + [marked_torus]:
+    """The dense rows read from the sparse entries equal an independent
+    dense fill byte for byte, on charts and on every split system."""
+    larger = [SURFACES["doubled_80_gon"](), SURFACES["genus5_4g_gon"]()]
+    for s in list(golden_surfaces.values()) + [marked_torus] + larger:
         cut, system = chart_for(s)
         assert system.rows.tobytes() == assemble_rows(cut).tobytes()
+        assert system.fingerprint() == chart_fingerprint(assemble_rows(cut))
+    for s in golden_surfaces.values():
+        cut = cut_along_forest(s)
+        for e in sorted(s.edges()):
+            if e not in s.forest:
+                split = split_edge_system(cut, e)
+                assert split.rows.tobytes() == assemble_rows(split.cut).tobytes()
+
+
+def test_golden_fingerprints(golden_surfaces):
+    for name, s in golden_surfaces.items():
+        _, system = chart_for(s)
+        assert system.fingerprint() == GOLDEN_FINGERPRINTS[name]
+        assert kernel_density(system, system.kernel).fingerprint == GOLDEN_FINGERPRINTS[name]

@@ -17,7 +17,7 @@ from conesurf import (
 from conesurf import flips
 from conesurf import surface as surface_module
 from conesurf._geom import DELAUNAY_BAND
-from conesurf.charts import exchange_sequence, perturb_surface, spanning_forest
+from conesurf.charts import chart_for, exchange_sequence, perturb_surface, spanning_forest
 from conesurf.errors import (
     ConesurfError,
     DegenerateInput,
@@ -569,6 +569,19 @@ class TestOwnership:
         snapshot = copy.deepcopy(vars(surface))
         walk(surface)
         assert vars(surface) == snapshot
+
+    @pytest.mark.parametrize("name", WALKS)
+    def test_walk_result_carries_no_chart(self, name):
+        surface, walk = walk_cases()[name]
+        chart_for(surface)
+        result = walk(surface)
+        surfaces = [x for x in (result if isinstance(result, tuple) else (result,))
+                    if isinstance(x, FlatSurface)]
+        if name == "flip_path":
+            surfaces.append(result.replay(surface))
+        assert surfaces
+        for s in surfaces:
+            assert "_chart" not in vars(s)
 
     @pytest.mark.parametrize("name", WALKS)
     def test_walk_raising_partway_leaves_input(self, name, monkeypatch):

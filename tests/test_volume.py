@@ -1,6 +1,11 @@
+import gc
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from conesurf import charts, flips, make_regular_4g_gon, volume
 from conesurf.charts import (
     assemble_system,
     chart_for,
@@ -329,3 +334,86 @@ class TestPeriodComparison:
         # the marked torus is a translation surface but carries a forest edge
         with pytest.raises(NotTranslationSurface):
             period_density_ratio(marked_torus, samples=1)
+
+
+@pytest.mark.parametrize("call", [
+    transition_for_flip, flip_density_pair,
+    lambda s, h: split_edge_system(cut_along_forest(s), h)])
+def test_unknown_halfedge_is_a_value_error(pillowcase, call):
+    with pytest.raises(ValueError, match="unknown half-edge 1000000"):
+        call(pillowcase, 10**6)
+
+
+def flippable_edges(s):
+    return [e for e in s.edges() if e not in s.forest and is_flippable(s, e)]
+
+
+class TestChartCache:
+    """``chart_for`` keeps one chart per surface; one-shot charts are not
+    kept, and the kernel is orthonormalized only when read."""
+
+    def test_second_call_returns_the_same_chart(self, doubled_pentagon):
+        cut, system = chart_for(doubled_pentagon)
+        again_cut, again_system = chart_for(doubled_pentagon)
+        assert again_cut is cut and again_system is system
+        assert system.kernel is system.kernel
+
+    def test_copy_and_flip_in_place_drop_the_chart(self, doubled_pentagon):
+        _, system = chart_for(doubled_pentagon)
+        owned = doubled_pentagon._copy()
+        assert "_chart" not in vars(owned)
+        _, owned_system = chart_for(owned)
+        assert owned_system is not system
+        edge = flippable_edges(owned)[0]
+        flips._flip_owned(owned, edge)
+        assert "_chart" not in vars(owned)
+        _, fresh = chart_for(owned)
+        flipped, _ = flip(doubled_pentagon, edge)
+        assert "_chart" not in vars(flipped)
+        assert fresh.fingerprint() == assemble_system(cut_along_forest(flipped)).fingerprint()
+
+    def test_one_chart_and_one_kernel_per_surface(self, monkeypatch):
+        s = make_regular_4g_gon(3)
+        counts = Counter()
+
+        def counted(name, function):
+            def wrapper(*args):
+                counts[name] += 1
+                return function(*args)
+            return wrapper
+
+        assemble = counted("assemble_system", charts.assemble_system)
+        monkeypatch.setattr(charts, "assemble_system", assemble)
+        monkeypatch.setattr(volume, "assemble_system", assemble)
+        monkeypatch.setattr(charts, "_deterministic_kernel",
+                            counted("_deterministic_kernel", charts._deterministic_kernel))
+        edges = flippable_edges(s)
+        moves = 5
+        for k in range(moves):
+            flip_density_pair(s, edges[k % len(edges)])
+        assert counts == {"assemble_system": moves + 1, "_deterministic_kernel": 1}
+
+    def test_shared_arrays_are_read_only(self, doubled_pentagon):
+        _, system = chart_for(doubled_pentagon)
+        tree = system.tree
+        for array in (system.kernel, system.basis, tree.cols, tree.coefs, tree.free):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_flipped_surface_is_freed_without_gc(self, doubled_pentagon, monkeypatch):
+        flipped = []
+
+        def recorded(surface, edge):
+            result = flip(surface, edge)
+            flipped.append(weakref.ref(result[0]))
+            return result
+
+        monkeypatch.setattr(volume, "flip", recorded)
+        gc.disable()
+        try:
+            for edge in flippable_edges(doubled_pentagon):
+                reports = flip_density_pair(doubled_pentagon, edge)
+                assert flipped[-1]() is None
+                assert len(reports[1].fingerprint) == 16
+        finally:
+            gc.enable()
