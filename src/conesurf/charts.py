@@ -587,7 +587,7 @@ def _flip_transition(cut: CutSurface, edge) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tree exchange surgery (re-choosing the forest on a fixed triangulation)
+# re-choosing the forest on a fixed triangulation, in one development pass
 
 
 def exchange_sequence(surface: FlatSurface, tree_from, tree_to):
@@ -624,64 +624,39 @@ def exchange_sequence(surface: FlatSurface, tree_from, tree_to):
     return moves
 
 
-def apply_tree_exchange(surface: FlatSurface, remove_edge, add_edge):
-    """Cut the forest-complement along ``add_edge`` and reglue along
-    ``remove_edge``, producing the same metric surface carrying the exchanged
-    forest.  Returns the new surface and the (unit-modulus, one entry per row)
-    chart transition matrix.
-    """
-    remove_edge = surface.edge_of(remove_edge)
-    add_edge = surface.edge_of(add_edge)
-    if remove_edge not in surface.forest:
-        raise NotSpanningTree(f"edge {remove_edge} is not in the forest")
-    if add_edge in surface.forest:
-        raise NotSpanningTree(f"edge {add_edge} is already in the forest")
+def reforest(surface: FlatSurface, tree_edges):
+    """Re-choose the forest (a single spanning tree) on a fixed triangulation.
 
-    new_forest = (surface.forest - {remove_edge}) | {add_edge}
-    theta, a_side, abar_side = surface.forest_pairing(remove_edge)
-
-    # triangle components of the cut surface minus the added slit
-    blocked = set(surface.forest) | {add_edge}
-    comp = {}
-    for t, _, t2, first in dual_bfs(surface, blocked):
-        if first:
-            comp[t2] = t2 if t is None else comp[t]
-    side_a = comp[surface.triangle_of(a_side)]
-    side_abar = comp[surface.triangle_of(abar_side)]
-    if side_a == side_abar:
-        raise NotSpanningTree("the added edge does not separate the glued slit sides")
-
-    rot = cmath.exp(-1j * theta)
-    vectors = {}
-    for h in surface.halfedges:
-        if comp[surface.triangle_of(h)] == side_abar:
-            vectors[h] = rot * surface.vec(h)
-        else:
-            vectors[h] = surface.vec(h)
+    One development pass over the triangles, slit along the new tree, gives
+    each triangle a phase: crossing an old slit from its side a to its side
+    abar multiplies it by exp(-i theta), the reverse crossing by exp(i theta).
+    Returns the surface with the phased vectors and the new tree, the chart
+    transition matrix (one unit-modulus entry per row), and the exchange
+    sequence; the surface itself when there is nothing to exchange."""
+    moves = exchange_sequence(surface, surface.forest, tree_edges)
+    cut_old = cut_along_forest(surface)
+    if not moves:
+        return surface, np.eye(cut_old.num_edges, dtype=complex), moves
+    new_forest = frozenset(surface.edge_of(e) for e in tree_edges)
+    phase = {}
+    for t, h, t2, first in dual_bfs(surface, new_forest):
+        if t is None:
+            phase[t2] = 1.0
+        elif first:
+            phase[t2] = phase[t]
+            e = surface.edge_of(h)
+            if e in surface.forest:
+                theta, a, _ = surface.forest_pairing(e)
+                phase[t2] *= cmath.exp(-1j * theta if h == a else 1j * theta)
+    vectors = {h: phase[surface.triangle_of(h)] * surface.vec(h) for h in surface.halfedges}
     targets = [(v, surface.angle_target(v)) for v in surface.vertex_ids]
     result = FlatSurface(surface.triangles, {h: surface.twin(h) for h in surface.halfedges},
                          vectors, new_forest, targets)
 
-    cut_old = cut_along_forest(surface)
     cut_new = cut_along_forest(result)
     mat = np.zeros((cut_new.num_edges, cut_old.num_edges), dtype=complex)
     for col_new, rep in enumerate(cut_new.columns):
-        factor = rot if comp[surface.triangle_of(rep)] == side_abar else 1.0
         col_old, sign = cut_old.column_of(rep)
-        mat[col_new, col_old] = factor * sign
-    return result, mat
+        mat[col_new, col_old] = phase[surface.triangle_of(rep)] * sign
+    return result, mat, moves
 
-
-def reforest(surface: FlatSurface, tree_edges):
-    """Re-choose the forest (a single spanning tree) on a fixed triangulation.
-
-    Applies the exchange sequence edge by edge; returns the resulting surface,
-    the accumulated chart transition matrix, and the sequence."""
-    moves = exchange_sequence(surface, surface.forest, tree_edges)
-    current = surface
-    cut = cut_along_forest(surface)
-    mat = np.eye(cut.num_edges, dtype=complex)
-    for out, into in moves:
-        current, step = apply_tree_exchange(current, out, into)
-        mat = step @ mat
-    return current, mat, moves

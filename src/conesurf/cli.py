@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from ._geom import TWO_PI, VEC_TOL
-from .charts import assemble_system, cut_along_forest
+from .charts import assemble_system, chart_fingerprint, cut_along_forest
 from .errors import ConesurfError
 from .flips import (
     delaunay,
@@ -243,9 +243,9 @@ def _cmd_density(args, out):
     _emit(out, "value", report.value)
     _emit(out, "log_value", report.log_value)
     _emit(out, "convention", report.convention)
-    _emit(out, "chart_fingerprint", report.fingerprint)
-    residual = float(np.linalg.norm(system.rows @ system.kernel))
-    _emit(out, "kernel_residual", residual)
+    rows = system.rows
+    _emit(out, "chart_fingerprint", chart_fingerprint(rows))
+    _emit(out, "kernel_residual", float(np.linalg.norm(rows @ system.kernel)))
     frame_hash = hashlib.sha256(np.ascontiguousarray(report.frame).tobytes()).hexdigest()[:16]
     _emit(out, "frame_hash", frame_hash)
     return True, None

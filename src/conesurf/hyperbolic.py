@@ -154,8 +154,6 @@ def area_form(chart: GenusZeroChart) -> AreaForm:
     tol = 1e-10 * max(abs(eig))
     pos = int(np.sum(eig > tol))
     neg = int(np.sum(eig < -tol))
-    if pos + neg != d:
-        raise SignatureUnexpected((pos, neg))
     if (pos, neg) != (1, d - 1):
         raise SignatureUnexpected((pos, neg))
     return AreaForm(h, (pos, neg))

@@ -5,9 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conesurf import isomorphic
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conesurf import FlatSurface, isomorphic, make_doubled_polygon
+from conesurf._graph import kruskal, vertex_edges
 from conesurf.charts import (
-    apply_tree_exchange,
     assemble_system,
     boundary_rotation,
     chart_for,
@@ -23,11 +26,13 @@ from conesurf.charts import (
 )
 from conesurf.errors import (
     DegenerateTriangle,
+    GluingMismatch,
     NotInKernel,
     NotSameMetric,
     NotSpanningTree,
 )
 from conesurf.flips import chart_transition, flip, is_flippable, random_flips
+from conesurf.volume import tree_change_densities
 
 
 def exact_rank_pm1(rows):
@@ -346,13 +351,15 @@ class TestTreeExchange:
 
     def test_exchange_single_edge(self, doubled_pentagon):
         s = doubled_pentagon
-        alt = spanning_forest(s)
+        alt = spanning_forest(s)  # the breadth-first tree is the star at p0
         moves = exchange_sequence(s, s.forest, alt)
         assert len(moves) == len(alt - s.forest)
         current = set(s.forest)
         for out, into in moves:
+            assert out in current and into not in current
             current.discard(out)
             current.add(into)
+            assert len(current) == 4
             # oracle: acyclicity at every intermediate step
             parent = {}
 
@@ -368,17 +375,19 @@ class TestTreeExchange:
                 parent[a] = b
         assert current == set(alt)
 
-    def test_apply_tree_exchange_maps_solution(self, doubled_pentagon):
+    def test_single_exchange_maps_solution(self, doubled_pentagon):
         s = doubled_pentagon
         alt = spanning_forest(s)
         out, into = exchange_sequence(s, s.forest, alt)[0]
-        result, mat = apply_tree_exchange(s, out, into)
+        result, mat, moves = reforest(s, (s.forest - {out}) | {into})
+        assert moves == [(out, into)]
         z_old = solution_vector(cut_along_forest(s))
         z_new = solution_vector(cut_along_forest(result))
         assert np.allclose(mat @ z_old, z_new, atol=1e-12)
         assert result.total_area() == pytest.approx(s.total_area(), rel=1e-12)
-        nonzero = np.abs(mat[np.abs(mat) > 1e-12])
-        assert np.allclose(nonzero, 1.0, atol=1e-12)
+        nonzero = np.abs(mat) > 1e-12
+        assert (nonzero.sum(axis=1) == 1).all()
+        assert np.allclose(np.abs(mat[nonzero]), 1.0, atol=1e-12)
 
     def test_reforest_full(self, doubled_pentagon):
         alt = spanning_forest(doubled_pentagon)
@@ -392,4 +401,51 @@ class TestTreeExchange:
         s = doubled_pentagon
         non_forest = [e for e in s.edges() if e not in s.forest]
         with pytest.raises(NotSpanningTree):
-            apply_tree_exchange(s, non_forest[0], non_forest[1])
+            reforest(s, (s.forest - {non_forest[0]}) | {non_forest[1]})
+
+    def test_genus_one_targets(self):
+        # genus-1 octagon a, c, c', b, -a, d, d', -b with c and d each glued
+        # about a right-angled tip; a tree through the diagonal to one tip
+        # leaves that tip's quarter-turn gluing in its complement
+        points = [0, 3, 3.5 + 0.5j, 3 + 1j, 3 + 3j, 3j, -0.5 + 2.5j, 2j]
+        corners = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 7), (4, 6, 7), (4, 5, 6)]
+        vectors = {3 * t + k: points[c[(k + 1) % 3]] - points[c[k]]
+                   for t, c in enumerate(corners) for k in range(3)}
+        twin = {}
+        for a, b in [(2, 3), (5, 6), (8, 9), (10, 14), (12, 17), (0, 15), (1, 4), (7, 11),
+                     (13, 16)]:
+            twin[a], twin[b] = b, a
+        s = FlatSurface([(3 * t, 3 * t + 1, 3 * t + 2) for t in range(6)], twin, vectors,
+                        (1, 13))
+        assert s.genus() == 1 and not is_erasing(s, {2, 13}) and not is_erasing(s, {1, 12})
+        with pytest.raises(GluingMismatch):
+            reforest(s, {2, 13})
+        # both trees one exchange away are not erasing, but the target is
+        result, mat, moves = reforest(s, {2, 12})
+        assert len(moves) == 2 and result.forest == {2, 12}
+        z_old = solution_vector(cut_along_forest(s))
+        z_new = solution_vector(cut_along_forest(result))
+        assert np.max(np.abs(mat @ z_old - z_new)) < 1e-12
+        _, _, ratio = tree_change_densities(s, s.forest, {2, 12})
+        assert abs(ratio - 1.0) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(gaps=st.lists(st.integers(1, 4), min_size=4, max_size=12),
+           aspect=st.floats(0.5, 1.0), turn=st.floats(0.0, 2 * math.pi),
+           data=st.data())
+    def test_random_tree_on_convex_polygon(self, gaps, aspect, turn, data):
+        # points on an ellipse in ccw order form a strictly convex polygon
+        angles = 2 * math.pi * np.cumsum(gaps) / sum(gaps)
+        rot = cmath.exp(1j * turn)
+        s = make_doubled_polygon([rot * complex(math.cos(a), aspect * math.sin(a))
+                                  for a in angles])
+        # every spanning tree is erasing in genus 0
+        edges = data.draw(st.permutations(sorted(s.edges())))
+        tree, _ = kruskal(s.vertex_ids, vertex_edges(s, edges))
+        result, mat, _ = reforest(s, tree)
+        assert result.forest == frozenset(tree)
+        z_old = solution_vector(cut_along_forest(s))
+        z_new = solution_vector(cut_along_forest(result))
+        assert np.max(np.abs(mat @ z_old - z_new)) < 1e-12
+        _, _, ratio = tree_change_densities(s, s.forest, tree)
+        assert abs(ratio - 1.0) < 1e-9
