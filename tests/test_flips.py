@@ -17,7 +17,7 @@ from conesurf import (
 from conesurf import flips
 from conesurf import surface as surface_module
 from conesurf._geom import DELAUNAY_BAND
-from conesurf.charts import chart_for, perturb_surface
+from conesurf.charts import chart_for, exchange_sequence, perturb_surface, spanning_forest
 from conesurf.errors import (
     ConesurfError,
     DegenerateInput,
@@ -356,6 +356,24 @@ class TestFlipPath:
         scrambled, _ = random_flips(octagon_surface, 8, rng)
         path = flip_path(octagon_surface, scrambled)
         assert isomorphic(path.replay(octagon_surface), scrambled) is not None
+
+
+class TestExchangeTree:
+    def test_identity(self, doubled_pentagon):
+        assert exchange_sequence(doubled_pentagon, doubled_pentagon.forest,
+                                 doubled_pentagon.forest) == []
+
+    def test_path_vs_star(self, doubled_pentagon):
+        s = doubled_pentagon
+        star = spanning_forest(s)  # the breadth-first tree is the star at p0
+        moves = exchange_sequence(s, s.forest, star)
+        assert len(moves) == len(set(star) - set(s.forest))
+        current = set(s.forest)
+        for out, into in moves:
+            assert out in current and into not in current
+            current = (current - {out}) | {into}
+            assert len(current) == 4
+        assert current == set(star)
 
 
 class TestDegenerateSegment:
