@@ -402,6 +402,12 @@ class TestTreeExchange:
         non_forest = [e for e in s.edges() if e not in s.forest]
         with pytest.raises(NotSpanningTree):
             reforest(s, (s.forest - {non_forest[0]}) | {non_forest[1]})
+        # four edges over all five vertices, but the triangle p0 p1 p2 and a
+        # separate edge p3 p4: the right count with a cycle
+        assert {(s.origin(e), s.head(e)) for e in (0, 1, 2, 7)} == {
+            (0, 1), (1, 2), (2, 0), (3, 4)}
+        with pytest.raises(NotSpanningTree):
+            reforest(s, {0, 1, 2, 7})
 
     def test_genus_one_targets(self):
         # genus-1 octagon a, c, c', b, -a, d, d', -b with c and d each glued

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from conesurf import (
 )
 from conesurf import surface as surface_module
 from conesurf._geom import angle_tol, reduce_angle
-from conesurf.charts import perturb_surface, reforest, spanning_forest
+from conesurf.charts import chart_for, perturb_surface, reforest, spanning_forest
 from conesurf.errors import (
     AngleMismatch,
     ClosureViolation,
@@ -27,7 +28,7 @@ from conesurf.errors import (
     OrientationViolation,
     UnknownVertex,
 )
-from conesurf.flips import random_flips
+from conesurf.flips import FlipPath, flip, flip_path, random_flips
 
 TWO_PI = 2 * math.pi
 
@@ -353,6 +354,44 @@ class TestSerialization:
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="missing fields"):
             SurfaceSpec.from_json('{"vertices": [], "triangles": []}')
+
+    def test_writers_golden_bytes(self, square_torus):
+        # the surface file, the chart JSON and a one-move flip path of the
+        # square torus, byte for byte; the kernel's last digits come from
+        # LAPACK, so only its numbers are read from the kernel itself
+        one = "1.0000000000000000e+00"
+        zero = "0.0000000000000000e+00"
+        assert square_torus.to_json() == (
+            '{\n  "vertices": [{"id": 0, "angle": 6.2831853071795862e+00}],\n'
+            '  "triangles": [[0, 1, 2], [3, 4, 5]],\n'
+            '  "gluing": [[0, 3], [1, 4], [2, 5]],\n'
+            f'  "vectors": {{"0": [{one}, {zero}], "1": [{zero}, {one}], '
+            f'"2": [-{one}, -{one}], "3": [-{one}, -{zero}], "4": [-{zero}, -{one}], '
+            f'"5": [{one}, {one}]}},\n'
+            '  "forest": []\n}\n')
+
+        system = chart_for(square_torus)[1]
+        kernel = [", ".join(f"[{z.real:.16e}, {z.imag:.16e}]" for z in row)
+                  for row in system.kernel]
+        assert system.to_json() == (
+            f'{{\n  "rows": [[[{one}, {zero}], [{one}, {zero}], [{one}, {zero}]], '
+            f'[[-{one}, {zero}], [-{one}, {zero}], [-{one}, {zero}]]],\n'
+            '  "row_kind": ["triangle:0", "triangle:1"],\n'
+            '  "column_map": [0, 1, 2],\n'
+            f'  "kernel": [[{kernel[0]}], [{kernel[1]}], [{kernel[2]}]],\n'
+            '  "rank": 1\n}\n')
+
+        path = flip_path(square_torus, flip(square_torus, 1)[0])
+        assert path.to_json() == (
+            '[{"edge": 1, "quad": [5, 3, 2, 0], '
+            '"new_vector": [-2.0000000000000000e+00, -1.0000000000000000e+00]}]')
+
+    def test_writers_reject_non_finite(self, square_torus):
+        _, move = flip(square_torus, 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            FlipPath((replace(move, new_diagonal=complex(math.nan, 0.0)),)).to_json()
+        with pytest.raises(ValueError, match="non-finite"):
+            SurfaceSpec(((0, math.inf),), (), (), {}).to_json()
 
     def test_vectors_survive_17_digits(self, skew_torus):
         s = skew_torus.scale(math.pi / 3)
