@@ -1,7 +1,9 @@
-"""Small planar-geometry helpers shared across modules."""
+"""Small planar-geometry helpers shared across modules, and the file
+format's writer."""
 
 from __future__ import annotations
 
+import json
 import math
 
 TWO_PI = 2.0 * math.pi
@@ -67,3 +69,29 @@ def fmt_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite number {x!r} cannot be serialized")
     return format(x, ".16e")
+
+
+def json_text(value) -> str:
+    """The file format's JSON text of a value made of dicts, lists, tuples,
+    arrays, strings, integers, floats (``fmt_float``) and complex numbers
+    ([re, im] pairs): one line, except that a top-level object puts each
+    field on its own indented line and ends in a newline."""
+    if isinstance(value, dict):
+        fields = (f"  {_json_line(str(k))}: {_json_line(v)}" for k, v in value.items())
+        return "{\n" + ",\n".join(fields) + "\n}\n"
+    return _json_line(value)
+
+
+def _json_line(value) -> str:
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_json_line(str(k))}: {_json_line(v)}"
+                               for k, v in value.items()) + "}"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, complex):
+        return f"[{fmt_float(value.real)}, {fmt_float(value.imag)}]"
+    if isinstance(value, float):
+        return fmt_float(value)
+    if isinstance(value, int):
+        return str(value)
+    return "[" + ", ".join(map(_json_line, value)) + "]"

@@ -27,8 +27,8 @@ from ._geom import (
     KERNEL_RESIDUAL_TOL,
     SOLUTION_RESIDUAL_TOL,
     angle_tol,
-    fmt_float,
     is_turn_multiple,
+    json_text,
     reduce_angle,
 )
 from ._graph import (
@@ -55,31 +55,42 @@ from .errors import (
 )
 from .surface import FlatSurface
 
+PERTURB_REL = 0.01  # perturb_surface's first step, relative to the solution vector's norm
 
 # ---------------------------------------------------------------------------
 # forests
 
 
-def is_erasing(surface: FlatSurface, forest, return_witness: bool = False):
+@dataclass(frozen=True)
+class HolonomyCheck:
+    """Outcome of a holonomy test: true when it passed, and otherwise the
+    witness of the first failure."""
+
+    ok: bool
+    witness: object = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def is_erasing(surface: FlatSurface, forest) -> HolonomyCheck:
     """Check that a candidate edge set is a forest whose complement develops
     with purely translational holonomy and that covers every vertex whose cone
     angle is not a multiple of a full turn.
 
     The check propagates a rotation offset over the triangle adjacency graph,
-    crossing only non-candidate edges, and reports the first inconsistency.
+    crossing only non-candidate edges; the witness of the first inconsistency
+    is ("cycle", edge), ("uncovered", vertex) or ("holonomy", edge).
     """
     forest = {surface.edge_of(e) for e in forest}
-
-    def result(ok, witness=None):
-        return (ok, witness) if return_witness else ok
-
-    _, cycles = kruskal(surface.vertex_ids, vertex_edges(surface, sorted(forest)))
+    vertices = surface.vertex_ids
+    _, cycles = kruskal(vertices, vertex_edges(surface, sorted(forest)))
     if cycles:
-        return result(False, ("cycle", cycles[0]))
+        return HolonomyCheck(False, ("cycle", cycles[0]))
     covered = edge_vertices(surface, forest)
-    for v in surface.vertex_ids:
+    for v in vertices:
         if v not in covered and not is_turn_multiple(surface.cone_angle(v)):
-            return result(False, ("uncovered", v))
+            return HolonomyCheck(False, ("uncovered", v))
 
     rot = {}
     for t, h, t2, first in dual_bfs(surface, forest):
@@ -90,8 +101,8 @@ def is_erasing(surface: FlatSurface, forest, return_witness: bool = False):
         if first:
             rot[t2] = r2
         elif abs(reduce_angle(r2 - rot[t2])) > angle_tol(r2):
-            return result(False, ("holonomy", surface.edge_of(h)))
-    return result(True, None)
+            return HolonomyCheck(False, ("holonomy", surface.edge_of(h)))
+    return HolonomyCheck(True)
 
 
 def spanning_forest(surface: FlatSurface, parts=None):
@@ -116,10 +127,10 @@ def spanning_forest(surface: FlatSurface, parts=None):
             if set(prev) != part:
                 raise PartitionUnrealizable(f"part {sorted(part)} is not connected")
             forest |= tree_keys(prev, part)
-        ok, witness = is_erasing(surface, forest, return_witness=True)
-        if not ok:
-            raise NotErasing(f"requested forest fails the holonomy criterion: {witness}",
-                             witness)
+        check = is_erasing(surface, forest)
+        if not check:
+            raise NotErasing(f"requested forest fails the holonomy criterion: {check.witness}",
+                             check.witness)
         return frozenset(forest)
 
     singular = [v for v in surface.vertex_ids if not is_turn_multiple(surface.cone_angle(v))]
@@ -139,9 +150,10 @@ def spanning_forest(surface: FlatSurface, parts=None):
         if v in needed and prev[v] is not None:
             needed.add(prev[v][1])
     tree = tree_keys(prev, needed)
-    ok, witness = is_erasing(surface, tree, return_witness=True)
-    if not ok:
-        raise NotErasing(f"no erasing forest found in the 1-skeleton: {witness}", witness)
+    check = is_erasing(surface, tree)
+    if not check:
+        raise NotErasing(f"no erasing forest found in the 1-skeleton: {check.witness}",
+                         check.witness)
     return frozenset(tree)
 
 
@@ -202,9 +214,10 @@ class CutSurface:
 
 def cut_along_forest(surface: FlatSurface) -> CutSurface:
     """Slit the surface open along its forest edges."""
-    ok, witness = is_erasing(surface, surface.forest, return_witness=True)
-    if not ok:
-        raise ForestNotErasing(f"forest fails the holonomy criterion: {witness}", witness)
+    check = is_erasing(surface, surface.forest)
+    if not check:
+        raise ForestNotErasing(f"forest fails the holonomy criterion: {check.witness}",
+                               check.witness)
 
     boundary = set()
     for e in surface.forest:
@@ -335,20 +348,10 @@ class ChartSystem:
         return self.tree.fingerprint
 
     def to_json(self) -> str:
-        rows = [[[fmt_float(z.real), fmt_float(z.imag)] for z in row] for row in self.rows]
-        kern = [[[fmt_float(z.real), fmt_float(z.imag)] for z in row] for row in self.kernel]
-        parts = ['{\n  "rows": [']
-        parts.append(", ".join(
-            "[" + ", ".join("[%s, %s]" % (re, im) for re, im in row) + "]" for row in rows))
-        parts.append('],\n  "row_kind": [')
-        parts.append(", ".join(f'"{k}:{i}"' for k, i in self.row_kind))
-        parts.append('],\n  "column_map": [')
-        parts.append(", ".join(str(h) for h in self.column_map))
-        parts.append('],\n  "kernel": [')
-        parts.append(", ".join(
-            "[" + ", ".join("[%s, %s]" % (re, im) for re, im in row) + "]" for row in kern))
-        parts.append(f'],\n  "rank": {self.rank}\n}}\n')
-        return "".join(parts)
+        return json_text({"rows": self.rows,
+                          "row_kind": [f"{k}:{i}" for k, i in self.row_kind],
+                          "column_map": self.column_map, "kernel": self.kernel,
+                          "rank": self.rank})
 
 
 def chart_fingerprint(rows: np.ndarray) -> str:
@@ -389,9 +392,16 @@ def _deterministic_kernel(basis: np.ndarray) -> np.ndarray:
                 break
     else:
         raise AssertionError("failed to orthonormalize the kernel basis")
-    kernel = q @ chosen
-    lead = kernel[np.argmax(np.abs(kernel) > KERNEL_PHASE_TOL, axis=0), np.arange(d)]
-    return kernel * (np.abs(lead) / lead)
+    return fix_phases(q @ chosen)
+
+
+def fix_phases(columns: np.ndarray) -> np.ndarray:
+    """The columns, each times the unit scalar that makes its first entry of
+    modulus above KERNEL_PHASE_TOL real and positive: the phase convention of
+    every deterministic basis."""
+    lead = columns[np.argmax(np.abs(columns) > KERNEL_PHASE_TOL, axis=0),
+                   np.arange(columns.shape[1])]
+    return columns * (np.abs(lead) / lead)
 
 
 def _tree_kernel(entries, num_columns):
@@ -490,11 +500,10 @@ def assemble_system(cut: CutSurface) -> ChartSystem:
     return ChartSystem(tuple(row_kind), cut.columns, basis, rank, cut, tree)
 
 
-def surface_from_solution(cut: CutSurface, z, system: ChartSystem | None = None) -> FlatSurface:
-    """Rebuild a surface with the cut's combinatorics from a kernel vector."""
+def surface_from_solution(cut: CutSurface, z, system: ChartSystem) -> FlatSurface:
+    """Rebuild a surface with the cut's combinatorics from a vector in the
+    kernel of the cut's system."""
     z = np.asarray(z, dtype=complex)
-    if system is None:
-        system = assemble_system(cut)
     if np.linalg.norm(system.tree.apply(z)) > SOLUTION_RESIDUAL_TOL * max(
             np.linalg.norm(z), 1e-300):
         raise NotInKernel("vector is not in the kernel of the chart system")
@@ -529,20 +538,20 @@ def chart_for(surface: FlatSurface):
     return surface._chart
 
 
-def perturb_surface(surface: FlatSurface, rng, rel: float = 0.01,
+def perturb_surface(surface: FlatSurface, rng,
                     system: ChartSystem | None = None) -> FlatSurface:
     """Random nearby surface in the same chart (same combinatorics and forest).
 
-    Perturbs the solution vector along a random kernel direction by ``rel``
-    times its norm, rejecting samples that degenerate a triangle or drift out
-    of the angle targets; gives up after 60 samples.  A caller perturbing one
+    Perturbs the solution vector along a random kernel direction by
+    ``PERTURB_REL`` times its norm, rejecting samples that degenerate a
+    triangle or drift out of the angle targets; gives up after 60 samples.  A caller perturbing one
     surface again and again passes its ``system``."""
     if system is None:
         system = assemble_system(cut_along_forest(surface))
     cut = system.cut
     z0 = solution_vector(cut)
     d = system.kernel_dim
-    size = rel * np.linalg.norm(z0)
+    size = PERTURB_REL * np.linalg.norm(z0)
     for _ in range(60):
         coeff = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         direction = system.kernel @ coeff
@@ -592,35 +601,37 @@ def _flip_transition(cut: CutSurface, edge) -> np.ndarray:
 
 def exchange_sequence(surface: FlatSurface, tree_from, tree_to):
     """Single-edge exchanges (remove, add) turning one spanning tree into the
-    other; every intermediate set is again a spanning tree."""
+    other; every intermediate set is again a spanning tree.  Both edge sets
+    must be trees (acyclic, one edge fewer than the vertices they touch) on
+    the same vertices."""
     halfedges = set(surface.halfedges)
     for name, tree in (("source", tree_from), ("target", tree_to)):
         if not set(tree) <= halfedges:
             raise NotSpanningTree(f"{name} tree uses unknown edges")
     a1 = {surface.edge_of(e) for e in tree_from}
     a2 = {surface.edge_of(e) for e in tree_to}
-    for tree in (a1, a2):
-        if len(tree) != max(len(edge_vertices(surface, tree)) - 1, 0):
+    spans = [edge_vertices(surface, tree) for tree in (a1, a2)]
+    for tree, nodes in zip((a1, a2), spans):
+        _, cycles = kruskal(nodes, vertex_edges(surface, tree))
+        if cycles or len(tree) != max(len(nodes) - 1, 0):
             raise NotSpanningTree("edge set is not a tree")
-    if edge_vertices(surface, a1) != edge_vertices(surface, a2) and (a1 or a2):
+    if spans[0] != spans[1]:
         raise NotSpanningTree("trees span different vertex sets")
 
+    # the current tree's adjacency, updated per exchange; adding e closes a
+    # unique cycle, which has an edge outside the acyclic a2, and the
+    # smallest such edge is dropped
+    adj = adjacency(spans[0], vertex_edges(surface, a1))
     moves = []
-    current = set(a1)
     for e in sorted(a2 - a1):
-        # adding e closes a unique cycle; drop its smallest edge outside a2
         va, vb = surface.origin(e), surface.head(e)
-        prev = bfs(adjacency(surface.vertex_ids, vertex_edges(surface, current)), va)
-        if vb not in prev:
-            raise NotSpanningTree("trees span different vertex sets")
-        path = path_keys(prev, vb)
-        candidates = [f for f in path if f not in a2]
-        if not candidates:
-            raise NotSpanningTree("exchange cycle lies inside the target tree")
-        out = min(candidates)
+        out = min(f for f in path_keys(bfs(adj, va), vb) if f not in a2)
         moves.append((out, e))
-        current.discard(out)
-        current.add(e)
+        a, b = surface.origin(out), surface.head(out)
+        adj[a].remove((out, b))
+        adj[b].remove((out, a))
+        adj[va].append((e, vb))
+        adj[vb].append((e, va))
     return moves
 
 

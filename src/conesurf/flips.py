@@ -32,11 +32,11 @@ from ._geom import (
     angle_tol,
     ccw_angle,
     cross,
-    fmt_float,
+    json_text,
     reduce_angle,
 )
 from ._graph import edge_vertices
-from .charts import cut_along_forest, solution_vector
+from .charts import HolonomyCheck, cut_along_forest, solution_vector
 from .errors import (
     DegenerateInput,
     DoesNotTerminateAtVertex,
@@ -55,15 +55,6 @@ from .surface import FlatSurface, isomorphic
 
 # ---------------------------------------------------------------------------
 # holonomy hypothesis
-
-
-@dataclass(frozen=True)
-class HolonomyCheck:
-    ok: bool
-    witness: int | None = None
-
-    def __bool__(self):
-        return self.ok
 
 
 def has_half_turn_holonomy(surface: FlatSurface) -> HolonomyCheck:
@@ -113,13 +104,8 @@ class FlipPath:
         return surface
 
     def to_json(self) -> str:
-        items = []
-        for m in self.moves:
-            items.append(
-                '{"edge": %d, "quad": [%s], "new_vector": [%s, %s]}'
-                % (m.edge, ", ".join(str(q) for q in m.quad),
-                   fmt_float(m.new_diagonal.real), fmt_float(m.new_diagonal.imag)))
-        return "[" + ", ".join(items) + "]"
+        return json_text([{"edge": m.edge, "quad": m.quad, "new_vector": m.new_diagonal}
+                          for m in self.moves])
 
 
 def _flip_quad(surface: FlatSurface, edge):

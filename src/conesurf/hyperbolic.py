@@ -21,7 +21,7 @@ import numpy as np
 
 from ._geom import KERNEL_RESIDUAL_TOL, Q1_TOL, TANGENT_TOL
 from ._graph import adjacency, vertex_edges
-from .charts import ChartSystem, chart_for, cut_along_forest, solution_vector
+from .charts import ChartSystem, chart_for, fix_phases, solution_vector
 from .errors import (
     FrameNotTangent,
     MetricNotPositive,
@@ -50,14 +50,9 @@ class GenusZeroChart:
     def dim(self) -> int:
         return len(self.coordinate_edges)
 
-    def coordinates(self, surface: FlatSurface | None = None) -> np.ndarray:
-        """Chart coordinates of a surface with this chart's combinatorics."""
-        cut = self.system.cut if surface is None else cut_along_forest(surface)
-        z = solution_vector(cut)
-        return z[list(self.coordinate_columns)]
-
-    def solution(self, coords) -> np.ndarray:
-        return self.expansion @ np.asarray(coords, dtype=complex)
+    def coordinates(self) -> np.ndarray:
+        """The chart coordinates of the chart's own surface."""
+        return solution_vector(self.system.cut)[list(self.coordinate_columns)]
 
 
 def genus_zero_chart(surface: FlatSurface, excluded_vertex=None) -> GenusZeroChart:
@@ -162,8 +157,8 @@ def area_form(chart: GenusZeroChart) -> AreaForm:
 def normalize_form(form: AreaForm) -> AreaForm:
     """Normalizer P with P* (-H) P = diag(1, ..., 1, -1).
 
-    Deterministic: descending eigenvalues of -H, each eigenvector's first
-    significant entry made real positive."""
+    Deterministic: descending eigenvalues of -H, eigenvectors in the
+    phase convention of ``fix_phases``."""
     if form.signature[0] != 1:
         raise SignatureUnexpected(form.signature)
     neg_h = -form.matrix
@@ -173,11 +168,7 @@ def normalize_form(form: AreaForm) -> AreaForm:
     d = len(eig)
     if not (np.all(eig[: d - 1] > 0) and eig[d - 1] < 0):
         raise SignatureUnexpected(form.signature)
-    for j in range(d):
-        col = vecs[:, j]
-        k = int(np.argmax(np.abs(col) > 1e-9))
-        vecs[:, j] = col * (abs(col[k]) / col[k])
-    normalizer = vecs / np.sqrt(np.abs(eig))
+    normalizer = fix_phases(vecs) / np.sqrt(np.abs(eig))
     check = normalizer.conj().T @ neg_h @ normalizer
     target = np.diag(np.concatenate([np.ones(d - 1), [-1.0]]))
     if np.linalg.norm(check - target) > 1e-9 * d:

@@ -26,8 +26,8 @@ from ._geom import (
     angle_tol,
     ccw_angle,
     cross,
-    fmt_float,
     is_turn_multiple,
+    json_text,
     reduce_angle,
 )
 from ._graph import adjacency, edge_vertices, kruskal, path_keys, subtree_sums, vertex_edges
@@ -215,7 +215,6 @@ class FlatSurface:
                 origin[h] = vid
         self._origin = origin
         self._corners_at = corners_at
-        self._vertex_ids = tuple(v for v, _ in vertices)
         self._angle_target = {v: a for v, a in vertices}
 
         self._validate_geometry()
@@ -265,7 +264,6 @@ class FlatSurface:
 
         # re-walk each quad vertex's rotation, re-sum its cone angle in order
         moved = {}
-        resort = False
         for v, x in quad_vertices.items():
             orbit = _canonical(self._orbit(x))
             alpha, old = sum(corner[y] for y in orbit), self._vertex_angle[v]
@@ -273,11 +271,7 @@ class FlatSurface:
             self._check_angle(v, alpha, self._angle_target[v])
             if alpha != old:
                 moved[v] = _exact(alpha) - _exact(old)
-            resort = resort or orbit[0] != self._corners_at[v][0]
             self._corners_at[v], self._vertex_angle[v] = orbit, alpha
-        if resort:  # the vertex order is by smallest outgoing half-edge
-            self._vertex_ids = tuple(sorted(self._vertex_ids,
-                                            key=lambda v: self._corners_at[v][0]))
         if moved:
             self._move_pairings(moved)
 
@@ -331,7 +325,7 @@ class FlatSurface:
             if e != min(e, self._twin[e]):
                 raise ValueError(f"forest edge {e} must be named by the smaller half-edge id")
         edges = vertex_edges(self, sorted(forest))
-        _, cycles = kruskal(self._vertex_ids, edges)
+        _, cycles = kruskal(self._corners_at, edges)
         if cycles:
             raise ForestNotTrees(f"forest edge {cycles[0]} closes a cycle")
         self._forest = forest
@@ -352,7 +346,7 @@ class FlatSurface:
         their rounding windows."""
         exact = {v: _exact(alpha) for v, alpha in self._vertex_angle.items()}
         self._forest_sum, self._forest_link = subtree_sums(
-            adjacency(self._vertex_ids, edges), exact)
+            adjacency(self._corners_at, edges), exact)
         self._forest_window, self._forest_pairing = {}, {}
         for e in sorted(self._forest):
             theta, self._forest_window[e] = _theta(self._forest_sum[e])
@@ -379,19 +373,19 @@ class FlatSurface:
 
     def _validate_angles(self):
         on_forest = edge_vertices(self, self._forest)
-        for v in self._vertex_ids:
+        for v in self._corners_at:  # built in vertex order
             alpha = self._vertex_angle[v]
             if v not in on_forest and not is_turn_multiple(alpha):
                 raise AngleMismatch(v, alpha, TWO_PI * round(alpha / TWO_PI))
             self._check_angle(v, alpha, self._angle_target[v])
 
-        chi = len(self._vertex_ids) - len(self._halfedges) // 2 + len(self._tris)
+        chi = len(self._corners_at) - len(self._halfedges) // 2 + len(self._tris)
         if chi % 2 != 0 or chi > 2:
             raise NonIntegerGenus(f"Euler characteristic {chi}")
         self._genus = (2 - chi) // 2
 
         total = sum(self._vertex_angle.values())
-        expected = TWO_PI * (2 * self._genus + len(self._vertex_ids) - 2)
+        expected = TWO_PI * (2 * self._genus + len(self._corners_at) - 2)
         if abs(total - expected) > angle_tol(total):
             raise GaussBonnetViolation(total, expected)
 
@@ -446,7 +440,9 @@ class FlatSurface:
 
     @property
     def vertex_ids(self):
-        return self._vertex_ids
+        """The vertices in the order of their smallest outgoing half-edges,
+        the first entry of each rotation."""
+        return tuple(sorted(self._corners_at, key=lambda v: self._corners_at[v][0]))
 
     def corners_at(self, v):
         """Outgoing half-edges at v in ccw (rotation) order."""
@@ -498,7 +494,7 @@ class FlatSurface:
         """Number of forest trees, counting vertices off the forest as
         one-point trees."""
         # construction checked that the forest is acyclic
-        return len(self._vertex_ids) - len(self._forest)
+        return len(self._corners_at) - len(self._forest)
 
     # -- derived surfaces ----------------------------------------------------
 
@@ -512,7 +508,7 @@ class FlatSurface:
             dict(self._twin),
             {h: w * v for h, v in self._vec.items()},
             self._forest,
-            [(v, self._angle_target[v]) for v in self._vertex_ids],
+            [(v, self._angle_target[v]) for v in self.vertex_ids],
         )
 
     def relabel_halfedges(self, mapping) -> "FlatSurface":
@@ -534,7 +530,7 @@ class FlatSurface:
 
     def to_spec(self) -> "SurfaceSpec":
         verts = []
-        for v in self._vertex_ids:
+        for v in self.vertex_ids:
             target = self._angle_target[v]
             verts.append((v, self._vertex_angle[v] if target is None else target))
         return SurfaceSpec(
@@ -549,7 +545,7 @@ class FlatSurface:
         return self.to_spec().to_json()
 
     def __repr__(self):
-        return (f"FlatSurface(genus={self._genus}, vertices={len(self._vertex_ids)}, "
+        return (f"FlatSurface(genus={self._genus}, vertices={len(self._corners_at)}, "
                 f"triangles={len(self._tris)}, forest_edges={len(self._forest)})")
 
 
@@ -568,28 +564,14 @@ class SurfaceSpec:
     forest: tuple = ()
 
     def to_json(self) -> str:
-        parts = ['{\n  "vertices": [']
-        vitems = []
-        for v, a in self.vertices:
-            if a is None:
-                vitems.append(f'{{"id": {int(v)}}}')
-            else:
-                vitems.append(f'{{"id": {int(v)}, "angle": {fmt_float(float(a))}}}')
-        parts.append(", ".join(vitems))
-        parts.append('],\n  "triangles": [')
-        parts.append(", ".join("[%d, %d, %d]" % tuple(t) for t in self.triangles))
-        parts.append('],\n  "gluing": [')
-        parts.append(", ".join("[%d, %d]" % (a, b) for a, b in self.gluing))
-        parts.append('],\n  "vectors": {')
-        vecitems = []
-        for h in sorted(self.vectors):
-            z = complex(self.vectors[h])
-            vecitems.append(f'"{int(h)}": [{fmt_float(z.real)}, {fmt_float(z.imag)}]')
-        parts.append(", ".join(vecitems))
-        parts.append('},\n  "forest": [')
-        parts.append(", ".join(str(int(e)) for e in self.forest))
-        parts.append("]\n}\n")
-        return "".join(parts)
+        return json_text({
+            "vertices": [{"id": v} if a is None else {"id": v, "angle": float(a)}
+                         for v, a in self.vertices],
+            "triangles": self.triangles,
+            "gluing": self.gluing,
+            "vectors": {h: complex(self.vectors[h]) for h in sorted(self.vectors)},
+            "forest": self.forest,
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "SurfaceSpec":
@@ -670,6 +652,31 @@ def make_torus(u: complex, v: complex) -> FlatSurface:
     return FlatSurface(triangles, twin, vectors, (), [(0, TWO_PI)])
 
 
+def _fan(pts, back=False):
+    """Fan triangulation of the polygon pts from pts[0]: (triangles, vectors,
+    twin) with each diagonal glued, and the half-edges on the sides
+    (p_j, p_{j+1}) in order.  Triangle t has the half-edges 3t, 3t + 1,
+    3t + 2 along p0 -> p_{t+1} -> p_{t+2}.  ``back`` is the back copy of a
+    doubled polygon, its mirror image in cw order: triangle t runs along
+    p0 -> p_{t+2} -> p_{t+1} and is numbered after the front's len(pts) - 2
+    triangles."""
+    ntri = len(pts) - 2
+    first = ntri if back else 0
+    near, far = (2, 0) if back else (0, 2)  # the sides (p0, p_{t+1}) and (p0, p_{t+2})
+    triangles, vectors, twin, sides = {}, {}, {}, [3 * first + near]
+    for t in range(ntri):
+        corners = (0, t + 2, t + 1) if back else (0, t + 1, t + 2)
+        h = 3 * (first + t)
+        triangles[first + t] = (h, h + 1, h + 2)
+        for x, i, j in zip(triangles[first + t], corners, corners[1:] + corners[:1]):
+            vectors[x] = pts[j] - pts[i]
+        sides.append(h + 1)
+        if t > 0:  # the diagonal (p0, p_{t+1}) joins triangle t - 1 to t
+            twin[h - 3 + far], twin[h + near] = h + near, h - 3 + far
+    sides.append(h + far)
+    return triangles, vectors, twin, sides
+
+
 def make_doubled_polygon(points) -> FlatSurface:
     """Double of a strictly convex polygon across its boundary.
 
@@ -693,45 +700,14 @@ def make_doubled_polygon(points) -> FlatSurface:
     def reflect(z):
         return pts[-1] + rot * (z - pts[-1]).conjugate()
 
-    qts = [reflect(p) for p in pts]
-
-    ntri = k - 2
-    triangles = {}
-    vectors = {}
-    for t in range(ntri):
-        a, b, c = 3 * t, 3 * t + 1, 3 * t + 2
-        triangles[t] = (a, b, c)
-        vectors[a] = pts[t + 1] - pts[0]
-        vectors[b] = pts[t + 2] - pts[t + 1]
-        vectors[c] = pts[0] - pts[t + 2]
-    off = 3 * ntri
-    for t in range(ntri):
-        a, b, c = off + 3 * t, off + 3 * t + 1, off + 3 * t + 2
-        triangles[ntri + t] = (a, b, c)
-        vectors[a] = qts[t + 2] - qts[0]
-        vectors[b] = qts[t + 1] - qts[t + 2]
-        vectors[c] = qts[0] - qts[t + 1]
-
+    triangles, vectors, twin, front = _fan(pts)
+    *copy, back = _fan(list(map(reflect, pts)), back=True)
+    for part, more in zip((triangles, vectors, twin), copy):
+        part.update(more)
     _require_triangles([[vectors[h] for h in t] for t in triangles.values()], convex)
-    twin = {}
-
-    def glue(x, y):
-        twin[x] = y
-        twin[y] = x
-
-    for t in range(ntri - 1):
-        glue(3 * t + 2, 3 * (t + 1))          # front diagonal (p0, p_{t+2})
-        glue(off + 3 * t, off + 3 * (t + 1) + 2)  # back diagonal (q0, q_{t+2})
-    glue(0, off + 2)                           # fold (p0, p1)
-    for i in range(1, k - 1):
-        glue(3 * (i - 1) + 1, off + 3 * (i - 1) + 1)  # fold (p_i, p_{i+1})
-    glue(3 * (ntri - 1) + 2, off + 3 * (ntri - 1))    # fold (p_{k-1}, p0)
-
-    forest = []
-    forest.append(min(0, twin[0]))
-    for i in range(1, k - 1):
-        h = 3 * (i - 1) + 1
-        forest.append(min(h, twin[h]))
+    for x, y in zip(front, back):  # the folds (p_j, p_{j+1})
+        twin[x], twin[y] = y, x
+    forest = front[:-1]
 
     def interior_angle(i):
         u = pts[(i + 1) % k] - pts[i]
@@ -749,32 +725,9 @@ def make_regular_4g_gon(g: int) -> FlatSurface:
     if g < 2:
         raise DegenerateInput("need g >= 2")
     n = 4 * g
-    pts = [cmath.exp(2j * math.pi * j / n) for j in range(n)]
-    ntri = n - 2
-    triangles = {}
-    vectors = {}
-    for t in range(ntri):
-        a, b, c = 3 * t, 3 * t + 1, 3 * t + 2
-        triangles[t] = (a, b, c)
-        vectors[a] = pts[t + 1] - pts[0]
-        vectors[b] = pts[t + 2] - pts[t + 1]
-        vectors[c] = pts[0] - pts[t + 2]
-
-    def side_halfedge(j):
-        if j == 0:
-            return 0
-        if j == n - 1:
-            return 3 * (ntri - 1) + 2
-        return 3 * (j - 1) + 1
-
-    twin = {}
-    for t in range(ntri - 1):
-        twin[3 * t + 2] = 3 * (t + 1)
-        twin[3 * (t + 1)] = 3 * t + 2
-    for j in range(2 * g):
-        a, b = side_halfedge(j), side_halfedge(j + 2 * g)
-        twin[a] = b
-        twin[b] = a
+    triangles, vectors, twin, sides = _fan([cmath.exp(2j * math.pi * j / n) for j in range(n)])
+    for a, b in zip(sides[:2 * g], sides[2 * g:]):  # opposite sides
+        twin[a], twin[b] = b, a
     return FlatSurface(triangles, twin, vectors, (), [(0, TWO_PI * (2 * g - 1))])
 
 

@@ -81,8 +81,8 @@ class TestForests:
         assert is_erasing(square_torus, ())
         assert is_erasing(doubled_triangle, doubled_triangle.forest)
         single = sorted(doubled_triangle.forest)[:1]
-        ok, witness = is_erasing(doubled_triangle, single, return_witness=True)
-        assert not ok and witness is not None
+        check = is_erasing(doubled_triangle, single)
+        assert not check and check.witness is not None
 
     def test_is_erasing_candidate_differs_from_forest(self, doubled_pentagon):
         # a different spanning tree of the same surface is accepted
