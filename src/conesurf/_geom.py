@@ -3,8 +3,8 @@ format's writer."""
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _json_string
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,7 +66,7 @@ def ccw_angle(u: complex, v: complex) -> float:
 
 def fmt_float(x: float) -> str:
     """Serialize a float with 17 significant digits (exact float64 round trip)."""
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite number {x!r} cannot be serialized")
     return format(x, ".16e")
 
@@ -77,21 +77,21 @@ def json_text(value) -> str:
     ([re, im] pairs): one line, except that a top-level object puts each
     field on its own indented line and ends in a newline."""
     if isinstance(value, dict):
-        fields = (f"  {_json_line(str(k))}: {_json_line(v)}" for k, v in value.items())
+        fields = (f"  {_json_string(str(k))}: {_json_line(v)}" for k, v in value.items())
         return "{\n" + ",\n".join(fields) + "\n}\n"
     return _json_line(value)
 
 
 def _json_line(value) -> str:
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{_json_line(str(k))}: {_json_line(v)}"
-                               for k, v in value.items()) + "}"
-    if isinstance(value, str):
-        return json.dumps(value)
     if isinstance(value, complex):
         return f"[{fmt_float(value.real)}, {fmt_float(value.imag)}]"
-    if isinstance(value, float):
-        return fmt_float(value)
     if isinstance(value, int):
         return str(value)
+    if isinstance(value, float):
+        return fmt_float(value)
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_json_string(str(k))}: {_json_line(v)}"
+                               for k, v in value.items()) + "}"
     return "[" + ", ".join(map(_json_line, value)) + "]"

@@ -133,10 +133,10 @@ def spanning_forest(surface: FlatSurface, parts=None):
                              check.witness)
         return frozenset(forest)
 
-    singular = [v for v in surface.vertex_ids if not is_turn_multiple(surface.cone_angle(v))]
+    singular = [v for v in adj if not is_turn_multiple(surface.cone_angle(v))]
     if surface.genus() == 0:
-        prev = bfs(adj, min(surface.vertex_ids))
-        if len(prev) != len(surface.vertex_ids):
+        prev = bfs(adj, min(adj))
+        if len(prev) != len(adj):
             raise PartitionUnrealizable("1-skeleton is disconnected")
         return frozenset(tree_keys(prev, prev))
     if not singular:
