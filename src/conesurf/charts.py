@@ -544,8 +544,8 @@ def perturb_surface(surface: FlatSurface, rng,
 
     Perturbs the solution vector along a random kernel direction by
     ``PERTURB_REL`` times its norm, rejecting samples that degenerate a
-    triangle or drift out of the angle targets; gives up after 60 samples.  A caller perturbing one
-    surface again and again passes its ``system``."""
+    triangle or drift out of the angle targets; gives up after 60 samples.
+    A caller perturbing one surface again and again passes its ``system``."""
     if system is None:
         system = assemble_system(cut_along_forest(surface))
     cut = system.cut
