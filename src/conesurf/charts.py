@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -82,15 +82,24 @@ def is_erasing(surface: FlatSurface, forest) -> HolonomyCheck:
     crossing only non-candidate edges; the witness of the first inconsistency
     is ("cycle", edge), ("uncovered", vertex) or ("holonomy", edge).
     """
+    return _holonomy(surface, forest)[0]
+
+
+def _holonomy(surface: FlatSurface, forest):
+    """``is_erasing`` with what it found on the way: (check, the vertices the
+    forest covers, each triangle's rotation offset), the last two None when
+    the check stopped before reaching them.  The offsets satisfy every
+    crossing of a non-candidate edge within tolerance, so they certify a pass
+    and a flip can re-check them locally (``_quad_erasing``)."""
     forest = {surface.edge_of(e) for e in forest}
     vertices = surface.vertex_ids
     _, cycles = kruskal(vertices, vertex_edges(surface, sorted(forest)))
     if cycles:
-        return HolonomyCheck(False, ("cycle", cycles[0]))
-    covered = edge_vertices(surface, forest)
+        return HolonomyCheck(False, ("cycle", cycles[0])), None, None
+    covered = frozenset(edge_vertices(surface, forest))
     for v in vertices:
         if v not in covered and not is_turn_multiple(surface.cone_angle(v)):
-            return HolonomyCheck(False, ("uncovered", v))
+            return HolonomyCheck(False, ("uncovered", v)), covered, None
 
     rot = {}
     for t, h, t2, first in dual_bfs(surface, forest):
@@ -101,8 +110,8 @@ def is_erasing(surface: FlatSurface, forest) -> HolonomyCheck:
         if first:
             rot[t2] = r2
         elif abs(reduce_angle(r2 - rot[t2])) > angle_tol(r2):
-            return HolonomyCheck(False, ("holonomy", surface.edge_of(h)))
-    return HolonomyCheck(True)
+            return HolonomyCheck(False, ("holonomy", surface.edge_of(h))), covered, None
+    return HolonomyCheck(True), covered, rot
 
 
 def spanning_forest(surface: FlatSurface, parts=None):
@@ -188,6 +197,8 @@ class CutSurface:
 
     Half-edge ids are those of the closed surface (the back map is the
     identity); forest half-edges lose their twins and become boundary sides.
+    The forest's covered vertices and the triangles' rotation offsets are
+    those of the erasing check that admitted the cut (``_holonomy``).
     """
 
     surface: FlatSurface
@@ -198,23 +209,24 @@ class CutSurface:
     num_triangles: int  # N2
     num_trees: int
     num_rows: int       # N2 plus one row per boundary pair
+    col_of: dict = field(repr=False, compare=False)    # half-edge -> (column, sign)
+    covered: frozenset = field(repr=False, compare=False)
+    offsets: dict = field(repr=False, compare=False)   # triangle -> rotation offset
 
     def column_of(self, h):
         """(column index, sign) such that vec(h) = sign * Z[column]."""
-        return self._col_of[h]
+        return self.col_of[h]
 
-    def __post_init__(self):
-        col_of = {}
-        for i, rep in enumerate(self.columns):
-            col_of[rep] = (i, 1.0)
-            if rep not in self.boundary:
-                col_of[self.surface.twin(rep)] = (i, -1.0)
-        object.__setattr__(self, "_col_of", col_of)
+
+def _pairings(surface: FlatSurface) -> tuple:
+    return tuple(BoundaryPair(a, abar, theta, e)
+                 for e, (theta, a, abar) in sorted(
+                     (e, surface.forest_pairing(e)) for e in surface.forest))
 
 
 def cut_along_forest(surface: FlatSurface) -> CutSurface:
     """Slit the surface open along its forest edges."""
-    check = is_erasing(surface, surface.forest)
+    check, covered, offsets = _holonomy(surface, surface.forest)
     if not check:
         raise ForestNotErasing(f"forest fails the holonomy criterion: {check.witness}",
                                check.witness)
@@ -225,10 +237,12 @@ def cut_along_forest(surface: FlatSurface) -> CutSurface:
         boundary.add(surface.twin(e))
     columns = sorted(h for h in surface.halfedges
                      if h in boundary or h < surface.twin(h))
-    pairings = tuple(
-        BoundaryPair(a, abar, theta, e)
-        for e, (theta, a, abar) in sorted(
-            (e, surface.forest_pairing(e)) for e in surface.forest))
+    col_of = {}
+    for i, rep in enumerate(columns):
+        col_of[rep] = (i, 1.0)
+        if rep not in boundary:
+            col_of[surface.twin(rep)] = (i, -1.0)
+    pairings = _pairings(surface)
 
     n = len(surface.vertex_ids)
     m = surface.num_trees()
@@ -238,7 +252,47 @@ def cut_along_forest(surface: FlatSurface) -> CutSurface:
     if n1 != 3 * (2 * g + m - 2) + 4 * (n - m) or n2 != 2 * (2 * g + m - 2) + 2 * (n - m):
         raise AssertionError("edge/triangle counts disagree with the Euler count")
     return CutSurface(surface, tuple(columns), frozenset(boundary), pairings,
-                      n1, n2, m, n2 + len(pairings))
+                      n1, n2, m, n2 + len(pairings), col_of, covered, offsets)
+
+
+def _flipped_cut(cut: CutSurface, flipped: FlatSurface, edge) -> CutSurface:
+    """The cut of ``flipped``, which is the surface of ``cut`` with the
+    non-forest ``edge`` flipped.
+
+    A flip keeps the forest, the half-edge ids and their twins, so the
+    columns, the boundary, the column map and the counts are the source's;
+    the pairings are read again, because a flip may move a theta.  The
+    erasing check is re-run only where the flip changed something
+    (``_quad_erasing``); when that fails, the surface is cut in full, so the
+    full check runs and raises its error and witness."""
+    h = flipped.edge_of(edge)
+    quad = (flipped.triangle(flipped.triangle_of(h))
+            + flipped.triangle(flipped.triangle_of(flipped.twin(h))))
+    if not _quad_erasing(cut, flipped, quad):
+        return cut_along_forest(flipped)
+    return replace(cut, surface=flipped, pairings=_pairings(flipped))
+
+
+def _quad_erasing(cut: CutSurface, flipped: FlatSurface, quad) -> bool:
+    """The erasing check of a flipped surface on what the flip changed, given
+    the six half-edges of its flipped quad: the coverage test of the four
+    quad vertices, whose cone angles may move in the last bit, and every
+    crossing of a quad edge against the source's rotation offsets.  The
+    outer vectors are unchanged, and the new diagonal crosses with rotation
+    exactly 0; every other crossing and the forest are the source's, which
+    passed."""
+    for x in quad:
+        v = flipped.origin(x)
+        if v not in cut.covered and not is_turn_multiple(flipped.cone_angle(v)):
+            return False
+    rot = cut.offsets
+    for y in {z for x in quad for z in (x, flipped.twin(x))}:
+        if flipped.edge_of(y) in flipped.forest:
+            continue
+        r2 = rot[flipped.triangle_of(y)] - flipped.crossing_rotation(y)
+        if abs(reduce_angle(r2 - rot[flipped.triangle_of(flipped.twin(y))])) > angle_tol(r2):
+            return False
+    return True
 
 
 def solution_vector(cut: CutSurface) -> np.ndarray:
@@ -256,23 +310,30 @@ class ChartTree:
 
     Every column has exactly two entries, both of unit modulus, so the system
     is the incidence matrix of a U(1) connection on this graph.  A BFS
-    spanning tree rooted at the last row gives the square block S of the
-    tree-minor density: the tree columns, and in the short case also the
-    free column whose fundamental cycle has the largest holonomy gap
-    |1 - h|.  ``free`` lists the remaining columns T, on which frames are
-    read, and ``det_s`` is |det B_S|: 1 in the four-term case, where B is
-    the rows without the last one, and |1 - h| in the short case.  The
-    arrays are read-only."""
+    spanning tree rooted at the last row (``links``) gives the square block S
+    of the tree-minor density: the tree columns, and in the short case also
+    ``pivot``, the free column whose fundamental cycle has the largest
+    holonomy gap |1 - h|.  ``free`` lists the remaining columns T, on which
+    frames are read, and ``det_s`` is |det B_S|: 1 in the four-term case,
+    where B is the rows without the last one, and |1 - h| in the short case.
+    The gaps come from gauge potentials on the tree (``_tree_kernel``); the
+    kernel basis that is the identity on T is swept only when it is read
+    (``ChartSystem.basis``).  The arrays are read-only."""
 
     cols: np.ndarray    # (rows, width): the columns of each row's entries, padded with 0
     coefs: np.ndarray   # (rows, width): the entries, padded with 0
     free: np.ndarray
     det_s: float
     num_columns: int
+    entries: tuple = field(repr=False)  # {column: coefficient} of each row
+    ends: tuple = field(repr=False)     # the two rows of each column
+    links: tuple = field(repr=False)    # (row, column, parent) of each non-root row, BFS order
+    pivot: int | None = None
 
     def __post_init__(self):
         for array in (self.cols, self.coefs, self.free):
             array.flags.writeable = False
+        object.__setattr__(self, "_norm", float(np.sqrt(np.sum(np.abs(self.coefs) ** 2))))
 
     @property
     def shape(self) -> tuple:
@@ -288,8 +349,8 @@ class ChartTree:
         return out
 
     def norm(self) -> float:
-        """Frobenius norm of the rows."""
-        return float(np.sqrt(np.sum(np.abs(self.coefs) ** 2)))
+        """Frobenius norm of the rows, taken once."""
+        return self._norm
 
     def dense(self) -> np.ndarray:
         """The rows as a dense array, each entry written once; zero entries,
@@ -309,22 +370,19 @@ class ChartTree:
 class ChartSystem:
     """Normalized linear system whose kernel is the local chart.
 
-    The rows are held only in ``tree``; ``rows``, ``kernel`` and the
-    fingerprint are derived from it and from the sweep's ``basis`` when they
-    are read, and the kernel and the fingerprint are kept once built.  A
-    system is shared by every caller of ``chart_for`` on the same surface,
-    so the arrays it hands out (``basis``, ``kernel`` and those of
-    ``tree``) are read-only; ``rows`` is a new array on every read."""
+    The rows are held only in ``tree``; ``rows``, ``basis``, ``kernel`` and
+    the fingerprint are derived from it when they are read, and the basis,
+    the kernel and the fingerprint are kept once built.  Neither the rank nor
+    ``kernel_dim`` nor a density needs the basis.  A system is shared by
+    every caller of ``chart_for`` on the same surface, so the arrays it hands
+    out (``basis``, ``kernel`` and those of ``tree``) are read-only; ``rows``
+    is a new array on every read."""
 
     row_kind: tuple
     column_map: tuple
-    basis: np.ndarray   # kernel basis from the tree sweep, the identity on tree.free
     rank: int
     cut: CutSurface
     tree: ChartTree
-
-    def __post_init__(self):
-        self.basis.flags.writeable = False
 
     @property
     def rows(self) -> np.ndarray:
@@ -332,7 +390,19 @@ class ChartSystem:
 
     @property
     def kernel_dim(self) -> int:
-        return self.basis.shape[1]
+        return len(self.tree.free)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Kernel basis that is the identity on ``tree.free``
+        (``_sweep_basis``), built and checked against the rows on first
+        read."""
+        basis = _sweep_basis(self.tree)
+        if np.linalg.norm(self.tree.apply(basis)) > (
+                KERNEL_RESIDUAL_TOL * self.tree.norm() * np.linalg.norm(basis)):
+            raise DimensionMismatch(self.rank, self.rank)
+        basis.flags.writeable = False
+        return basis
 
     @cached_property
     def kernel(self) -> np.ndarray:
@@ -347,8 +417,10 @@ class ChartSystem:
     def fingerprint(self) -> str:
         return self.tree.fingerprint
 
-    def to_json(self) -> str:
-        return json_text({"rows": self.rows,
+    def to_json(self, rows=None) -> str:
+        """The system as JSON; ``rows``, when given, are its dense rows,
+        already built by the caller."""
+        return json_text({"rows": self.rows if rows is None else rows,
                           "row_kind": [f"{k}:{i}" for k, i in self.row_kind],
                           "column_map": self.column_map, "kernel": self.kernel,
                           "rank": self.rank})
@@ -405,16 +477,21 @@ def fix_phases(columns: np.ndarray) -> np.ndarray:
 
 
 def _tree_kernel(entries, num_columns):
-    """Kernel basis from a BFS spanning tree of the row graph rooted at the
-    last row, given each row's entries as {column: coefficient}: the free
-    (non-tree) columns are set to the identity and the tree columns solved in
-    one leaf-to-root sweep for all of them at once.
+    """The row graph's BFS spanning tree rooted at the last row, and the rank
+    and S block read off U(1) gauge potentials on it, given each row's
+    entries as {column: coefficient}.
 
-    The root row's residual for a free column has modulus |1 - h|, h the
-    holonomy of that column's fundamental cycle.  When every residual is
-    within HOLONOMY_GAP_TOL the rank is one less than the row count;
-    otherwise the free column with the largest residual joins the tree
-    columns in S and is eliminated.  Returns (basis, free, det_s, rank)."""
+    One scalar pass from the root sets phi_root = 1 and, for each tree column
+    j from parent p to child q, phi_q = -phi_p B[p, j] / B[q, j], so the row
+    combination y = phi B vanishes on every tree column.  For a free column
+    j, y_j = phi_p B[p, j] + phi_q B[q, j] is the root row's residual of the
+    kernel vector that is 1 on j, 0 on the other free columns and solved on
+    the tree, and |y_j| = |1 - h|, h the holonomy of j's fundamental cycle.
+    When every gap is within HOLONOMY_GAP_TOL the rank is one less than the
+    row count; otherwise the free column with the largest gap joins the tree
+    columns in S.  Returns (tree, rank, residual), the residual being the
+    largest |y_j| over the tree columns, which must stay within
+    KERNEL_RESIDUAL_TOL of its unit-modulus terms."""
     num_rows = len(entries)
     ends = [[] for _ in range(num_columns)]
     for i, row in enumerate(entries):
@@ -426,39 +503,69 @@ def _tree_kernel(entries, num_columns):
     prev = bfs(adjacency(range(num_rows), ((j, a, b) for j, (a, b) in enumerate(ends))), root)
     if len(prev) != num_rows:
         raise AssertionError("the row graph is disconnected")
+    links = tuple((row, *prev[row]) for row in list(prev)[1:])
+
+    phi = [0j] * num_rows
+    phi[root] = 1.0
+    for row, col, parent in links:
+        phi[row] = -phi[parent] * entries[parent][col] / entries[row][col]
+    width = max(map(len, entries))
+    padded = np.array([list(row.items()) + [(0, 0)] * (width - len(row)) for row in entries],
+                      dtype=complex)
+    cols, coefs = padded[..., 0].real.astype(np.intp), padded[..., 1]
+    y = np.zeros(num_columns, dtype=complex)  # phi @ rows; the padding adds zeros
+    np.add.at(y, cols, np.array(phi)[:, None] * coefs)
+    gaps = np.abs(y)
     in_tree = np.zeros(num_columns, dtype=bool)
-    in_tree[[link[0] for link in prev.values() if link is not None]] = True
+    in_tree[[col for _, col, _ in links]] = True
+    residual = float(gaps[in_tree].max(initial=0.0))
     free = np.flatnonzero(~in_tree)
-    m = len(free)
-    basis = np.zeros((num_columns, m), dtype=complex)
-    acc = np.zeros((num_rows, m), dtype=complex)  # each row applied to the solved columns
-    for k, j in enumerate(free.tolist()):
+    pivot, det_s, rank = None, 1.0, num_rows - 1
+    if len(free) and not gaps[free].max() <= HOLONOMY_GAP_TOL:  # a NaN gap is not within
+        k = int(np.argmax(gaps[free]))
+        pivot, det_s, rank = int(free[k]), float(gaps[free[k]]), num_rows
+        free = np.delete(free, k)
+    tree = ChartTree(cols, coefs, free, det_s, num_columns, tuple(entries),
+                     tuple(map(tuple, ends)), links, pivot)
+    return tree, rank, residual
+
+
+def _sweep_basis(tree: ChartTree) -> np.ndarray:
+    """The kernel basis that is the identity on ``tree.free``: the columns
+    outside the tree are set to the identity and the tree columns solved in
+    one leaf-to-root sweep for all of them at once, over the tree's links.
+    In the short case the pivot's vector, whose root residual is largest, is
+    then eliminated from the others so the root row holds too."""
+    entries = tree.entries
+    outside = sorted(tree.free.tolist() + ([] if tree.pivot is None else [tree.pivot]))
+    m = len(outside)
+    basis = np.zeros((tree.num_columns, m), dtype=complex)
+    acc = np.zeros((len(entries), m), dtype=complex)  # each row applied to the solved columns
+    for k, j in enumerate(outside):
         basis[j, k] = 1.0
-        for i in ends[j]:
+        for i in tree.ends[j]:
             acc[i, k] = entries[i][j]
-    for row in reversed(list(prev)[1:]):
-        col, parent = prev[row]
+    for row, col, parent in reversed(tree.links):
         x = acc[row] / -entries[row][col]
         basis[col] = x
         acc[parent] += entries[parent][col] * x
-    residual = acc[root]
-    gaps = np.abs(residual)
-    if m == 0 or gaps.max() <= HOLONOMY_GAP_TOL:
-        return basis, free, 1.0, num_rows - 1
-    k = int(np.argmax(gaps))
+    if tree.pivot is None:
+        return basis
+    residual = acc[-1]
+    k = outside.index(tree.pivot)
     keep = np.arange(m) != k
-    basis = basis[:, keep] - np.outer(basis[:, k], residual[keep] / residual[k])
-    return basis, free[keep], float(gaps[k]), num_rows
+    return basis[:, keep] - np.outer(basis[:, k], residual[keep] / residual[k])
 
 
 def assemble_system(cut: CutSurface) -> ChartSystem:
-    """Build the normalized system and its kernel basis for a cut surface.
+    """Build the normalized system for a cut surface.
 
     Row order: triangle rows by triangle id, then boundary-pair rows by forest
-    edge id.  The rank found by the tree sweep must match the closed-form
-    prediction (one less than the row count exactly when every cone angle is
-    a full-turn multiple), and the sweep basis and the surface's own vector
-    must solve the rows.
+    edge id.  The rank read off the tree's potentials must match the
+    closed-form prediction (one less than the row count exactly when every
+    cone angle is a full-turn multiple), the potentials must solve every
+    tree column's equation, and the surface's own vector must solve the
+    rows.  The kernel basis is built, and checked, only when read.
     """
     surface = cut.surface
     entries = [{} for _ in range(cut.num_rows)]  # {column: coefficient} per row
@@ -482,22 +589,14 @@ def assemble_system(cut: CutSurface) -> ChartSystem:
 
     all_multiples = all(is_turn_multiple(surface.cone_angle(v)) for v in surface.vertex_ids)
     predicted = cut.num_rows - (1 if all_multiples else 0)
-    basis, free, det_s, rank = _tree_kernel(entries, cut.num_edges)
-    if rank != predicted:
-        raise DimensionMismatch(rank, predicted)
-    width = max(map(len, entries))
-    padded = np.array([list(row.items()) + [(0, 0)] * (width - len(row)) for row in entries],
-                      dtype=complex)
-    tree = ChartTree(padded[..., 0].real.astype(np.intp), padded[..., 1], free, det_s,
-                     cut.num_edges)
-
-    norm_rows = tree.norm()
-    if np.linalg.norm(tree.apply(basis)) > KERNEL_RESIDUAL_TOL * norm_rows * np.linalg.norm(basis):
+    tree, rank, residual = _tree_kernel(entries, cut.num_edges)
+    if rank != predicted or not residual <= KERNEL_RESIDUAL_TOL:
         raise DimensionMismatch(rank, predicted)
     z0 = solution_vector(cut)
-    if np.linalg.norm(tree.apply(z0)) > KERNEL_RESIDUAL_TOL * norm_rows * np.linalg.norm(z0):
+    if not np.linalg.norm(tree.apply(z0)) <= (
+            KERNEL_RESIDUAL_TOL * tree.norm() * np.linalg.norm(z0)):
         raise DimensionMismatch(rank, predicted)
-    return ChartSystem(tuple(row_kind), cut.columns, basis, rank, cut, tree)
+    return ChartSystem(tuple(row_kind), cut.columns, rank, cut, tree)
 
 
 def surface_from_solution(cut: CutSurface, z, system: ChartSystem) -> FlatSurface:
@@ -569,30 +668,52 @@ def perturb_surface(surface: FlatSurface, rng,
 # chart transitions
 
 
+@dataclass(frozen=True)
+class FlipTransition:
+    """The chart transition of one flip: the identity on every column but
+    ``column``, whose new value is the sum of coefficient times column over
+    ``terms``, (column, coefficient) pairs with a repeated column's
+    coefficients added up."""
+
+    column: int
+    terms: tuple
+    size: int
+
+    def apply(self, frame) -> np.ndarray:
+        """transition @ frame, as a copy with the one row rewritten."""
+        frame = np.asarray(frame, dtype=complex)
+        out = frame.copy()
+        out[self.column] = sum(coef * frame[col] for col, coef in self.terms)
+        return out
+
+    def dense(self) -> np.ndarray:
+        mat = np.eye(self.size, dtype=complex)
+        mat[self.column] = 0.0
+        for col, coef in self.terms:
+            mat[self.column, col] = coef
+        return mat
+
+
 def transition_for_flip(source: FlatSurface, edge) -> np.ndarray:
     """Linear map from the chart of ``source`` to the chart after flipping
     ``edge``: identity on every column except the flipped edge, whose new
     value is z_e + s_a z_{e(a)} - s_c z_{e(c)} read off the source quad."""
-    return _flip_transition(cut_along_forest(source), edge)
+    return _flip_transition(cut_along_forest(source), edge).dense()
 
 
-def _flip_transition(cut: CutSurface, edge) -> np.ndarray:
-    """``transition_for_flip`` on the source's cut."""
+def _flip_transition(cut: CutSurface, edge) -> FlipTransition:
+    """``transition_for_flip`` on the source's cut, as a sparse transition."""
     source = cut.surface
     h = source.edge_of(edge)
     a = source.next(h)
     c = source.next(source.twin(h))
-    n1 = cut.num_edges
-    mat = np.eye(n1, dtype=complex)
-    row = np.zeros(n1, dtype=complex)
     col_e, _ = cut.column_of(h)
     col_a, sign_a = cut.column_of(a)
     col_c, sign_c = cut.column_of(c)
-    row[col_e] += 1.0
-    row[col_a] += sign_a
-    row[col_c] -= sign_c
-    mat[col_e] = row
-    return mat
+    terms = {}
+    for col, coef in ((col_e, 1.0), (col_a, sign_a), (col_c, -sign_c)):
+        terms[col] = terms.get(col, 0.0) + coef
+    return FlipTransition(col_e, tuple(terms.items()), cut.num_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +764,24 @@ def reforest(surface: FlatSurface, tree_edges):
     abar multiplies it by exp(-i theta), the reverse crossing by exp(i theta).
     Returns the surface with the phased vectors and the new tree, the chart
     transition matrix (one unit-modulus entry per row), and the exchange
-    sequence; the surface itself when there is nothing to exchange."""
+    sequence; the surface itself and the identity, with nothing cut, when
+    there is nothing to exchange."""
     moves = exchange_sequence(surface, surface.forest, tree_edges)
-    cut_old = cut_along_forest(surface)
     if not moves:
-        return surface, np.eye(cut_old.num_edges, dtype=complex), moves
+        num_edges = len(surface.edges()) + len(surface.forest)
+        return surface, np.eye(num_edges, dtype=complex), moves
+    cut, mat = _reforest(cut_along_forest(surface), tree_edges)
+    return cut.surface, mat, moves
+
+
+def _reforest(cut_old: CutSurface, tree_edges):
+    """``reforest`` from the cut of its surface, for a tree that
+    ``exchange_sequence`` accepted: (the cut of the result, the transition);
+    the cut itself and the identity when the tree is the forest."""
+    surface = cut_old.surface
     new_forest = frozenset(surface.edge_of(e) for e in tree_edges)
+    if new_forest == surface.forest:
+        return cut_old, np.eye(cut_old.num_edges, dtype=complex)
     phase = {}
     for t, h, t2, first in dual_bfs(surface, new_forest):
         if t is None:
@@ -669,5 +802,4 @@ def reforest(surface: FlatSurface, tree_edges):
     for col_new, rep in enumerate(cut_new.columns):
         col_old, sign = cut_old.column_of(rep)
         mat[col_new, col_old] = phase[surface.triangle_of(rep)] * sign
-    return result, mat, moves
-
+    return cut_new, mat

@@ -232,8 +232,9 @@ def _cmd_chart(args, out):
     _emit(out, "rows", cut.num_rows)
     _emit(out, "rank", system.rank)
     _emit(out, "kernel_dim", system.kernel_dim)
-    _emit(out, "chart_fingerprint", system.fingerprint())
-    return True, system
+    rows = system.rows  # built once, for the fingerprint and the file
+    _emit(out, "chart_fingerprint", chart_fingerprint(rows))
+    return True, system.to_json(rows) if args.output else None
 
 
 def _cmd_density(args, out):

@@ -55,11 +55,13 @@ from .charts import (
     ChartSystem,
     ChartTree,
     _flip_transition,
+    _flipped_cut,
+    _reforest,
     assemble_system,
     chart_for,
     cut_along_forest,
+    exchange_sequence,
     perturb_surface,
-    reforest,
 )
 from .errors import (
     EdgeNotInterior,
@@ -135,16 +137,19 @@ def kernel_density(system, frame) -> DensityReport:
 def flip_density_pair(surface: FlatSurface, edge, frame=None):
     """Densities before and after one flip, on frames matched through the
     chart transition of the flip.  Returns (report_a, report_b).  The
-    surface's chart is kept on it (``chart_for``); the flipped surface's is
-    read once and not kept."""
+    surface's chart is kept on it (``chart_for``).  The flipped surface's
+    chart is read once and not kept: its cut is derived from the source's
+    (``charts._flipped_cut``), the transition rewrites one row of the frame
+    (``FlipTransition.apply``), and its density reads only the tree's free
+    columns, so it never builds a kernel basis."""
     cut, system = chart_for(surface)
     if frame is None:
         frame = system.kernel
     transition = _flip_transition(cut, edge)
     flipped, _ = flip(surface, edge)
-    system_b = assemble_system(cut_along_forest(flipped))
+    system_b = assemble_system(_flipped_cut(cut, flipped, edge))
     report_a = kernel_density(system, frame)
-    report_b = kernel_density(system_b, transition @ np.asarray(frame, dtype=complex))
+    report_b = kernel_density(system_b, transition.apply(frame))
     return report_a, report_b
 
 
@@ -179,10 +184,10 @@ def split_edge_system(cut, edge) -> SplitSystem:
     system = assemble_system(replace(
         cut, columns=cut.columns + (twin,), boundary=cut.boundary | {edge, twin},
         pairings=cut.pairings + (BoundaryPair(edge, twin, 0.0, edge),),
-        num_edges=cut.num_edges + 1, num_rows=cut.num_rows + 1))
+        num_edges=cut.num_edges + 1, num_rows=cut.num_rows + 1,
+        col_of={**cut.col_of, twin: (cut.num_edges, 1.0)}))
     return SplitSystem(system.row_kind[:-1] + (("split", edge),), system.column_map,
-                       system.basis, system.rank, system.cut, system.tree,
-                       edge, cut.column_of(edge)[0])
+                       system.rank, system.cut, system.tree, edge, cut.column_of(edge)[0])
 
 
 def split_constant(cut, edge, frame=None) -> float:
@@ -200,16 +205,21 @@ def split_constant(cut, edge, frame=None) -> float:
 
 def tree_change_densities(surface: FlatSurface, tree_a, tree_b, frame=None):
     """Densities of one metric in the charts of two forest trees, evaluated on
-    frames matched through the cutting-gluing transition.
+    frames matched through the cutting-gluing transition.  Each tree's
+    surface is cut once.
 
     Returns (report_a, report_b, ratio)."""
-    surface_a, _, _ = reforest(surface, tree_a)
-    system_a = assemble_system(cut_along_forest(surface_a))
+    moves = exchange_sequence(surface, surface.forest, tree_a)
+    cut_a = cut_along_forest(surface)
+    if moves:
+        cut_a, _ = _reforest(cut_a, tree_a)
+    system_a = assemble_system(cut_a)
     if frame is None:
         frame = system_a.kernel
     frame = np.asarray(frame, dtype=complex)
-    surface_b, transition, _ = reforest(surface_a, tree_b)
-    system_b = assemble_system(cut_along_forest(surface_b))
+    exchange_sequence(cut_a.surface, cut_a.surface.forest, tree_b)
+    cut_b, transition = _reforest(cut_a, tree_b)
+    system_b = assemble_system(cut_b)
     report_a = kernel_density(system_a, frame)
     report_b = kernel_density(system_b, transition @ frame)
     ratio = math.exp(report_b.log_value - report_a.log_value)

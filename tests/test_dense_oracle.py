@@ -125,6 +125,18 @@ def test_rank_disagreeing_with_the_prediction_is_refused(marked_torus):
         assemble_system(twisted)
 
 
+@pytest.mark.parametrize("name", ["marked_torus", "doubled_triangle"])
+def test_nan_rotation_is_refused(request, name):
+    # a NaN gap is not within HOLONOMY_GAP_TOL, and a NaN residual fails its
+    # check, in both rank cases
+    cut = cut_along_forest(request.getfixturevalue(name))
+    pair = cut.pairings[0]
+    broken = replace(cut, pairings=(BoundaryPair(pair.a, pair.abar, math.nan, pair.edge),)
+                     + cut.pairings[1:])
+    with pytest.raises(DimensionMismatch):
+        assemble_system(broken)
+
+
 GOLDEN_FINGERPRINTS = {
     "square_torus": "dc672083772a7f2b",
     "octagon": "9cf68d0bee6d8408",

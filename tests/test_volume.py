@@ -293,6 +293,27 @@ class TestTreeInvariance:
         _, _, ratio = tree_change_densities(s, s.forest, tree_b)
         assert abs(ratio - 1.0) < 1e-9
 
+    def test_each_surface_is_cut_once(self, doubled_pentagon, monkeypatch):
+        s = doubled_pentagon
+        path = sorted(s.forest)
+        star = sorted(spanning_forest(s))
+        cuts = []
+
+        def counted(surface):
+            cuts.append(surface)
+            return cut_along_forest(surface)
+
+        monkeypatch.setattr(charts, "cut_along_forest", counted)
+        monkeypatch.setattr(volume, "cut_along_forest", counted)
+        assert reforest(s, path)[0] is s and cuts == []
+        assert reforest(s, path)[1].shape == (cut_along_forest(s).num_edges,) * 2
+        for tree_a, expected in ((path, 2), (star, 3)):
+            cuts.clear()
+            report_a, report_b, _ = tree_change_densities(s, tree_a, star if tree_a is path
+                                                          else path)
+            assert len(cuts) == expected == len({id(x) for x in cuts})
+            assert report_a.tree is not report_b.tree
+
 
 class TestPeriodComparison:
     def test_torus_constant(self, square_torus, rng):
@@ -387,11 +408,27 @@ class TestChartCache:
         monkeypatch.setattr(volume, "assemble_system", assemble)
         monkeypatch.setattr(charts, "_deterministic_kernel",
                             counted("_deterministic_kernel", charts._deterministic_kernel))
+        monkeypatch.setattr(charts, "_sweep_basis", counted("_sweep_basis", charts._sweep_basis))
         edges = flippable_edges(s)
         moves = 5
         for k in range(moves):
             flip_density_pair(s, edges[k % len(edges)])
-        assert counts == {"assemble_system": moves + 1, "_deterministic_kernel": 1}
+        # the one basis is the source's, for its kernel: no flipped chart builds one
+        assert counts == {"assemble_system": moves + 1, "_deterministic_kernel": 1,
+                          "_sweep_basis": 1}
+
+    def test_basis_reads_the_assembled_tree(self, doubled_pentagon, monkeypatch):
+        system = assemble_system(cut_along_forest(doubled_pentagon))
+        assert system.kernel_dim == len(system.tree.free)
+        assert "basis" not in vars(system)
+
+        def refused(*args):
+            raise AssertionError("the basis searched the row graph again")
+
+        monkeypatch.setattr(charts, "adjacency", refused)
+        monkeypatch.setattr(charts, "bfs", refused)
+        assert system.kernel.shape == (system.tree.num_columns, system.kernel_dim)
+        assert system.basis is system.basis
 
     def test_shared_arrays_are_read_only(self, doubled_pentagon):
         _, system = chart_for(doubled_pentagon)
