@@ -31,6 +31,15 @@ Q1_TOL = 1e-9                 # absolute: a point Z on the quadric has |f(Z) + 1
 GERM_TOL = 1e-9               # absolute, radians: a direction this close to a corner's leading ray
                               # lies on it, and this close to its trailing ray in the next corner
 TANGENT_TOL = 1e-8            # relative: a tangent x has |<Z, x>| <= TANGENT_TOL * (1 + |x|)
+HERMITIAN_TOL = 1e-12         # relative: H is Hermitian when |H - H*| <= HERMITIAN_TOL * (1 + |H|)
+SIGNATURE_TOL = 1e-10         # relative: an eigenvalue e counts when |e| > SIGNATURE_TOL * max |e|
+NORMALIZER_TOL = 1e-9         # absolute per dimension: P* (-H) P = diag(1, .., -1) within tol * d
+COMPLETION_TOL = 1e-12        # absolute: a completion pair's constraint determinant reaches this
+THIN_AREA_TOL = 1e-10         # relative: every triangle's area >= THIN_AREA_TOL * mean area
+PARALLEL_TOL = 1e-15          # relative: a side s is parallel to a segment w when
+                              # |cross(w, s)| <= PARALLEL_TOL * L**2, L = max(|w|, longest side)
+CROSSING_STEP_TOL = 1e-15     # absolute, segment parameter: a crossing needs t > t_last + tol
+AREA_MATCH_TOL = 1e-9         # relative: areas A, B agree when |A - B| <= AREA_MATCH_TOL * A
 
 
 def angle_tol(x: float) -> float:
@@ -56,9 +65,14 @@ def is_turn_multiple(alpha: float) -> bool:
     return abs(reduce_angle(alpha)) <= angle_tol(alpha)
 
 
+def signed_angle(u: complex, v: complex) -> float:
+    """Angle in [-pi, pi] rotating u counterclockwise onto v."""
+    return math.atan2(cross(u, v), (u.conjugate() * v).real)
+
+
 def ccw_angle(u: complex, v: complex) -> float:
     """Angle in [0, 2*pi) rotating u counterclockwise onto v."""
-    a = math.atan2(cross(u, v), (u.conjugate() * v).real)
+    a = signed_angle(u, v)
     if a < 0.0:
         a += TWO_PI
     return a

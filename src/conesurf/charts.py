@@ -308,36 +308,36 @@ def solution_vector(cut: CutSurface) -> np.ndarray:
 class ChartTree:
     """The rows as the nodes of a graph whose edges are the columns.
 
-    Every column has exactly two entries, both of unit modulus, so the system
-    is the incidence matrix of a U(1) connection on this graph.  A BFS
-    spanning tree rooted at the last row (``links``) gives the square block S
-    of the tree-minor density: the tree columns, and in the short case also
-    ``pivot``, the free column whose fundamental cycle has the largest
-    holonomy gap |1 - h|.  ``free`` lists the remaining columns T, on which
-    frames are read, and ``det_s`` is |det B_S|: 1 in the four-term case,
-    where B is the rows without the last one, and |1 - h| in the short case.
-    The gaps come from gauge potentials on the tree (``_tree_kernel``); the
-    kernel basis that is the identity on T is swept only when it is read
-    (``ChartSystem.basis``).  The arrays are read-only."""
+    The rows are held once, as ``cols`` and ``coefs``.  Every column has
+    exactly two entries, both of unit modulus, so the system is the
+    incidence matrix of a U(1) connection on this graph; ``ends`` locates
+    them, the lower row first.  A BFS spanning tree rooted at the last row
+    (``links``) gives the square block S of the tree-minor density: the tree
+    columns, and in the short case also ``pivot``, the free column whose
+    fundamental cycle has the largest holonomy gap |1 - h|.  ``free`` lists
+    the remaining columns T, on which frames are read, and ``det_s`` is
+    |det B_S|: 1 in the four-term case, where B is the rows without the last
+    one, and |1 - h| in the short case.  The gaps come from gauge potentials
+    on the tree (``_tree_kernel``); the kernel basis that is the identity on
+    T is swept only when it is read (``ChartSystem.basis``), the dense rows
+    and the fingerprint on first read.  The arrays are read-only."""
 
-    cols: np.ndarray    # (rows, width): the columns of each row's entries, padded with 0
-    coefs: np.ndarray   # (rows, width): the entries, padded with 0
+    cols: np.ndarray    # (rows, 3): each row's columns; a pair row's third is padding, 0
+    coefs: np.ndarray   # (rows, 3): each row's entries; a pair row's third is 0
     free: np.ndarray
     det_s: float
-    num_columns: int
-    entries: tuple = field(repr=False)  # {column: coefficient} of each row
-    ends: tuple = field(repr=False)     # the two rows of each column
-    links: tuple = field(repr=False)    # (row, column, parent) of each non-root row, BFS order
+    ends: np.ndarray = field(repr=False)  # (columns, 2): flat positions of each column's entries
+    links: tuple = field(repr=False)  # (row, column, parent, B[row, column], B[parent, column])
     pivot: int | None = None
 
     def __post_init__(self):
-        for array in (self.cols, self.coefs, self.free):
+        for array in (self.cols, self.coefs, self.free, self.ends):
             array.flags.writeable = False
         object.__setattr__(self, "_norm", float(np.sqrt(np.sum(np.abs(self.coefs) ** 2))))
 
     @property
     def shape(self) -> tuple:
-        return self.cols.shape[0], self.num_columns
+        return self.cols.shape[0], self.ends.shape[0]
 
     def apply(self, x) -> np.ndarray:
         """rows @ x, from the entries of each row."""
@@ -348,35 +348,40 @@ class ChartTree:
             out += self.coefs[:, k].reshape(shape) * x[self.cols[:, k]]
         return out
 
+    def apply_left(self, y) -> np.ndarray:
+        """y @ rows, from the two entries of each column."""
+        terms = np.asarray(y)[..., self.ends // 3] * self.coefs.ravel()[self.ends]
+        return terms[..., 0] + terms[..., 1]
+
     def norm(self) -> float:
         """Frobenius norm of the rows, taken once."""
         return self._norm
 
+    @cached_property
     def dense(self) -> np.ndarray:
-        """The rows as a dense array, each entry written once; zero entries,
-        the padding among them, leave their places at zero."""
+        """The rows as a read-only dense array, built on first read from the
+        two entries of each column."""
         rows = np.zeros(self.shape, dtype=complex)
-        at = np.nonzero(self.coefs)
-        rows[at[0], self.cols[at]] = self.coefs[at]
+        rows[self.ends // 3, np.arange(len(self.ends))[:, None]] = self.coefs.ravel()[self.ends]
+        rows.flags.writeable = False
         return rows
 
     @cached_property
     def fingerprint(self) -> str:
         """``chart_fingerprint`` of the dense rows, computed on first read."""
-        return chart_fingerprint(self.dense())
+        return chart_fingerprint(self.dense)
 
 
 @dataclass(frozen=True)
 class ChartSystem:
     """Normalized linear system whose kernel is the local chart.
 
-    The rows are held only in ``tree``; ``rows``, ``basis``, ``kernel`` and
-    the fingerprint are derived from it when they are read, and the basis,
-    the kernel and the fingerprint are kept once built.  Neither the rank nor
-    ``kernel_dim`` nor a density needs the basis.  A system is shared by
-    every caller of ``chart_for`` on the same surface, so the arrays it hands
-    out (``basis``, ``kernel`` and those of ``tree``) are read-only; ``rows``
-    is a new array on every read."""
+    The rows are held only in ``tree``; ``rows`` (the tree's dense view),
+    ``basis``, ``kernel`` and the fingerprint are derived from it when they
+    are first read and kept.  Neither the rank nor ``kernel_dim`` nor a
+    density needs the basis.  A system is shared by every caller of
+    ``chart_for`` on the same surface, so every array it hands out is
+    read-only."""
 
     row_kind: tuple
     column_map: tuple
@@ -386,7 +391,7 @@ class ChartSystem:
 
     @property
     def rows(self) -> np.ndarray:
-        return self.tree.dense()
+        return self.tree.dense
 
     @property
     def kernel_dim(self) -> int:
@@ -398,7 +403,7 @@ class ChartSystem:
         (``_sweep_basis``), built and checked against the rows on first
         read."""
         basis = _sweep_basis(self.tree)
-        if np.linalg.norm(self.tree.apply(basis)) > (
+        if not np.linalg.norm(self.tree.apply(basis)) <= (
                 KERNEL_RESIDUAL_TOL * self.tree.norm() * np.linalg.norm(basis)):
             raise DimensionMismatch(self.rank, self.rank)
         basis.flags.writeable = False
@@ -409,7 +414,7 @@ class ChartSystem:
         """Orthonormal basis of the kernel with fixed phases
         (``_deterministic_kernel``), built on first read."""
         kernel = _deterministic_kernel(self.basis)
-        if np.linalg.norm(self.tree.apply(kernel)) > KERNEL_RESIDUAL_TOL * self.tree.norm():
+        if not np.linalg.norm(self.tree.apply(kernel)) <= KERNEL_RESIDUAL_TOL * self.tree.norm():
             raise DimensionMismatch(self.rank, self.rank)
         kernel.flags.writeable = False
         return kernel
@@ -417,10 +422,8 @@ class ChartSystem:
     def fingerprint(self) -> str:
         return self.tree.fingerprint
 
-    def to_json(self, rows=None) -> str:
-        """The system as JSON; ``rows``, when given, are its dense rows,
-        already built by the caller."""
-        return json_text({"rows": self.rows if rows is None else rows,
+    def to_json(self) -> str:
+        return json_text({"rows": self.rows,
                           "row_kind": [f"{k}:{i}" for k, i in self.row_kind],
                           "column_map": self.column_map, "kernel": self.kernel,
                           "rank": self.rank})
@@ -476,58 +479,59 @@ def fix_phases(columns: np.ndarray) -> np.ndarray:
     return columns * (np.abs(lead) / lead)
 
 
-def _tree_kernel(entries, num_columns):
+def _tree_kernel(cols, coefs, num_columns):
     """The row graph's BFS spanning tree rooted at the last row, and the rank
-    and S block read off U(1) gauge potentials on it, given each row's
-    entries as {column: coefficient}.
+    and S block read off U(1) gauge potentials on it, given the flat lists
+    of ``ChartTree.cols`` and ``.coefs``.
 
-    One scalar pass from the root sets phi_root = 1 and, for each tree column
-    j from parent p to child q, phi_q = -phi_p B[p, j] / B[q, j], so the row
-    combination y = phi B vanishes on every tree column.  For a free column
-    j, y_j = phi_p B[p, j] + phi_q B[q, j] is the root row's residual of the
+    One stable sort of the nonzero entries by column finds each column's two
+    entries (``ChartTree.ends``).  One scalar pass from the root sets
+    phi_root = 1 and, for each tree column j from parent p to child q,
+    phi_q = -phi_p B[p, j] / B[q, j], so the row combination y = phi B
+    vanishes on every tree column.  For a free column j,
+    y_j = phi_p B[p, j] + phi_q B[q, j] is the root row's residual of the
     kernel vector that is 1 on j, 0 on the other free columns and solved on
     the tree, and |y_j| = |1 - h|, h the holonomy of j's fundamental cycle.
     When every gap is within HOLONOMY_GAP_TOL the rank is one less than the
     row count; otherwise the free column with the largest gap joins the tree
-    columns in S.  Returns (tree, rank, residual), the residual being the
-    largest |y_j| over the tree columns, which must stay within
-    KERNEL_RESIDUAL_TOL of its unit-modulus terms."""
-    num_rows = len(entries)
-    ends = [[] for _ in range(num_columns)]
-    for i, row in enumerate(entries):
-        for j in row:
-            ends[j].append(i)
-    if any(len(e) != 2 for e in ends):
+    columns in S as the tree's pivot.  Returns (tree, rank, residual), the
+    residual being the largest |y_j| over the tree columns, which must stay
+    within KERNEL_RESIDUAL_TOL of its unit-modulus terms."""
+    cols = np.array(cols, dtype=np.intp).reshape(-1, 3)
+    coefs = np.array(coefs, dtype=complex).reshape(-1, 3)
+    num_rows = len(cols)
+    at = np.flatnonzero(coefs)
+    ends = at[np.argsort(cols.ravel()[at], kind="stable")]
+    if not (len(ends) == 2 * num_columns and (cols.flat[ends] == np.arange(len(ends)) // 2).all()
+            and (ends[0::2] // 3 != ends[1::2] // 3).all()):
         raise AssertionError("a column does not join two rows")
+    ends = ends.reshape(num_columns, 2)
+    end_rows = (ends // 3).tolist()
     root = num_rows - 1
-    prev = bfs(adjacency(range(num_rows), ((j, a, b) for j, (a, b) in enumerate(ends))), root)
+    prev = bfs(adjacency(range(num_rows), ((j, a, b) for j, (a, b) in enumerate(end_rows))), root)
     if len(prev) != num_rows:
         raise AssertionError("the row graph is disconnected")
-    links = tuple((row, *prev[row]) for row in list(prev)[1:])
+    end_coefs = coefs.ravel()[ends].tolist()
+    links = []
+    for row, (col, parent) in list(prev.items())[1:]:
+        b = end_coefs[col]
+        links.append((row, col, parent, *(b if end_rows[col][0] == row else b[::-1])))
 
     phi = [0j] * num_rows
     phi[root] = 1.0
-    for row, col, parent in links:
-        phi[row] = -phi[parent] * entries[parent][col] / entries[row][col]
-    width = max(map(len, entries))
-    padded = np.array([list(row.items()) + [(0, 0)] * (width - len(row)) for row in entries],
-                      dtype=complex)
-    cols, coefs = padded[..., 0].real.astype(np.intp), padded[..., 1]
-    y = np.zeros(num_columns, dtype=complex)  # phi @ rows; the padding adds zeros
-    np.add.at(y, cols, np.array(phi)[:, None] * coefs)
-    gaps = np.abs(y)
+    for row, _, parent, b_row, b_parent in links:
+        phi[row] = -phi[parent] * b_parent / b_row
     in_tree = np.zeros(num_columns, dtype=bool)
-    in_tree[[col for _, col, _ in links]] = True
+    in_tree[[link[1] for link in links]] = True
+    tree = ChartTree(cols, coefs, np.flatnonzero(~in_tree), 1.0, ends, tuple(links))
+    gaps = np.abs(tree.apply_left(np.array(phi)))
     residual = float(gaps[in_tree].max(initial=0.0))
-    free = np.flatnonzero(~in_tree)
-    pivot, det_s, rank = None, 1.0, num_rows - 1
+    free = tree.free
     if len(free) and not gaps[free].max() <= HOLONOMY_GAP_TOL:  # a NaN gap is not within
         k = int(np.argmax(gaps[free]))
-        pivot, det_s, rank = int(free[k]), float(gaps[free[k]]), num_rows
-        free = np.delete(free, k)
-    tree = ChartTree(cols, coefs, free, det_s, num_columns, tuple(entries),
-                     tuple(map(tuple, ends)), links, pivot)
-    return tree, rank, residual
+        tree = replace(tree, free=free[free != free[k]], det_s=float(gaps[free[k]]),
+                       pivot=int(free[k]))
+    return tree, num_rows - (tree.pivot is None), residual
 
 
 def _sweep_basis(tree: ChartTree) -> np.ndarray:
@@ -536,19 +540,17 @@ def _sweep_basis(tree: ChartTree) -> np.ndarray:
     one leaf-to-root sweep for all of them at once, over the tree's links.
     In the short case the pivot's vector, whose root residual is largest, is
     then eliminated from the others so the root row holds too."""
-    entries = tree.entries
     outside = sorted(tree.free.tolist() + ([] if tree.pivot is None else [tree.pivot]))
     m = len(outside)
-    basis = np.zeros((tree.num_columns, m), dtype=complex)
-    acc = np.zeros((len(entries), m), dtype=complex)  # each row applied to the solved columns
-    for k, j in enumerate(outside):
-        basis[j, k] = 1.0
-        for i in tree.ends[j]:
-            acc[i, k] = entries[i][j]
-    for row, col, parent in reversed(tree.links):
-        x = acc[row] / -entries[row][col]
+    basis = np.zeros((tree.shape[1], m), dtype=complex)
+    basis[outside, np.arange(m)] = 1.0
+    acc = np.zeros((tree.shape[0], m), dtype=complex)  # each row applied to the solved columns
+    at = tree.ends[outside]
+    acc[at // 3, np.arange(m)[:, None]] = tree.coefs.ravel()[at]
+    for row, col, parent, b_row, b_parent in reversed(tree.links):
+        x = acc[row] / -b_row
         basis[col] = x
-        acc[parent] += entries[parent][col] * x
+        acc[parent] += b_parent * x
     if tree.pivot is None:
         return basis
     residual = acc[-1]
@@ -561,35 +563,25 @@ def assemble_system(cut: CutSurface) -> ChartSystem:
     """Build the normalized system for a cut surface.
 
     Row order: triangle rows by triangle id, then boundary-pair rows by forest
-    edge id.  The rank read off the tree's potentials must match the
+    edge id.  Each row's entries go straight into ``ChartTree.cols`` and
+    ``.coefs``.  The rank read off the tree's potentials must match the
     closed-form prediction (one less than the row count exactly when every
     cone angle is a full-turn multiple), the potentials must solve every
     tree column's equation, and the surface's own vector must solve the
     rows.  The kernel basis is built, and checked, only when read.
     """
     surface = cut.surface
-    entries = [{} for _ in range(cut.num_rows)]  # {column: coefficient} per row
-
-    def put(r, col, coef):
-        entries[r][col] = entries[r].get(col, 0.0) + coef
-
-    row_kind = []
-    r = 0
-    for tid in sorted(surface.triangles):
-        for h in surface.triangle(tid):
-            col, sign = cut.column_of(h)
-            put(r, col, sign)
-        row_kind.append(("triangle", tid))
-        r += 1
+    tids = sorted(surface.triangles)
+    entries = [cut.col_of[h] for tid in tids for h in surface.triangle(tid)]
     for pair in cut.pairings:
-        put(r, cut.column_of(pair.a)[0], cmath.exp(1j * pair.rotation))
-        put(r, cut.column_of(pair.abar)[0], 1.0)
-        row_kind.append(("pair", pair.edge))
-        r += 1
+        entries += ((cut.col_of[pair.a][0], cmath.exp(1j * pair.rotation)),
+                    (cut.col_of[pair.abar][0], 1.0), (0, 0.0))
+    row_kind = ([("triangle", tid) for tid in tids]
+                + [("pair", pair.edge) for pair in cut.pairings])
 
     all_multiples = all(is_turn_multiple(surface.cone_angle(v)) for v in surface.vertex_ids)
     predicted = cut.num_rows - (1 if all_multiples else 0)
-    tree, rank, residual = _tree_kernel(entries, cut.num_edges)
+    tree, rank, residual = _tree_kernel(*zip(*entries), cut.num_edges)
     if rank != predicted or not residual <= KERNEL_RESIDUAL_TOL:
         raise DimensionMismatch(rank, predicted)
     z0 = solution_vector(cut)
@@ -603,7 +595,7 @@ def surface_from_solution(cut: CutSurface, z, system: ChartSystem) -> FlatSurfac
     """Rebuild a surface with the cut's combinatorics from a vector in the
     kernel of the cut's system."""
     z = np.asarray(z, dtype=complex)
-    if np.linalg.norm(system.tree.apply(z)) > SOLUTION_RESIDUAL_TOL * max(
+    if not np.linalg.norm(system.tree.apply(z)) <= SOLUTION_RESIDUAL_TOL * max(
             np.linalg.norm(z), 1e-300):
         raise NotInKernel("vector is not in the kernel of the chart system")
 

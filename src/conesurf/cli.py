@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from ._geom import TWO_PI, VEC_TOL
-from .charts import assemble_system, chart_fingerprint, cut_along_forest
+from .charts import assemble_system, cut_along_forest
 from .errors import ConesurfError
 from .flips import (
     delaunay,
@@ -232,9 +232,8 @@ def _cmd_chart(args, out):
     _emit(out, "rows", cut.num_rows)
     _emit(out, "rank", system.rank)
     _emit(out, "kernel_dim", system.kernel_dim)
-    rows = system.rows  # built once, for the fingerprint and the file
-    _emit(out, "chart_fingerprint", chart_fingerprint(rows))
-    return True, system.to_json(rows) if args.output else None
+    _emit(out, "chart_fingerprint", system.fingerprint())
+    return True, system
 
 
 def _cmd_density(args, out):
@@ -244,9 +243,8 @@ def _cmd_density(args, out):
     _emit(out, "value", report.value)
     _emit(out, "log_value", report.log_value)
     _emit(out, "convention", report.convention)
-    rows = system.rows
-    _emit(out, "chart_fingerprint", chart_fingerprint(rows))
-    _emit(out, "kernel_residual", float(np.linalg.norm(rows @ system.kernel)))
+    _emit(out, "chart_fingerprint", system.fingerprint())
+    _emit(out, "kernel_residual", float(np.linalg.norm(system.rows @ system.kernel)))
     frame_hash = hashlib.sha256(np.ascontiguousarray(report.frame).tobytes()).hexdigest()[:16]
     _emit(out, "frame_hash", frame_hash)
     return True, None

@@ -19,12 +19,16 @@ import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._geom import (
+    AREA_MATCH_TOL,
+    CROSSING_STEP_TOL,
     DELAUNAY_BAND,
     GERM_TOL,
+    PARALLEL_TOL,
     POSITION_TOL,
     SOLUTION_RESIDUAL_TOL,
     TWO_PI,
@@ -34,6 +38,7 @@ from ._geom import (
     cross,
     json_text,
     reduce_angle,
+    signed_angle,
 )
 from ._graph import edge_vertices
 from .charts import HolonomyCheck, cut_along_forest, solution_vector
@@ -383,11 +388,11 @@ def develop_segment(surface: FlatSurface, corner, w: complex) -> Trace:
             p = pos[x]
             q = pos[surface.next(x)] if surface.next(x) in pos else p + surface.vec(x)
             denom = cross(w, q - p)
-            if abs(denom) <= 1e-15 * local * local:
+            if abs(denom) <= PARALLEL_TOL * local * local:
                 continue
             t = cross(p, q - p) / denom
             s = cross(p, w) / denom
-            if t <= t_prev + 1e-15 or t > 1.0 + POSITION_TOL:
+            if t <= t_prev + CROSSING_STEP_TOL or t > 1.0 + POSITION_TOL:
                 continue
             side_len = abs(q - p)
             if s < -POSITION_TOL * local / side_len or s > 1.0 + POSITION_TOL * local / side_len:
@@ -509,8 +514,7 @@ def _insert_located(surface, vertex, anchor, theta, direction, length):
     geodesic germs at a vertex never changes, so the tracked germ survives
     every flip."""
     corner, wv = _locate_germ(surface, vertex, anchor, theta, direction, length)
-    u = surface.vec(corner)
-    h_ref, delta = corner, max(math.atan2(cross(u, wv), (u.conjugate() * wv).real), 0.0)
+    h_ref, delta = corner, max(signed_angle(surface.vec(corner), wv), 0.0)
 
     moves = []
     n_edges = len(surface.halfedges) // 2 + len(surface.forest)
@@ -557,8 +561,7 @@ def insert_segment(surface: FlatSurface, corner, w: complex):
         raise HolonomyNotHalfTurn(
             "holonomy has rotations outside half turns and the genus is positive")
     develop_segment(surface, corner, w)  # validate the trace up front
-    u = surface.vec(corner)
-    delta = max(math.atan2(cross(u, w), (u.conjugate() * w).real), 0.0)
+    delta = max(signed_angle(surface.vec(corner), w), 0.0)
     result = surface._copy()
     path, _ = _insert_located(result, surface.origin(corner), corner, delta, w / abs(w), abs(w))
     return result, path
@@ -680,14 +683,6 @@ def _locate_germ(surf: FlatSurface, vertex, anchor, theta, direction, length):
 # chart transitions and flip paths between triangulations
 
 
-def _unanchored_cone_vertices(surface: FlatSurface):
-    """Vertices with no forest edge whose cone angle is not a single turn:
-    there a plane direction has several germs and nothing picks one."""
-    anchored = edge_vertices(surface, surface.forest)
-    return [v for v in surface.vertex_ids if v not in anchored
-            and abs(surface.cone_angle(v) - TWO_PI) > angle_tol(TWO_PI)]
-
-
 def chart_transition(source: FlatSurface, target: FlatSurface) -> np.ndarray:
     """Linear map sending source-chart coordinates to target-chart coordinates.
 
@@ -698,20 +693,33 @@ def chart_transition(source: FlatSurface, target: FlatSurface) -> np.ndarray:
     ``flip_path``, each germ of its smallest target corner is tried in turn,
     and the first whose matrix reproduces the target coordinates is kept."""
     _check_same_metric(source, target)
-    cut_s = cut_along_forest(source)
-    cut_t = cut_along_forest(target)
-    matching = _match_forest_halfedges(source, target)
-    fat = _unanchored_cone_vertices(source)
-    if len(fat) != 1:
-        return _transition_matrix(source, target, cut_s, cut_t, matching)
+    attempt = partial(_transition_matrix, source, target,
+                      cut_along_forest(source), cut_along_forest(target))
+    return _first_germ(source, target, attempt,
+                       (NotSameMetric, TransitionUndefined, NonTermination), several=True)
 
+
+def _first_germ(source, target, attempt, caught, several):
+    """``attempt(matching, first)`` with the forest half-edges matched.  At
+    the one cone vertex without a forest edge (whose angle is not one turn),
+    ``first`` runs through its germs until an attempt raises none of
+    ``caught``; with no such vertex, or several and ``several`` true, it is
+    None, and several otherwise raise ``Unsupported``."""
+    matching = _match_forest_halfedges(source, target)
+    anchored = edge_vertices(source, source.forest)
+    fat = [v for v in source.vertex_ids if v not in anchored
+           and abs(source.cone_angle(v) - TWO_PI) > angle_tol(TWO_PI)]
+    if len(fat) > 1 and not several:
+        raise Unsupported("more than one cone vertex without a forest anchor; direction "
+                          "germs cannot be matched canonically")
+    if len(fat) != 1:
+        return attempt(matching)
     ref_t = min(target.corners_at(fat[0]))
     failure = None
     for h, delta in _germs(source, fat[0], target.vec(ref_t) / abs(target.vec(ref_t))):
         try:
-            return _transition_matrix(source, target, cut_s, cut_t, matching,
-                                      (ref_t, h, delta))
-        except (NotSameMetric, TransitionUndefined, NonTermination) as exc:
+            return attempt(matching, (ref_t, h, delta))
+        except caught as exc:
             failure = exc
     raise NotSameMetric("no direction germ reproduces the target") from failure
 
@@ -754,7 +762,7 @@ def _transition_matrix(source, target, cut_s, cut_t, matching, first=None):
             mat[col_t, col_s] += sign * rep_sign
     z_s = solution_vector(cut_s)
     z_t = solution_vector(cut_t)
-    if np.linalg.norm(mat @ z_s - z_t) > SOLUTION_RESIDUAL_TOL * np.linalg.norm(z_t):
+    if not np.linalg.norm(mat @ z_s - z_t) <= SOLUTION_RESIDUAL_TOL * np.linalg.norm(z_t):
         raise NotSameMetric("transition does not reproduce the target coordinates")
     return mat
 
@@ -810,25 +818,10 @@ def flip_path(source: FlatSurface, target: FlatSurface) -> FlipPath:
     direction; more than one such vertex is not supported.
     """
     _check_same_metric(source, target)
-    if abs(source.total_area() - target.total_area()) > 1e-9 * source.total_area():
+    if abs(source.total_area() - target.total_area()) > AREA_MATCH_TOL * source.total_area():
         raise NotSameMetric("areas differ")
     if not has_half_turn_holonomy(source) and source.genus() != 0:
         raise Unsupported("flip paths need half-turn holonomy or genus zero")
 
-    matching = _match_forest_halfedges(source, target)
-    fat = _unanchored_cone_vertices(source)
-    if not fat:
-        return _flip_path_anchored(source, target, matching)
-    if len(fat) > 1:
-        raise Unsupported(
-            "more than one cone vertex without a forest anchor; direction "
-            "germs cannot be matched canonically")
-
-    ref_t = min(target.corners_at(fat[0]))
-    failure = None
-    for h, delta in _germs(source, fat[0], target.vec(ref_t) / abs(target.vec(ref_t))):
-        try:
-            return _flip_path_anchored(source, target, matching, (ref_t, h, delta))
-        except (NotSameMetric, NonTermination, Unsupported) as exc:
-            failure = exc
-    raise NotSameMetric("no direction germ reproduces the target") from failure
+    return _first_germ(source, target, partial(_flip_path_anchored, source, target),
+                       (NotSameMetric, NonTermination, Unsupported), several=False)

@@ -19,7 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._geom import KERNEL_RESIDUAL_TOL, Q1_TOL, TANGENT_TOL
+from ._geom import (
+    COMPLETION_TOL,
+    HERMITIAN_TOL,
+    KERNEL_RESIDUAL_TOL,
+    NORMALIZER_TOL,
+    Q1_TOL,
+    SIGNATURE_TOL,
+    TANGENT_TOL,
+    THIN_AREA_TOL,
+)
 from ._graph import adjacency, vertex_edges
 from .charts import ChartSystem, chart_for, fix_phases, solution_vector
 from .errors import (
@@ -86,7 +95,7 @@ def genus_zero_chart(surface: FlatSurface, excluded_vertex=None) -> GenusZeroCha
 
     selection = system.kernel[list(columns), :]
     expansion = system.kernel @ np.linalg.inv(selection)
-    if np.linalg.norm(system.tree.apply(expansion)) > KERNEL_RESIDUAL_TOL * (
+    if not np.linalg.norm(system.tree.apply(expansion)) <= KERNEL_RESIDUAL_TOL * (
             1 + system.tree.norm()):
         raise SignatureUnexpected("expansion does not satisfy the chart system")
     return GenusZeroChart(surface, system, excluded_vertex, edges, columns, expansion)
@@ -142,11 +151,11 @@ def area_form(chart: GenusZeroChart) -> AreaForm:
     a, b = _triangle_sides(chart.system.cut, chart.expansion)
     m = a.conj().T @ b
     h = (m - m.conj().T) / 4j
-    if np.linalg.norm(h - h.conj().T) > 1e-12 * (1 + np.linalg.norm(h)):
+    if np.linalg.norm(h - h.conj().T) > HERMITIAN_TOL * (1 + np.linalg.norm(h)):
         raise SignatureUnexpected("area form is not Hermitian")
     h = 0.5 * (h + h.conj().T)
     eig = np.linalg.eigvalsh(h)
-    tol = 1e-10 * max(abs(eig))
+    tol = SIGNATURE_TOL * max(abs(eig))
     pos = int(np.sum(eig > tol))
     neg = int(np.sum(eig < -tol))
     if (pos, neg) != (1, d - 1):
@@ -171,7 +180,7 @@ def normalize_form(form: AreaForm) -> AreaForm:
     normalizer = fix_phases(vecs) / np.sqrt(np.abs(eig))
     check = normalizer.conj().T @ neg_h @ normalizer
     target = np.diag(np.concatenate([np.ones(d - 1), [-1.0]]))
-    if np.linalg.norm(check - target) > 1e-9 * d:
+    if np.linalg.norm(check - target) > NORMALIZER_TOL * d:
         raise SignatureUnexpected("normalization failed numerically")
     return AreaForm(form.matrix, form.signature, normalizer)
 
@@ -255,7 +264,7 @@ def unit_area_density(z, frame, chart_constant: float, completion=None) -> float
         return -2.0 * minkowski_product(z, x).imag
 
     det2 = df(a) * df_j(b) - df(b) * df_j(a)
-    if abs(det2) < 1e-12:
+    if abs(det2) < COMPLETION_TOL:
         raise FrameNotTangent("completion pair is degenerate for the constraint forms")
     volume = abs(np.linalg.det(_realify(list(frame.T) + [a, b])))
     return chart_constant * volume / abs(det2)
@@ -316,7 +325,7 @@ def ratio_scan(chart: GenusZeroChart, samples: int, rng, rel: float = 0.01,
         z_full = chart.expansion @ v
         areas_min = min_triangle_area_of_solution(cut, z_full)
         area = area_of_solution(cut, z_full)
-        if area <= 0 or areas_min < 1e-10 * area / len(chart.surface.triangles):
+        if area <= 0 or areas_min < THIN_AREA_TOL * area / len(chart.surface.triangles):
             continue
         zeta = (p_inv @ v) / math.sqrt(area)
         base = tangent_frame(zeta)

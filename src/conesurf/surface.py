@@ -29,6 +29,7 @@ from ._geom import (
     is_turn_multiple,
     json_text,
     reduce_angle,
+    signed_angle,
 )
 from ._graph import adjacency, edge_vertices, kruskal, path_keys, subtree_sums, vertex_edges
 from .errors import (
@@ -231,9 +232,7 @@ class FlatSurface:
         return tuple(orbit)
 
     def _corner_of(self, h):
-        u = self._vec[h]
-        w = -self._vec[self._prev[h]]
-        return math.atan2(cross(u, w), (u.conjugate() * w).real)
+        return signed_angle(self._vec[h], -self._vec[self._prev[h]])
 
     def _copy(self):
         """A surface equal to this one that shares no map a flip writes and
@@ -482,9 +481,7 @@ class FlatSurface:
 
         This is the angle relating the developments on the two sides of the
         edge; it is zero on non-forest edges up to numerical noise."""
-        u = self._vec[h]
-        w = -self._vec[self._twin[h]]
-        return reduce_angle(math.atan2(cross(u, w), (u.conjugate() * w).real))
+        return reduce_angle(signed_angle(self._vec[h], -self._vec[self._twin[h]]))
 
     def forest_pairing(self, e):
         """(theta, a, abar) for forest edge e; vec(abar) = -e^{i theta} vec(a)."""
@@ -710,9 +707,7 @@ def make_doubled_polygon(points) -> FlatSurface:
     forest = front[:-1]
 
     def interior_angle(i):
-        u = pts[(i + 1) % k] - pts[i]
-        w = pts[i - 1] - pts[i]
-        return math.atan2(cross(u, w), (u.conjugate() * w).real)
+        return signed_angle(pts[(i + 1) % k] - pts[i], pts[i - 1] - pts[i])
 
     vertices = [(i, 2.0 * interior_angle(i)) for i in range(k)]
     return FlatSurface(triangles, twin, vectors, forest, vertices)

@@ -109,7 +109,7 @@ def kernel_density(system, frame) -> DensityReport:
     if frame.shape != (n1, d):
         raise FrameNotInKernel(f"frame must be {n1} x {d}, got {frame.shape}")
     norm_rows = tree.norm()
-    if np.linalg.norm(tree.apply(frame)) > FRAME_RESIDUAL_TOL * max(
+    if not np.linalg.norm(tree.apply(frame)) <= FRAME_RESIDUAL_TOL * max(
             np.linalg.norm(frame), 1e-300) * (1.0 + norm_rows):
         raise FrameNotInKernel("frame columns do not lie in the kernel")
 
@@ -117,9 +117,7 @@ def kernel_density(system, frame) -> DensityReport:
         convention = SHORT_SEQUENCE
     elif system.rank == r - 1:
         signs = np.array([1.0 if kind == "triangle" else -1.0 for kind, _ in system.row_kind])
-        total = np.zeros(n1, dtype=complex)  # signs @ rows, added up from the entries
-        np.add.at(total, tree.cols, signs[:, None] * tree.coefs)
-        if np.linalg.norm(total) > ROW_RELATION_TOL * (1.0 + norm_rows):
+        if not np.linalg.norm(tree.apply_left(signs)) <= ROW_RELATION_TOL * (1.0 + norm_rows):
             raise RankCaseMismatch(
                 "row relation is not the expected sum after sign normalization")
         convention = FOUR_TERM_SEQUENCE

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conesurf import FlatSurface, isomorphic, make_doubled_polygon
 from conesurf._graph import kruskal, vertex_edges
 from conesurf.charts import (
+    _tree_kernel,
     assemble_system,
     boundary_rotation,
     chart_for,
@@ -209,6 +210,14 @@ class TestSystem:
         _, sys2 = chart_for(doubled_pentagon)
         assert sys1.kernel.tobytes() == sys2.kernel.tobytes()
 
+    @pytest.mark.parametrize("cols, coefs", [
+        ([0, 0, 1, 1, 2, 2], [1.0, -1.0, 1.0, 1.0, 1.0, -1.0]),  # columns 0 and 2 in one row
+        ([0, 1, 2, 0, 1, 0], [1.0, 1.0, 1.0, 1.0, 1.0, 0.0]),  # column 2 in one row only
+    ])
+    def test_column_must_join_two_rows(self, cols, coefs):
+        with pytest.raises(AssertionError, match="does not join two rows"):
+            _tree_kernel(cols, coefs, 3)
+
     def test_chart_dump_round_trip(self, doubled_triangle):
         import json
 
@@ -247,6 +256,11 @@ class TestReconstruction:
         cut, system = chart_for(square_torus)
         with pytest.raises(NotInKernel):
             surface_from_solution(cut, np.array([1.0, 1.0j, -1 - 1.1j]), system)
+
+    def test_nan_point_is_not_in_kernel(self, square_torus):
+        cut, system = chart_for(square_torus)
+        with pytest.raises(NotInKernel):
+            surface_from_solution(cut, np.array([1.0, 1.0j, complex(np.nan, 0.0)]), system)
 
     def test_degenerate_triangle(self, square_torus):
         cut, system = chart_for(square_torus)

@@ -201,11 +201,14 @@ def test_transition_adds_a_repeated_column(square_torus):
 # gauge potentials against the kept sweep
 
 
-def sweep_oracle(entries, num_columns):
+def sweep_oracle(cols, coefs, num_columns):
     """The kernel sweep the potentials replace: BFS tree rooted at the last
     row, free columns set to the identity, tree columns solved leaf to root,
-    and the rank and S block read off the root row's residuals.  Returns
-    (basis, free, det_s, rank)."""
+    and the rank and S block read off the root row's residuals, over
+    {column: coefficient} dicts of the rows.  Returns (basis, free, det_s,
+    rank)."""
+    entries = [{j: c for j, c in zip(row_cols, row_coefs) if c != 0}
+               for row_cols, row_coefs in zip(cols.tolist(), coefs.tolist())]
     num_rows = len(entries)
     ends = [[] for _ in range(num_columns)]
     for i, row in enumerate(entries):
@@ -250,7 +253,7 @@ def test_potentials_agree_with_the_sweep(surfaces):
             charts_to_check.append(assemble_system(_flipped_cut(cut, flipped, edge)))
         for chart in charts_to_check:
             tree = chart.tree
-            basis, free, det_s, rank = sweep_oracle(tree.entries, tree.num_columns)
+            basis, free, det_s, rank = sweep_oracle(tree.cols, tree.coefs, tree.shape[1])
             assert tree.free.tolist() == free.tolist(), name
             assert chart.rank == rank, name
             assert tree.det_s == pytest.approx(det_s, rel=1e-12, abs=0), name

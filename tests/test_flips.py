@@ -29,10 +29,12 @@ from conesurf.errors import (
     NonTermination,
     NotFlippable,
     NotSameMetric,
+    Unsupported,
 )
 from conesurf.flips import (
     FlipPath,
     canonicalize_cocircular,
+    chart_transition,
     delaunay,
     delaunay_angle_sum,
     develop_segment,
@@ -356,6 +358,22 @@ class TestFlipPath:
         scrambled, _ = random_flips(octagon_surface, 8, rng)
         path = flip_path(octagon_surface, scrambled)
         assert isomorphic(path.replay(octagon_surface), scrambled) is not None
+
+    def test_two_unanchored_cone_vertices(self):
+        # the regular decagon with opposite sides glued has two 4-pi vertices
+        # and an empty forest: flip_path refuses it up front, chart_transition
+        # tries the anchored matrix, whose germ lookup refuses the vertex
+        pts = [cmath.exp(2j * math.pi * j / 10) for j in range(10)]
+        triangles, vectors, twin, sides = surface_module._fan(pts)
+        for a, b in zip(sides[:5], sides[5:]):
+            twin[a], twin[b] = b, a
+        s = FlatSurface(triangles, twin, vectors)
+        assert [s.cone_angle(v) for v in s.vertex_ids] == pytest.approx([2 * TWO_PI] * 2)
+        flipped, _ = flip(s, next(e for e in s.edges() if is_flippable(s, e)))
+        with pytest.raises(Unsupported, match="more than one cone vertex"):
+            flip_path(s, flipped)
+        with pytest.raises(Unsupported, match="no forest edge"):
+            chart_transition(s, flipped)
 
 
 class TestExchangeTree:

@@ -126,6 +126,16 @@ class TestKernelDensity:
         with pytest.raises(FrameNotInKernel):
             kernel_density(system, bad)
 
+    def test_nan_frame_is_refused(self, square_torus):
+        # the density reads only the free columns, so the residual check must
+        # refuse a NaN anywhere else
+        _, system = chart_for(square_torus)
+        frame = system.kernel.copy()
+        frame[0, 0] = np.nan
+        assert 0 not in system.tree.free
+        with pytest.raises(FrameNotInKernel):
+            kernel_density(system, frame)
+
     def test_report_carries_conventions(self, square_torus, doubled_pentagon):
         for s, tag in ((square_torus, "four-term-sequence"),
                        (doubled_pentagon, "short-sequence")):
@@ -142,6 +152,19 @@ def oracle_systems(s, split):
     if not split:
         return [system]
     return [split_edge_system(cut, e) for e in sorted(s.edges()) if e not in s.forest]
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_left_product_is_the_dense_product(golden_surfaces, rng, split):
+    for s in golden_surfaces.values():
+        for system in oracle_systems(s, split):
+            r, n = system.tree.shape
+            y = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+            left = system.tree.apply_left(y)
+            assert left.shape == (n,)
+            # exactly the entrywise sum; BLAS may round the product differently
+            assert np.array_equal(left, (y[:, None] * system.rows).sum(axis=0))
+            assert np.abs(left - y @ system.rows).max() <= 4 * np.spacing(np.abs(y).max())
 
 
 class TestOracleCases:
@@ -427,13 +450,14 @@ class TestChartCache:
 
         monkeypatch.setattr(charts, "adjacency", refused)
         monkeypatch.setattr(charts, "bfs", refused)
-        assert system.kernel.shape == (system.tree.num_columns, system.kernel_dim)
+        assert system.kernel.shape == (system.tree.shape[1], system.kernel_dim)
         assert system.basis is system.basis
 
     def test_shared_arrays_are_read_only(self, doubled_pentagon):
         _, system = chart_for(doubled_pentagon)
         tree = system.tree
-        for array in (system.kernel, system.basis, tree.cols, tree.coefs, tree.free):
+        for array in (system.kernel, system.basis, system.rows, tree.cols, tree.coefs,
+                      tree.free, tree.ends):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
