@@ -52,6 +52,7 @@ from .errors import (
     NotSpanningTree,
     OrientationViolation,
     PartitionUnrealizable,
+    Unsupported,
 )
 from .surface import FlatSurface
 
@@ -117,11 +118,12 @@ def _holonomy(surface: FlatSurface, forest):
 def spanning_forest(surface: FlatSurface, parts=None):
     """Pick a forest inside the 1-skeleton.
 
-    Default: a single tree through all vertices for genus 0; the empty forest
-    when every cone angle is a full-turn multiple; otherwise one pruned tree
-    through the singular vertices.  An explicit ``parts`` argument (a list of
-    vertex sets) requests one tree per part, realized inside the subgraph
-    induced on that part.
+    Default: a single tree through all vertices for genus 0, and the empty
+    forest when every cone angle is a full-turn multiple.  In positive genus
+    with a cone angle that is not a full-turn multiple there is no default,
+    and the call raises ``Unsupported``: the caller passes ``parts`` (a list
+    of vertex sets), which requests one tree per part, realized inside the
+    subgraph induced on that part.
     """
     adj = adjacency(surface.vertex_ids, vertex_edges(surface, surface.edges()))
 
@@ -142,39 +144,15 @@ def spanning_forest(surface: FlatSurface, parts=None):
                              check.witness)
         return frozenset(forest)
 
-    singular = [v for v in adj if not is_turn_multiple(surface.cone_angle(v))]
     if surface.genus() == 0:
         prev = bfs(adj, min(adj))
         if len(prev) != len(adj):
             raise PartitionUnrealizable("1-skeleton is disconnected")
         return frozenset(tree_keys(prev, prev))
-    if not singular:
-        return frozenset()
-
-    # tree over all vertices from a singular root, pruned to the paths that
-    # join the other singular vertices to the root
-    prev = bfs(adj, min(singular))
-    needed = set(singular)
-    for v in reversed(list(prev)):
-        if v in needed and prev[v] is not None:
-            needed.add(prev[v][1])
-    tree = tree_keys(prev, needed)
-    check = is_erasing(surface, tree)
-    if not check:
-        raise NotErasing(f"no erasing forest found in the 1-skeleton: {check.witness}",
-                         check.witness)
-    return frozenset(tree)
-
-
-def boundary_rotation(surface: FlatSurface, e) -> float:
-    """Rotation relating the two sides of forest edge e, in (-pi, pi].
-
-    Computed by summing cone angles over the subtree component cut off by e
-    that does not contain the tree's smallest vertex; verified against the
-    stored vectors during surface validation."""
-    if surface.edge_of(e) not in surface.forest:
-        raise ValueError(f"edge {e} is not in the forest")
-    return surface.forest_pairing(surface.edge_of(e))[0]
+    if not all(is_turn_multiple(surface.cone_angle(v)) for v in adj):
+        raise Unsupported("no default forest in positive genus with singular vertices; "
+                          "pass parts")
+    return frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +484,17 @@ def _tree_kernel(cols, coefs, num_columns):
             and (ends[0::2] // 3 != ends[1::2] // 3).all()):
         raise AssertionError("a column does not join two rows")
     ends = ends.reshape(num_columns, 2)
-    end_rows = (ends // 3).tolist()
+    end_row_array = ends // 3
+    end_rows = end_row_array.tolist()
     root = num_rows - 1
     prev = bfs(adjacency(range(num_rows), ((j, a, b) for j, (a, b) in enumerate(end_rows))), root)
     if len(prev) != num_rows:
         raise AssertionError("the row graph is disconnected")
-    end_coefs = coefs.ravel()[ends].tolist()
+    end_coefs = coefs.ravel()[ends]
+    end_pairs = end_coefs.tolist()
     links = []
     for row, (col, parent) in list(prev.items())[1:]:
-        b = end_coefs[col]
+        b = end_pairs[col]
         links.append((row, col, parent, *(b if end_rows[col][0] == row else b[::-1])))
 
     phi = [0j] * num_rows
@@ -523,15 +503,17 @@ def _tree_kernel(cols, coefs, num_columns):
         phi[row] = -phi[parent] * b_parent / b_row
     in_tree = np.zeros(num_columns, dtype=bool)
     in_tree[[link[1] for link in links]] = True
-    tree = ChartTree(cols, coefs, np.flatnonzero(~in_tree), 1.0, ends, tuple(links))
-    gaps = np.abs(tree.apply_left(np.array(phi)))
+    terms = np.array(phi)[end_row_array] * end_coefs  # ChartTree.apply_left(phi), term for term
+    gaps = np.abs(terms[:, 0] + terms[:, 1])
     residual = float(gaps[in_tree].max(initial=0.0))
-    free = tree.free
+    free = np.flatnonzero(~in_tree)
+    det_s, pivot = 1.0, None
     if len(free) and not gaps[free].max() <= HOLONOMY_GAP_TOL:  # a NaN gap is not within
         k = int(np.argmax(gaps[free]))
-        tree = replace(tree, free=free[free != free[k]], det_s=float(gaps[free[k]]),
-                       pivot=int(free[k]))
-    return tree, num_rows - (tree.pivot is None), residual
+        det_s, pivot = float(gaps[free[k]]), int(free[k])
+        free = free[free != pivot]
+    tree = ChartTree(cols, coefs, free, det_s, ends, tuple(links), pivot)
+    return tree, num_rows - (pivot is None), residual
 
 
 def _sweep_basis(tree: ChartTree) -> np.ndarray:

@@ -239,37 +239,6 @@ def delaunay(surface: FlatSurface, rng=None):
     return surface, FlipPath(tuple(moves))
 
 
-def canonicalize_cocircular(surface: FlatSurface):
-    """Resolve cocircular quads deterministically: within DELAUNAY_BAND, prefer
-    the diagonal with the smaller (vertex pair, direction) key.  Used to compare
-    Delaunay triangulations produced in different flip orders."""
-
-    def vec_key(v):
-        return max((v.real, v.imag), (-v.real, -v.imag))
-
-    def edge_key(verts, v):
-        return (tuple(sorted(verts)), vec_key(v))
-
-    def improvable(surface, e):
-        if (abs(delaunay_angle_sum(surface, e) - math.pi) > DELAUNAY_BAND
-                or not is_flippable(surface, e)):
-            return False
-        h, hb, a, b, c, d, new_vec = _flip_quad(surface, e)
-        old = edge_key((surface.origin(h), surface.origin(hb)), surface.vec(h))
-        return edge_key((surface.origin(b), surface.origin(d)), new_vec) < old
-
-    cap = 50 * (len(surface.halfedges) // 2) ** 2
-    surface = surface._copy()
-    count = 0
-    todo = _worklist(surface, improvable)
-    while todo:
-        _flip_tracked(surface, todo[0], todo, improvable)
-        count += 1
-        if count > cap:
-            raise NonTermination("cocircular canonicalization did not settle")
-    return surface
-
-
 # ---------------------------------------------------------------------------
 # segment tracing
 
@@ -427,12 +396,6 @@ def develop_segment(surface: FlatSurface, corner, w: complex) -> Trace:
     raise NonTermination("segment tracing exceeded the iteration cap")
 
 
-def trace_segment(surface: FlatSurface, corner, w: complex):
-    """Ordered list of half-edges crossed by the straight segment of vector w
-    from the corner's vertex, which must end exactly at a vertex."""
-    return [c.halfedge for c in develop_segment(surface, corner, w).crossings]
-
-
 def developing_polygon(surface: FlatSurface, corner, w: complex) -> DevelopingPolygon:
     """Planar unfolding of the triangles crossed by the segment, with the
     segment as a diagonal."""
@@ -557,9 +520,10 @@ def insert_segment(surface: FlatSurface, corner, w: complex):
 
     Requires half-turn holonomy or genus zero, and a segment that ends at a
     vertex without crossing the forest.  Returns (surface, path)."""
-    if not has_half_turn_holonomy(surface) and surface.genus() != 0:
+    check = has_half_turn_holonomy(surface)
+    if not check and surface.genus() != 0:
         raise HolonomyNotHalfTurn(
-            "holonomy has rotations outside half turns and the genus is positive")
+            "holonomy has rotations outside half turns and the genus is positive", check.witness)
     develop_segment(surface, corner, w)  # validate the trace up front
     delta = max(signed_angle(surface.vec(corner), w), 0.0)
     result = surface._copy()

@@ -508,21 +508,6 @@ class FlatSurface:
             [(v, self._angle_target[v]) for v in self.vertex_ids],
         )
 
-    def relabel_halfedges(self, mapping) -> "FlatSurface":
-        """Apply a bijective relabelling of half-edge ids."""
-        mapping = {int(a): int(b) for a, b in dict(mapping).items()}
-        if set(mapping) != set(self._halfedges) or len(set(mapping.values())) != len(mapping):
-            raise ValueError("relabelling must be a bijection on the half-edges")
-        tris = {t: tuple(mapping[h] for h in cyc) for t, cyc in self._tris.items()}
-        twin = {mapping[h]: mapping[k] for h, k in self._twin.items()}
-        vec = {mapping[h]: v for h, v in self._vec.items()}
-        forest = {min(mapping[e], mapping[self._twin[e]]) for e in self._forest}
-        orbits = sorted(
-            (tuple(sorted(mapping[h] for h in orbit)), v)
-            for v, orbit in self._corners_at.items())
-        vertices = [(v, self._angle_target[v]) for _, v in orbits]
-        return FlatSurface(tris, twin, vec, forest, vertices)
-
     # -- serialization -------------------------------------------------------
 
     def to_spec(self) -> "SurfaceSpec":

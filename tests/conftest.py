@@ -81,5 +81,22 @@ def marked_torus():
 
 
 @pytest.fixture
+def genus_one_octagon():
+    """Genus-1 octagon a, c, c', b, -a, d, d', -b with c and d each glued
+    about a right-angled tip, and the forest (1, 13): one tree from the
+    diagonal to a tip, whose complement develops by translations."""
+    points = [0, 3, 3.5 + 0.5j, 3 + 1j, 3 + 3j, 3j, -0.5 + 2.5j, 2j]
+    corners = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 7), (4, 6, 7), (4, 5, 6)]
+    vectors = {3 * t + k: points[c[(k + 1) % 3]] - points[c[k]]
+               for t, c in enumerate(corners) for k in range(3)}
+    twin = {}
+    for a, b in [(2, 3), (5, 6), (8, 9), (10, 14), (12, 17), (0, 15), (1, 4), (7, 11),
+                 (13, 16)]:
+        twin[a], twin[b] = b, a
+    return FlatSurface([(3 * t, 3 * t + 1, 3 * t + 2) for t in range(6)], twin, vectors,
+                       (1, 13))
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

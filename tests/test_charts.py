@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conesurf import FlatSurface, isomorphic, make_doubled_polygon
+from conesurf import isomorphic, make_doubled_polygon
 from conesurf._graph import kruskal, vertex_edges
 from conesurf.charts import (
     _tree_kernel,
     assemble_system,
-    boundary_rotation,
     chart_for,
     cut_along_forest,
     exchange_sequence,
@@ -31,6 +30,7 @@ from conesurf.errors import (
     NotInKernel,
     NotSameMetric,
     NotSpanningTree,
+    Unsupported,
 )
 from conesurf.flips import chart_transition, flip, is_flippable, random_flips
 from conesurf.volume import tree_change_densities
@@ -92,13 +92,13 @@ class TestForests:
         assert is_erasing(doubled_pentagon, alt)
 
     def test_boundary_rotation_doubled_triangle(self, doubled_triangle):
-        values = sorted(abs(boundary_rotation(doubled_triangle, e))
+        values = sorted(abs(doubled_triangle.forest_pairing(e)[0])
                         for e in doubled_triangle.forest)
         assert values == pytest.approx([2 * math.pi / 3] * 2, abs=1e-12)
 
     def test_boundary_rotation_translation_tree(self, marked_torus):
         (edge,) = marked_torus.forest
-        assert boundary_rotation(marked_torus, edge) == pytest.approx(0.0, abs=1e-12)
+        assert marked_torus.forest_pairing(edge)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_boundary_rotation_pentagon_two_vertex_subtree(self, doubled_pentagon):
         # the tree is the fold path p0-p1-p2-p3-p4; edge (p2, p3) cuts off two
@@ -107,15 +107,14 @@ class TestForests:
         for e in s.forest:
             ends = {s.origin(e), s.origin(s.twin(e))}
             if ends == {2, 3}:
-                assert boundary_rotation(s, e) == pytest.approx(2 * math.pi / 5,
-                                                                abs=1e-12)
+                assert s.forest_pairing(e)[0] == pytest.approx(2 * math.pi / 5, abs=1e-12)
                 break
         else:
             pytest.fail("fold edge (p2, p3) not found in the forest")
 
-    def test_rotation_not_in_forest(self, square_torus):
-        with pytest.raises(ValueError):
-            boundary_rotation(square_torus, 0)
+    def test_no_default_forest_in_positive_genus_with_cone_points(self, genus_one_octagon):
+        with pytest.raises(Unsupported, match="pass parts"):
+            spanning_forest(genus_one_octagon)
 
     def test_spanning_forest_partition(self, marked_torus, doubled_pentagon):
         # two one-point parts: no forest edges at all
@@ -423,20 +422,10 @@ class TestTreeExchange:
         with pytest.raises(NotSpanningTree):
             reforest(s, {0, 1, 2, 7})
 
-    def test_genus_one_targets(self):
-        # genus-1 octagon a, c, c', b, -a, d, d', -b with c and d each glued
-        # about a right-angled tip; a tree through the diagonal to one tip
-        # leaves that tip's quarter-turn gluing in its complement
-        points = [0, 3, 3.5 + 0.5j, 3 + 1j, 3 + 3j, 3j, -0.5 + 2.5j, 2j]
-        corners = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 7), (4, 6, 7), (4, 5, 6)]
-        vectors = {3 * t + k: points[c[(k + 1) % 3]] - points[c[k]]
-                   for t, c in enumerate(corners) for k in range(3)}
-        twin = {}
-        for a, b in [(2, 3), (5, 6), (8, 9), (10, 14), (12, 17), (0, 15), (1, 4), (7, 11),
-                     (13, 16)]:
-            twin[a], twin[b] = b, a
-        s = FlatSurface([(3 * t, 3 * t + 1, 3 * t + 2) for t in range(6)], twin, vectors,
-                        (1, 13))
+    def test_genus_one_targets(self, genus_one_octagon):
+        # a tree through the diagonal to one tip leaves that tip's quarter-turn
+        # gluing in its complement
+        s = genus_one_octagon
         assert s.genus() == 1 and not is_erasing(s, {2, 13}) and not is_erasing(s, {1, 12})
         with pytest.raises(GluingMismatch):
             reforest(s, {2, 13})

@@ -33,7 +33,6 @@ from conesurf.errors import (
 )
 from conesurf.flips import (
     FlipPath,
-    canonicalize_cocircular,
     chart_transition,
     delaunay,
     delaunay_angle_sum,
@@ -46,7 +45,6 @@ from conesurf.flips import (
     is_delaunay_edge,
     is_flippable,
     random_flips,
-    trace_segment,
 )
 
 TWO_PI = 2 * math.pi
@@ -102,8 +100,7 @@ def _segment_call(function):
 class TestFlip:
     @pytest.mark.parametrize("call", [
         flip, is_flippable, is_delaunay_edge, delaunay_angle_sum,
-        *map(_segment_call, (develop_segment, trace_segment, developing_polygon,
-                             insert_segment))])
+        *map(_segment_call, (develop_segment, developing_polygon, insert_segment))])
     def test_unknown_halfedge_is_a_value_error(self, pillowcase, call):
         with pytest.raises(ValueError, match="unknown half-edge 1000000"):
             call(pillowcase, 10**6)
@@ -198,8 +195,8 @@ class TestDelaunay:
     def test_randomized_runs_agree_after_canonicalization(self, skew_torus):
         det, _ = delaunay(skew_torus)
         rnd, _ = delaunay(skew_torus, rng=np.random.default_rng(5))
-        a = canonicalize_cocircular(det)
-        b = canonicalize_cocircular(rnd)
+        a = rescan_canonicalize_cocircular(det)
+        b = rescan_canonicalize_cocircular(rnd)
         assert isomorphic(a, b) is not None
 
     def test_replay(self, skew_torus):
@@ -211,24 +208,24 @@ class TestTrace:
     @pytest.mark.parametrize("w", [1 + 2j, 2 + 1j, 3 + 2j, 1 + 3j, 2 + 3j, 5 + 2j])
     def test_torus_against_unfolding_oracle(self, square_torus, w):
         corner = corner_for_direction(square_torus, 0, w)
-        crossings = trace_segment(square_torus, corner, w)
+        crossings = develop_segment(square_torus, corner, w).crossings
         assert len(crossings) == torus_crossing_oracle(w)
 
     def test_existing_edge_is_empty(self, square_torus):
-        assert trace_segment(square_torus, 0, 1 + 0j) == []
+        assert develop_segment(square_torus, 0, 1 + 0j).crossings == ()
 
     def test_hits_vertex_early(self, square_torus):
         corner = corner_for_direction(square_torus, 0, 2 + 2j)
         with pytest.raises(HitsVertexEarly) as exc:
-            trace_segment(square_torus, corner, 2 + 2j)
+            develop_segment(square_torus, corner, 2 + 2j)
         assert exc.value.parameter == pytest.approx(0.5, abs=1e-9)
 
     def test_does_not_terminate(self, square_torus):
         with pytest.raises(DoesNotTerminateAtVertex):
-            trace_segment(square_torus, 0, 0.5 + 0j)
+            develop_segment(square_torus, 0, 0.5 + 0j)
         corner = corner_for_direction(square_torus, 0, 0.3 + 0.2j)
         with pytest.raises(DoesNotTerminateAtVertex):
-            trace_segment(square_torus, corner, 0.3 + 0.2j)
+            develop_segment(square_torus, corner, 0.3 + 0.2j)
 
     def test_exits_through_forest(self, doubled_pentagon):
         s = doubled_pentagon
@@ -237,11 +234,11 @@ class TestTrace:
         w = 1.2 * (0.5 * (p[1] + p[2]) - p[0])
         corner = corner_for_direction(s, 0, w)
         with pytest.raises(ExitsThroughForest):
-            trace_segment(s, corner, w)
+            develop_segment(s, corner, w)
 
     def test_direction_outside_sector(self, square_torus):
         with pytest.raises(ValueError):
-            trace_segment(square_torus, 0, -1 + 0.5j)
+            develop_segment(square_torus, 0, -1 + 0.5j)
 
     def test_chain_telescopes(self, square_torus):
         corner = corner_for_direction(square_torus, 0, 3 + 2j)
@@ -252,7 +249,7 @@ class TestTrace:
     def test_developing_polygon(self, square_torus):
         corner = corner_for_direction(square_torus, 0, 3 + 2j)
         polygon = developing_polygon(square_torus, corner, 3 + 2j)
-        m = len(trace_segment(square_torus, corner, 3 + 2j))
+        m = len(develop_segment(square_torus, corner, 3 + 2j).crossings)
         assert len(polygon.vertices) == m + 3
         assert len(polygon.diagonals) == m
         i, j = polygon.diagonal
@@ -276,13 +273,20 @@ class TestInsert:
     @pytest.mark.parametrize("w", [3 + 2j, 1 + 3j, 5 + 2j])
     def test_longer_segments(self, square_torus, w):
         corner = corner_for_direction(square_torus, 0, w)
-        m = len(trace_segment(square_torus, corner, w))
+        m = len(develop_segment(square_torus, corner, w).crossings)
         assert m >= 2
         result, path = insert_segment(square_torus, corner, w)
         assert any(abs(result.vec(h) - w) < 1e-9 for h in result.halfedges)
         # one flip may remove several crossings (a crossed edge can be crossed
         # more than once), but at least one flip is always needed
         assert len(path) >= 1
+
+    def test_refusal_names_its_witness(self, genus_one_octagon):
+        # the tree's edge 1 crosses with a quarter turn
+        s = genus_one_octagon
+        with pytest.raises(HolonomyNotHalfTurn) as exc:
+            insert_segment(s, 0, s.vec(0))
+        assert exc.value.witness == 1
 
     def test_genus_zero_without_half_turn(self, doubled_pentagon):
         s = doubled_pentagon
@@ -396,8 +400,7 @@ class TestExchangeTree:
 
 class TestDegenerateSegment:
     @pytest.mark.parametrize("w", [0, complex(math.nan, 1), complex(1, math.inf)])
-    @pytest.mark.parametrize("call", [develop_segment, trace_segment, developing_polygon,
-                                      insert_segment])
+    @pytest.mark.parametrize("call", [develop_segment, developing_polygon, insert_segment])
     def test_zero_or_non_finite_vector_is_rejected(self, square_torus, call, w):
         with pytest.raises(DegenerateInput):
             call(square_torus, 0, w)
@@ -552,8 +555,7 @@ class TestLocalFlip:
         assert_same_surface(walked, rebuilt(walked))
 
 
-WALKS = ("random_flips", "delaunay", "delaunay_rng", "canonicalize_cocircular",
-         "insert_segment", "flip_path", "replay")
+WALKS = ("random_flips", "delaunay", "delaunay_rng", "insert_segment", "flip_path", "replay")
 
 
 def walk_cases():
@@ -562,13 +564,11 @@ def walk_cases():
     rng = np.random.default_rng(7)
     base = perturb_surface(doubled_regular(12), rng)
     scrambled, path = random_flips(base, 30, rng)
-    cocircular, _ = random_flips(doubled_regular(12), 30, np.random.default_rng(0))
     torus = make_torus(1, 1j)
     return {
         "random_flips": (base, lambda s: random_flips(s, 30, np.random.default_rng(1))),
         "delaunay": (scrambled, delaunay),
         "delaunay_rng": (scrambled, lambda s: delaunay(s, rng=np.random.default_rng(2))),
-        "canonicalize_cocircular": (cocircular, canonicalize_cocircular),
         "insert_segment": (torus, lambda s: insert_segment(
             s, corner_for_direction(s, 0, 5 + 2j), 5 + 2j)),
         "flip_path": (scrambled, lambda s: flip_path(s, base)),
@@ -713,8 +713,8 @@ def convex_polygons(draw):
 
 
 class TestWorklists:
-    """random_flips, delaunay and canonicalize_cocircular keep their edge
-    lists up to date over each flipped quad; a full rescan is the oracle."""
+    """random_flips and delaunay keep their edge lists up to date over each
+    flipped quad; a full rescan is the oracle."""
 
     @settings(max_examples=15, deadline=None)
     @given(points=convex_polygons(), seed=st.integers(0, 2**32 - 1))
@@ -732,6 +732,3 @@ class TestWorklists:
             ref, ref_path = rescan_delaunay(walked, rng=ref_rng)
             assert (result.to_json(), path.to_json()) == (ref.to_json(), ref_path.to_json())
             assert_same_surface(result, rebuilt(result))
-            canonical = canonicalize_cocircular(result)
-            assert canonical.to_json() == rescan_canonicalize_cocircular(result).to_json()
-            assert_same_surface(canonical, rebuilt(canonical))

@@ -12,9 +12,11 @@ from conesurf import (
     SurfaceSpec,
     build_surface,
     isomorphic,
+    load_surface,
     make_doubled_polygon,
     make_regular_4g_gon,
     make_torus,
+    save_surface,
 )
 from conesurf import surface as surface_module
 from conesurf._geom import angle_tol, reduce_angle
@@ -31,6 +33,20 @@ from conesurf.errors import (
 from conesurf.flips import FlipPath, flip, flip_path, random_flips
 
 TWO_PI = 2 * math.pi
+
+
+def relabel_halfedges(surface, mapping):
+    """The surface with its half-edge ids renamed by the bijection
+    ``mapping``; each vertex keeps its id and its angle target."""
+    tris = {t: tuple(mapping[h] for h in surface.triangle(t)) for t in surface.triangles}
+    twin = {mapping[h]: mapping[surface.twin(h)] for h in surface.halfedges}
+    vectors = {mapping[h]: surface.vec(h) for h in surface.halfedges}
+    forest = {min(mapping[e], mapping[surface.twin(e)]) for e in surface.forest}
+    # the constructor takes the vertices in the order of their smallest half-edges
+    order = sorted((min(mapping[h] for h in surface.corners_at(v)), v)
+                   for v in surface.vertex_ids)
+    return FlatSurface(tris, twin, vectors, forest,
+                       [(v, surface.angle_target(v)) for _, v in order])
 
 
 def square_torus_spec(c_vector=-1 - 1j):
@@ -163,7 +179,7 @@ class TestInvariants:
         s = doubled_pentagon
         perm = rng.permutation(len(s.halfedges))
         mapping = {h: int(perm[i]) for i, h in enumerate(s.halfedges)}
-        relabeled = s.relabel_halfedges(mapping)
+        relabeled = relabel_halfedges(s, mapping)
         for v in s.vertex_ids:
             assert relabeled.cone_angle(v) == pytest.approx(s.cone_angle(v), abs=1e-12)
 
@@ -345,6 +361,13 @@ class TestSerialization:
                 assert rebuilt.next(h) == s.next(h)
             assert rebuilt.forest == s.forest
 
+    def test_save_then_load_keeps_the_bytes(self, golden_surfaces, tmp_path):
+        for name, s in golden_surfaces.items():
+            path = tmp_path / f"{name}.json"
+            save_surface(s, path)
+            assert path.read_text(encoding="utf-8") == s.to_json()
+            assert load_surface(path).to_json() == s.to_json()
+
     def test_unknown_field_rejected(self, square_torus):
         text = square_torus.to_json().rstrip().rstrip("}")
         text += ', "color": 3}'
@@ -411,5 +434,5 @@ class TestCanonicalEquality:
     def test_isomorphic_under_relabeling(self, pillowcase, rng):
         perm = rng.permutation(len(pillowcase.halfedges))
         mapping = {h: int(perm[i]) for i, h in enumerate(pillowcase.halfedges)}
-        relabeled = pillowcase.relabel_halfedges(mapping)
+        relabeled = relabel_halfedges(pillowcase, mapping)
         assert isomorphic(pillowcase, relabeled) is not None
