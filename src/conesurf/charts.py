@@ -124,6 +124,12 @@ def spanning_forest(surface: FlatSurface, parts=None):
     and the call raises ``Unsupported``: the caller passes ``parts`` (a list
     of vertex sets), which requests one tree per part, realized inside the
     subgraph induced on that part.
+
+    ``parts`` takes the breadth-first tree inside each part and no other, so
+    it can miss an erasing forest that exists: on the genus-1 octagon with
+    two quarter-turn tips, {1, 13} and {2, 12} are erasing, yet
+    ``parts=[{0, 1, 2}]`` raises ``NotErasing``.  Such a surface is built
+    with its forest given explicitly, checked by ``is_erasing``.
     """
     adj = adjacency(surface.vertex_ids, vertex_edges(surface, surface.edges()))
 
@@ -145,13 +151,12 @@ def spanning_forest(surface: FlatSurface, parts=None):
         return frozenset(forest)
 
     if surface.genus() == 0:
-        prev = bfs(adj, min(adj))
-        if len(prev) != len(adj):
-            raise PartitionUnrealizable("1-skeleton is disconnected")
+        prev = bfs(adj, min(adj))  # a surface is connected
         return frozenset(tree_keys(prev, prev))
     if not all(is_turn_multiple(surface.cone_angle(v)) for v in adj):
         raise Unsupported("no default forest in positive genus with singular vertices; "
-                          "pass parts")
+                          "pass parts, or build the surface with an explicit forest "
+                          "that is_erasing accepts")
     return frozenset()
 
 

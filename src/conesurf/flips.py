@@ -305,57 +305,38 @@ def develop_segment(surface: FlatSurface, corner, w: complex) -> Trace:
     if delta < 0 or delta >= ang:
         raise ValueError("direction does not lie in the given corner sector")
 
-    # positions of the current triangle's corners, keyed by outgoing half-edge
-    pos = {h0: 0j,
-           surface.next(h0): u,
-           surface.prev(h0): u + surface.vec(surface.next(h0))}
-    entry = None
-    chain = [(h0, 1.0)]
-    chain_end = u
+    # the current triangle's half-edges, from the one it was entered by (h0 in
+    # the first triangle, which is left only through next(h0)), and the
+    # positions of their origins
+    tri_hes = [h0, surface.next(h0), surface.prev(h0)]
+    pos = [0j, u, u + surface.vec(tri_hes[1])]
     crossings = []
     t_prev = 0.0
     cap = 1000 * (len(surface.halfedges) + 1)
 
     for _ in range(cap):
-        tri_hes = [h0, surface.next(h0), surface.prev(h0)] if entry is None else \
-            [entry, surface.next(entry), surface.prev(entry)]
         local = max([abs(w)] + [abs(surface.vec(x)) for x in tri_hes])
 
         # does the segment end at a corner of this triangle?
-        hit = None
-        for x in tri_hes:
-            if _near(pos[x], w, local):
-                hit = x
-                break
+        hit = next((x for x, p in zip(tri_hes, pos) if _near(p, w, local)), None)
         if hit is not None:
-            if not _near(chain_end, w, local):
-                final = None
-                for x in tri_hes:
-                    ends = (pos[x], pos[surface.next(x)] if surface.next(x) in pos else None)
-                    if ends[1] is None:
-                        continue
-                    if _near(ends[0], chain_end, local) and _near(ends[1], w, local):
-                        final = (x, 1.0)
-                        break
-                    if _near(ends[1], chain_end, local) and _near(ends[0], w, local):
-                        final = (x, -1.0)
-                        break
-                if final is None:
-                    raise AssertionError("no closing side for the developed chain")
-                chain.append(final)
+            # the clockwise side of the strip: h0, then next(entry) of every
+            # triangle left through prev(entry), and of the last triangle
+            # when the segment ends at its third corner
+            cw, _, _ = _strip(surface, crossings)
+            chain = [(h0, 1.0)] + [(surface.next(surface.twin(crossings[k - 1].halfedge)), 1.0)
+                                   for k in cw[1:]]
+            if hit == tri_hes[2]:
+                chain.append((tri_hes[1], 1.0))
             trace = Trace(h0, w, tuple(crossings), tuple(chain), surface.origin(hit))
             total = sum(s * surface.vec(x) for x, s in trace.chain)
             if not _near(total, w, local):
                 raise AssertionError("developed chain does not telescope to the segment")
             return trace
 
-        candidates = [surface.next(h0)] if entry is None else \
-            [surface.next(entry), surface.prev(entry)]
         exit_he = None
-        exit_t = None
-        for x in candidates:
-            p = pos[x]
-            q = pos[surface.next(x)] if surface.next(x) in pos else p + surface.vec(x)
+        for i in (1, 2) if crossings else (1,):
+            p, q = pos[i], pos[(i + 1) % 3]
             denom = cross(w, q - p)
             if abs(denom) <= PARALLEL_TOL * local * local:
                 continue
@@ -366,66 +347,61 @@ def develop_segment(surface: FlatSurface, corner, w: complex) -> Trace:
             side_len = abs(q - p)
             if s < -POSITION_TOL * local / side_len or s > 1.0 + POSITION_TOL * local / side_len:
                 continue
+            x = tri_hes[i]
             if min(s, 1.0 - s) * side_len <= POSITION_TOL * local:
                 vertex = surface.origin(x) if s < 0.5 else surface.head(x)
                 raise HitsVertexEarly(vertex, t)
-            exit_he, exit_t = x, t
+            exit_he, exit_t, p_from = x, t, p
             break
         if exit_he is None:
             raise DoesNotTerminateAtVertex("segment ends inside a triangle")
         if surface.edge_of(exit_he) in surface.forest:
             raise ExitsThroughForest(surface.edge_of(exit_he))
 
-        p_from, p_to = pos[exit_he], pos[exit_he] + surface.vec(exit_he)
+        p_to = p_from + surface.vec(exit_he)
         crossings.append(Crossing(exit_he, p_from, p_to))
-        # lower endpoint of the crossed side extends the clockwise chain
-        low = p_from if cross(w, p_from) < 0 else p_to
-        if not _near(low, chain_end, local):
-            if len(candidates) < 2:
-                raise AssertionError("first crossing must share the chain endpoint")
-            third = candidates[0] if candidates[1] is exit_he else candidates[1]
-            sign = 1.0 if _near(pos[third], chain_end, local) else -1.0
-            chain.append((third, sign))
-            chain_end = low
-
-        tw = surface.twin(exit_he)
-        pos = {tw: p_to, surface.next(tw): p_from}
-        pos[surface.prev(tw)] = p_from + surface.vec(surface.next(tw))
-        entry = tw
+        entry = surface.twin(exit_he)
+        tri_hes = [entry, surface.next(entry), surface.prev(entry)]
+        pos = [p_to, p_from, p_from + surface.vec(tri_hes[1])]
         t_prev = exit_t
     raise NonTermination("segment tracing exceeded the iteration cap")
 
 
+def _strip(surface: FlatSurface, crossings):
+    """The developed strip, read off the crossing sequence.
+
+    Every crossed side runs from the strip's corner clockwise of the segment
+    to its corner counterclockwise of it.  The first crossing opens a corner
+    on each side; every later one leaves the triangle it entered through
+    prev(entry), opening the next clockwise corner, or through next(entry),
+    opening the next counterclockwise one.  Returns (cw, ccw, corners): the
+    crossings that open the clockwise and the counterclockwise corners, in
+    order, and per crossing the indices (i, j) of its two corners in them."""
+    cw, ccw, corners = [], [], []
+    for k, c in enumerate(crossings):
+        entry = surface.twin(crossings[k - 1].halfedge) if k else None
+        if entry is None or c.halfedge == surface.prev(entry):
+            cw.append(k)
+        if entry is None or c.halfedge == surface.next(entry):
+            ccw.append(k)
+        corners.append((len(cw) - 1, len(ccw) - 1))
+    return cw, ccw, corners
+
+
 def developing_polygon(surface: FlatSurface, corner, w: complex) -> DevelopingPolygon:
     """Planar unfolding of the triangles crossed by the segment, with the
-    segment as a diagonal."""
+    segment as a diagonal: ccw from its start, the clockwise corners, its
+    end, then the counterclockwise corners in reverse order."""
     trace = develop_segment(surface, corner, w)
-    scale = abs(w)
-    uppers, lowers = [], []
-
-    def push(seq, p, vid):
-        for q, _ in seq:
-            if _near(p, q, scale):
-                return
-        seq.append((p, vid))
-
-    for c in trace.crossings:
-        for p, vid in ((c.p_from, surface.origin(c.halfedge)),
-                       (c.p_to, surface.head(c.halfedge))):
-            push(uppers if cross(w, p) > 0 else lowers, p, vid)
-    verts = [0j] + [p for p, _ in lowers] + [w] + [p for p, _ in reversed(uppers)]
-    ids = ([surface.origin(trace.corner)] + [v for _, v in lowers]
-           + [trace.end_vertex] + [v for _, v in reversed(uppers)])
-    corner_map = {i: vid for i, vid in enumerate(ids)}
-
-    def index_of(p):
-        for i, q in enumerate(verts):
-            if _near(p, q, scale):
-                return i
-        raise AssertionError("crossed-edge endpoint missing from the polygon boundary")
-
-    diagonals = tuple((index_of(c.p_from), index_of(c.p_to)) for c in trace.crossings)
-    return DevelopingPolygon(tuple(verts), (0, 1 + len(lowers)), diagonals, corner_map)
+    crossings = trace.crossings
+    cw, ccw, corners = _strip(surface, crossings)
+    verts = ([0j] + [crossings[k].p_from for k in cw] + [w]
+             + [crossings[k].p_to for k in reversed(ccw)])
+    ids = ([surface.origin(trace.corner)] + [surface.origin(crossings[k].halfedge) for k in cw]
+           + [trace.end_vertex] + [surface.head(crossings[k].halfedge) for k in reversed(ccw)])
+    last = len(verts) - 1
+    diagonals = tuple((1 + i, last - j) for i, j in corners)
+    return DevelopingPolygon(tuple(verts), (0, 1 + len(cw)), diagonals, dict(enumerate(ids)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,39 +410,23 @@ def developing_polygon(surface: FlatSurface, corner, w: complex) -> DevelopingPo
 
 def _fan_flip_choice(surface: FlatSurface, trace: Trace):
     """Crossing index to flip: in the fan of the highest strip vertex, the
-    diagonal whose far endpoint is lowest (smallest index on ties)."""
+    diagonal whose far endpoint is lowest (smallest index on ties).  Heights
+    are measured away from the segment on its side with more corners, the
+    counterclockwise one on a tie; the first highest corner in crossing
+    order is the apex, and the crossings that share it are its fan."""
     w = trace.w
     rot = w.conjugate() / abs(w)
-    scale = abs(w)
+    cw, ccw, corners = _strip(surface, trace.crossings)
+    ends = [(c.p_from, c.p_to) for c in trace.crossings]
+    side, sign = (1, 1.0) if len(ccw) >= len(cw) else (0, -1.0)
 
-    def y(p):
-        return (p * rot).imag
+    def height(k, end):
+        return sign * (ends[k][end] * rot).imag
 
-    uppers, lowers = [], []
-    for c in trace.crossings:
-        for p in (c.p_from, c.p_to):
-            seq = uppers if y(p) > 0 else lowers
-            if not any(_near(p, q, scale) for q in seq):
-                seq.append(p)
-    sign = 1.0
-    if len(uppers) < len(lowers):
-        uppers, lowers = lowers, uppers
-        sign = -1.0
-
-    apex = max(uppers, key=lambda p: sign * y(p))
-    fan = []
-    for k, c in enumerate(trace.crossings):
-        if _near(c.p_from, apex, scale) or _near(c.p_to, apex, scale):
-            fan.append(k)
-    if not fan or fan != list(range(fan[0], fan[-1] + 1)):
-        raise AssertionError("fan of the apex is not a contiguous crossing range")
-    lows = []
-    for k in fan:
-        c = trace.crossings[k]
-        far = c.p_to if _near(c.p_from, apex, scale) else c.p_from
-        lows.append(sign * y(far))
-    j0 = min(range(len(lows)), key=lambda j: (lows[j], j))
-    return fan[j0]
+    openers = (cw, ccw)[side]
+    apex = max(range(len(openers)), key=lambda i: height(openers[i], side))
+    fan = [k for k, pair in enumerate(corners) if pair[side] == apex]
+    return min(fan, key=lambda k: (height(k, 1 - side), k))
 
 
 def _insert_located(surface, vertex, anchor, theta, direction, length):

@@ -323,9 +323,9 @@ def ratio_scan(chart: GenusZeroChart, samples: int, rng, rel: float = 0.01,
         v = v0 + rel * np.linalg.norm(v0) * (
             rng.standard_normal(chart.dim) + 1j * rng.standard_normal(chart.dim))
         z_full = chart.expansion @ v
-        areas_min = min_triangle_area_of_solution(cut, z_full)
-        area = area_of_solution(cut, z_full)
-        if area <= 0 or areas_min < THIN_AREA_TOL * area / len(chart.surface.triangles):
+        areas = _triangle_areas(cut, z_full)
+        area = float(areas.sum())
+        if area <= 0 or float(areas.min()) < THIN_AREA_TOL * area / len(chart.surface.triangles):
             continue
         zeta = (p_inv @ v) / math.sqrt(area)
         base = tangent_frame(zeta)

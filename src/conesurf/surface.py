@@ -221,6 +221,11 @@ class FlatSurface:
         self._validate_geometry()
         self._validate_forest(forest)
         self._validate_angles()
+        # last, so that an input the checks above refuse keeps its error
+        joining, _ = kruskal(corners_at, vertex_edges(self, self.edges()))
+        if len(joining) != len(corners_at) - 1:
+            raise ValueError(f"the gluing is disconnected: {len(corners_at) - len(joining)} "
+                             "components")
 
     def _orbit(self, h):
         """Outgoing half-edges at origin(h) in ccw order from h (sigma orbit)."""

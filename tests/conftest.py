@@ -97,6 +97,25 @@ def genus_one_octagon():
                        (1, 13))
 
 
+def _disjoint_union(a, b) -> SurfaceSpec:
+    """Spec of two surfaces side by side, b's half-edge and vertex ids shifted
+    past a's."""
+    sa, sb = a.to_spec(), b.to_spec()
+    dh, dv = max(a.halfedges) + 1, max(a.vertex_ids) + 1
+    return SurfaceSpec(
+        vertices=sa.vertices + tuple((v + dv, angle) for v, angle in sb.vertices),
+        triangles=sa.triangles + tuple(tuple(h + dh for h in t) for t in sb.triangles),
+        gluing=sa.gluing + tuple((h + dh, k + dh) for h, k in sb.gluing),
+        vectors={**sa.vectors, **{h + dh: z for h, z in sb.vectors.items()}},
+        forest=sa.forest + tuple(e + dh for e in sb.forest),
+    )
+
+
+@pytest.fixture
+def disjoint_union():
+    return _disjoint_union
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -27,6 +27,7 @@ from conesurf.charts import (
 from conesurf.errors import (
     DegenerateTriangle,
     GluingMismatch,
+    NotErasing,
     NotInKernel,
     NotSameMetric,
     NotSpanningTree,
@@ -115,6 +116,15 @@ class TestForests:
     def test_no_default_forest_in_positive_genus_with_cone_points(self, genus_one_octagon):
         with pytest.raises(Unsupported, match="pass parts"):
             spanning_forest(genus_one_octagon)
+
+    def test_parts_take_the_breadth_first_tree(self, genus_one_octagon):
+        # two erasing trees span vertices 0, 1 and 2, but the part's BFS tree
+        # is neither
+        s = genus_one_octagon
+        assert is_erasing(s, {1, 13}) and is_erasing(s, {2, 12})
+        with pytest.raises(NotErasing) as exc:
+            spanning_forest(s, parts=[{0, 1, 2}])
+        assert exc.value.witness == ("holonomy", 7)
 
     def test_spanning_forest_partition(self, marked_torus, doubled_pentagon):
         # two one-point parts: no forest edges at all

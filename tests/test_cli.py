@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import re
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conesurf import make_doubled_polygon, make_torus
 from conesurf.cli import build_parser, main
 
 
@@ -52,6 +54,15 @@ class TestMakeValidate:
         status, out = run(capsys, "make", "torus", "--u", "1,0", "--v", "1,5e-12")
         assert status == 1
         assert parse(out)["error"] == "DegenerateInput"
+
+    def test_disconnected_file_is_an_error_record(self, tmp_path, capsys, disjoint_union):
+        path = tmp_path / "two_pieces.json"
+        path.write_text(disjoint_union(make_torus(1, 1j), make_doubled_polygon(
+            [0, 1, cmath.exp(1j * math.pi / 3)])).to_json())
+        for verb in ("validate", "info", "density"):
+            status, out = run(capsys, verb, str(path))
+            assert status == 1
+            assert parse(out)["error"] == "ValueError"
 
     def test_validate_missing_file(self, capsys):
         status, out = run(capsys, "validate", "/nonexistent/surface.json")

@@ -1,5 +1,6 @@
 import cmath
 import copy
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from conesurf import (
 )
 from conesurf import flips
 from conesurf import surface as surface_module
-from conesurf._geom import DELAUNAY_BAND
+from conesurf._geom import DELAUNAY_BAND, cross
 from conesurf.charts import chart_for, exchange_sequence, perturb_surface, spanning_forest
 from conesurf.errors import (
     ConesurfError,
@@ -204,6 +205,46 @@ class TestDelaunay:
         assert isomorphic(path.replay(skew_torus), result) is not None
 
 
+def doubled_polygon(k):
+    return make_doubled_polygon([cmath.exp(2j * math.pi * j / k) for j in range(k)])
+
+
+P12 = [cmath.exp(2j * math.pi * j / 12) for j in range(12)]  # doubled_polygon(12)'s corners
+
+
+@pytest.fixture
+def strip_surfaces(golden_surfaces):
+    return {**golden_surfaces, "doubled_12gon": doubled_polygon(12)}
+
+
+# (surface, seed) of the walks whose flip paths the strip tests read
+WALKS = [(name, seed) for name in ("square_torus", "octagon", "doubled_triangle", "pillowcase",
+                                   "doubled_pentagon", "doubled_12gon")
+         for seed in range(3)]
+
+
+def walk_segments(surface, seed, monkeypatch):
+    """(surface, corner, vector) of every segment that flip_path develops on
+    its way from a seeded 20-flip walk of the surface back to it, and on the
+    way there; the surface is a copy of the walk's surface at that moment.
+    Germ attempts whose segment does not develop are left out."""
+    walked, _ = random_flips(surface, 20, np.random.default_rng(seed))
+    segments = []
+    develop = flips.develop_segment
+
+    def recording(current, corner, w):
+        trace = develop(current, corner, w)
+        segments.append((current._copy(), corner, w))
+        return trace
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flips, "develop_segment", recording)
+        flip_path(walked, surface)
+        flip_path(surface, walked)
+    assert segments
+    return segments
+
+
 class TestTrace:
     @pytest.mark.parametrize("w", [1 + 2j, 2 + 1j, 3 + 2j, 1 + 3j, 2 + 3j, 5 + 2j])
     def test_torus_against_unfolding_oracle(self, square_torus, w):
@@ -240,22 +281,52 @@ class TestTrace:
         with pytest.raises(ValueError):
             develop_segment(square_torus, 0, -1 + 0.5j)
 
-    def test_chain_telescopes(self, square_torus):
-        corner = corner_for_direction(square_torus, 0, 3 + 2j)
-        trace = develop_segment(square_torus, corner, 3 + 2j)
-        total = sum(sign * square_torus.vec(h) for h, sign in trace.chain)
-        assert abs(total - (3 + 2j)) < 1e-9
+    @pytest.mark.parametrize("name, seed", WALKS)
+    def test_chain_telescopes(self, strip_surfaces, name, seed, monkeypatch):
+        surface = strip_surfaces[name]
+        for s, corner, w in walk_segments(surface, seed, monkeypatch):
+            trace = develop_segment(s, corner, w)
+            total = sum(sign * s.vec(h) for h, sign in trace.chain)
+            assert abs(total - w) < 1e-9 * abs(w)
+            # every crossed side runs from the clockwise side of the segment
+            # to its counterclockwise side
+            for c in trace.crossings:
+                assert cross(w, c.p_from) < 0 < cross(w, c.p_to)
 
-    def test_developing_polygon(self, square_torus):
-        corner = corner_for_direction(square_torus, 0, 3 + 2j)
-        polygon = developing_polygon(square_torus, corner, 3 + 2j)
-        m = len(develop_segment(square_torus, corner, 3 + 2j).crossings)
+    @pytest.mark.parametrize("name, seed", WALKS)
+    def test_developing_polygon(self, strip_surfaces, name, seed, monkeypatch):
+        surface = strip_surfaces[name]
+        for s, corner, w in walk_segments(surface, seed, monkeypatch):
+            trace = develop_segment(s, corner, w)
+            polygon = developing_polygon(s, corner, w)
+            m = len(trace.crossings)
+            # an existing edge is a strip of no triangles
+            assert len(polygon.vertices) == (m + 3 if m else 2)
+            assert len(polygon.diagonals) == m
+            start, end = polygon.diagonal
+            assert start == 0 and polygon.vertices[start] == 0j
+            assert abs(polygon.vertices[end] - w) < 1e-9 * abs(w)
+            assert polygon.corner_map[start] == s.origin(corner)
+            assert polygon.corner_map[end] == trace.end_vertex
+            for c, (i, j) in zip(trace.crossings, polygon.diagonals):
+                # a lower (clockwise) corner to an upper (counterclockwise) one
+                assert 0 < i < end < j < len(polygon.vertices)
+                assert abs(polygon.vertices[i] - c.p_from) < 1e-9 * abs(w)
+                assert abs(polygon.vertices[j] - c.p_to) < 1e-9 * abs(w)
+                assert polygon.corner_map[i] == s.origin(c.halfedge)
+                assert polygon.corner_map[j] == s.head(c.halfedge)
+
+    def test_developing_polygon_keeps_coincident_corners(self, octagon_surface):
+        # around the 6-pi vertex this strip comes back over itself: three
+        # pairs of its corners develop to the same point and stay two corners
+        w = -0.2928932188134538 + 6.363961030678931j
+        polygon = developing_polygon(octagon_surface, 11, w)
+        m = len(develop_segment(octagon_surface, 11, w).crossings)
+        assert m == 31
         assert len(polygon.vertices) == m + 3
-        assert len(polygon.diagonals) == m
-        i, j = polygon.diagonal
-        assert polygon.vertices[i] == 0j
-        assert abs(polygon.vertices[j] - (3 + 2j)) < 1e-9
-        assert all(v == 0 for v in polygon.corner_map.values())
+        close = [(i, j) for j, q in enumerate(polygon.vertices)
+                 for i, p in enumerate(polygon.vertices[:j]) if abs(p - q) < 1e-9]
+        assert len(close) == 3
 
 
 class TestInsert:
@@ -378,6 +449,53 @@ class TestFlipPath:
             flip_path(s, flipped)
         with pytest.raises(Unsupported, match="no forest edge"):
             chart_transition(s, flipped)
+
+
+class TestPinnedPaths:
+    """FlipPath.to_json() digests of seeded runs, so that a changed fan choice
+    or germ order fails here and not only at scale."""
+
+    @pytest.mark.parametrize("name, seed, back, flips_, digest", [
+        ("square_torus", 2, True, 16,
+         "9377274c4cc71531cb39991acef2dd7ff2c33f2c666f2a7360a459ca5caa8fe1"),
+        ("octagon", 4, False, 10,
+         "ebe42bd2f33f4ab09302724aa76a91d92e6fc4e854fe349229b42d50f8853ec2"),
+        ("doubled_pentagon", 2, True, 4,
+         "620dc359fb3cddac70288c4392056e3c9ab211a1defa8830ef4ad59727addb15"),
+        ("doubled_12gon", 1, True, 19,
+         "6baf05bf83423f4ffbe7be369c5ed56365fad707b5529ad8464bd68a6c3aef67"),
+        ("doubled_12gon", 3, False, 21,
+         "6517d882d3fbf7a97098878dd67067a4c60034adf81bfa27ec45d62b57ec1b5a"),
+    ], ids=["torus-2-back", "octagon-4-there", "pentagon-2-back", "12gon-1-back",
+            "12gon-3-there"])
+    def test_flip_path(self, strip_surfaces, name, seed, back, flips_, digest):
+        surface = strip_surfaces[name]
+        walked, _ = random_flips(surface, 40, np.random.default_rng(seed))
+        path = flip_path(walked, surface) if back else flip_path(surface, walked)
+        assert len(path) == flips_
+        assert hashlib.sha256(path.to_json().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name, vertex, w, flips_, digest", [
+        ("square_torus", 0, 5 + 2j, 3,
+         "b8d1487a9e328e23a1c8cdf5dbb7c678836494348f543d1b2b586c86e48e0e84"),
+        ("square_torus", 0, -3 + 4j, 4,
+         "b6bff8275b464898a24f638ee910b89dfefd0c14b0a2e8d26dc99810e6308b1d"),
+        ("doubled_12gon", 1, P12[7] - P12[1], 5,
+         "57d3f93eab71eb98298bdf33603081b5a1122eddf5b1e275b0dc3f05880c27fd"),
+        ("doubled_12gon", 3, P12[8] - P12[3], 4,
+         "87defd30ec5a89f72d132803a5f69a0262181ec4912686e21d1dc6a6215f3949"),
+    ], ids=["torus-5+2j", "torus-(-3+4j)", "12gon-1-7", "12gon-3-8"])
+    def test_insert_segment(self, strip_surfaces, name, vertex, w, flips_, digest):
+        surface = strip_surfaces[name]
+        _, path = insert_segment(surface, corner_for_direction(surface, vertex, w), w)
+        assert len(path) == flips_
+        assert hashlib.sha256(path.to_json().encode()).hexdigest() == digest
+
+    def test_insert_segment_across_coincident_corners(self, octagon_surface):
+        _, path = insert_segment(octagon_surface, 11, -0.2928932188134538 + 6.363961030678931j)
+        assert len(path) == 9
+        assert hashlib.sha256(path.to_json().encode()).hexdigest() == (
+            "469f563bfc4fbef4138e5d8e05ab9c9d2495e6b81b45ed524c8e9d4c1aae3d50")
 
 
 class TestExchangeTree:

@@ -27,6 +27,7 @@ from conesurf.errors import (
     DegenerateInput,
     ForestNotTrees,
     GluingMismatch,
+    NonIntegerGenus,
     OrientationViolation,
     UnknownVertex,
 )
@@ -109,6 +110,16 @@ class TestBuildSurface:
                           (0, 1, 2))
         with pytest.raises(ForestNotTrees):
             build_surface(bad)
+
+    def test_disconnected_gluing_rejected(self, square_torus, doubled_triangle,
+                                          disjoint_union):
+        # genus 0 by Euler characteristic and Gauss-Bonnet, but two pieces
+        with pytest.raises(ValueError, match="disconnected: 2 components"):
+            build_surface(disjoint_union(square_torus, doubled_triangle))
+
+    def test_disconnected_gluing_keeps_earlier_errors(self, doubled_triangle, disjoint_union):
+        with pytest.raises(NonIntegerGenus):
+            build_surface(disjoint_union(doubled_triangle, doubled_triangle))
 
     def test_unpaired_halfedge_rejected(self):
         spec = square_torus_spec()
