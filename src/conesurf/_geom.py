@@ -36,9 +36,6 @@ SIGNATURE_TOL = 1e-10         # relative: an eigenvalue e counts when |e| > SIGN
 NORMALIZER_TOL = 1e-9         # absolute per dimension: P* (-H) P = diag(1, .., -1) within tol * d
 COMPLETION_TOL = 1e-12        # absolute: a completion pair's constraint determinant reaches this
 THIN_AREA_TOL = 1e-10         # relative: every triangle's area >= THIN_AREA_TOL * mean area
-PARALLEL_TOL = 1e-15          # relative: a side s is parallel to a segment w when
-                              # |cross(w, s)| <= PARALLEL_TOL * L**2, L = max(|w|, longest side)
-CROSSING_STEP_TOL = 1e-15     # absolute, segment parameter: a crossing needs t > t_last + tol
 AREA_MATCH_TOL = 1e-9         # relative: areas A, B agree when |A - B| <= AREA_MATCH_TOL * A
 
 

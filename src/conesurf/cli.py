@@ -261,7 +261,11 @@ def _cmd_check_flip_invariance(args, out):
     for k in range(args.moves):
         edge = candidates[rng.integers(len(candidates))]
         report_a, report_b = flip_density_pair(surface, edge)
-        deviation = abs(report_b.value / report_a.value - 1.0)
+        if all(sys.float_info.min <= abs(r.value) <= sys.float_info.max
+               for r in (report_a, report_b)):
+            deviation = abs(report_b.value / report_a.value - 1.0)
+        else:  # a density that is not a normal float keeps its log
+            deviation = abs(math.expm1(report_b.log_value - report_a.log_value))
         _emit(out, f"ratio_deviation[{k}]", deviation)
         worst = max(worst, deviation)
     return _within_tolerance(out, "max_deviation", worst, PASS_TOL_FLIP), None

@@ -25,10 +25,8 @@ import numpy as np
 
 from ._geom import (
     AREA_MATCH_TOL,
-    CROSSING_STEP_TOL,
     DELAUNAY_BAND,
     GERM_TOL,
-    PARALLEL_TOL,
     POSITION_TOL,
     SOLUTION_RESIDUAL_TOL,
     TWO_PI,
@@ -283,7 +281,8 @@ def develop_segment(surface: FlatSurface, corner, w: complex) -> Trace:
     The corner is an outgoing half-edge; the direction must lie in the closed
     sector from that half-edge's ray (inclusive) to the next corner's ray
     (exclusive).  Forest edges may not be crossed; w must be nonzero and
-    finite."""
+    finite.  Each triangle is decided by the side of the segment's line its
+    one new corner lies on (the straight walk of Devillers, Pion and Teillaud)."""
     h0 = corner
     w = complex(w)
     if w == 0 or not cmath.isfinite(w):
@@ -306,65 +305,57 @@ def develop_segment(surface: FlatSurface, corner, w: complex) -> Trace:
         raise ValueError("direction does not lie in the given corner sector")
 
     # the current triangle's half-edges, from the one it was entered by (h0 in
-    # the first triangle, which is left only through next(h0)), and the
-    # positions of their origins
+    # the first triangle, whose new corner lies left of the segment), and the
+    # positions of their origins; the third corner is the new one
     tri_hes = [h0, surface.next(h0), surface.prev(h0)]
     pos = [0j, u, u + surface.vec(tri_hes[1])]
     crossings = []
-    t_prev = 0.0
     cap = 1000 * (len(surface.halfedges) + 1)
 
-    for _ in range(cap):
+    while True:
+        if len(crossings) == cap:
+            # past this floor, each half-edge may be crossed once per smallest
+            # triangle altitude of segment length (flip walks use under a third)
+            altitude = min(cross(surface.vec(a), surface.vec(b))
+                           / max(abs(surface.vec(x)) for x in (a, b, c))
+                           for a, b, c in surface.triangles.values())
+            cap = max(cap, len(surface.halfedges) * (1 + math.ceil(abs(w) / altitude)))
+            if len(crossings) == cap:
+                raise NonTermination("segment tracing exceeded the iteration cap")
+        q = pos[2]
         local = max([abs(w)] + [abs(surface.vec(x)) for x in tri_hes])
-
-        # does the segment end at a corner of this triangle?
-        hit = next((x for x, p in zip(tri_hes, pos) if _near(p, w, local)), None)
-        if hit is not None:
+        if _near(q, w, local):
             # the clockwise side of the strip: h0, then next(entry) of every
             # triangle left through prev(entry), and of the last triangle
-            # when the segment ends at its third corner
             cw, _, _ = _strip(surface, crossings)
-            chain = [(h0, 1.0)] + [(surface.next(surface.twin(crossings[k - 1].halfedge)), 1.0)
-                                   for k in cw[1:]]
-            if hit == tri_hes[2]:
-                chain.append((tri_hes[1], 1.0))
-            trace = Trace(h0, w, tuple(crossings), tuple(chain), surface.origin(hit))
+            chain = ([(h0, 1.0)] + [(surface.next(surface.twin(crossings[k - 1].halfedge)), 1.0)
+                                    for k in cw[1:]] + [(tri_hes[1], 1.0)])
+            trace = Trace(h0, w, tuple(crossings), tuple(chain), surface.origin(tri_hes[2]))
             total = sum(s * surface.vec(x) for x, s in trace.chain)
             if not _near(total, w, local):
                 raise AssertionError("developed chain does not telescope to the segment")
             return trace
 
-        exit_he = None
-        for i in (1, 2) if crossings else (1,):
-            p, q = pos[i], pos[(i + 1) % 3]
-            denom = cross(w, q - p)
-            if abs(denom) <= PARALLEL_TOL * local * local:
-                continue
-            t = cross(p, q - p) / denom
-            s = cross(p, w) / denom
-            if t <= t_prev + CROSSING_STEP_TOL or t > 1.0 + POSITION_TOL:
-                continue
-            side_len = abs(q - p)
-            if s < -POSITION_TOL * local / side_len or s > 1.0 + POSITION_TOL * local / side_len:
-                continue
-            x = tri_hes[i]
-            if min(s, 1.0 - s) * side_len <= POSITION_TOL * local:
-                vertex = surface.origin(x) if s < 0.5 else surface.head(x)
-                raise HitsVertexEarly(vertex, t)
-            exit_he, exit_t, p_from = x, t, p
-            break
-        if exit_he is None:
+        side = cross(w, q)
+        if abs(side) <= POSITION_TOL * local * abs(w):
+            t_q = (w.conjugate() * q).real / abs(w) ** 2
+            if t_q < 1.0:
+                raise HitsVertexEarly(surface.origin(tri_hes[2]), t_q)
+            raise DoesNotTerminateAtVertex("segment ends inside a triangle")
+        # q left of the segment: leave through next(entry), from pos[1] to q;
+        # right of it: through prev(entry), from q to pos[0]
+        i = 1 if side > 0 else 2
+        exit_he, p_from = tri_hes[i], pos[i]
+        p_to = p_from + surface.vec(exit_he)
+        if cross(p_to - p_from, w - p_from) >= 0:
             raise DoesNotTerminateAtVertex("segment ends inside a triangle")
         if surface.edge_of(exit_he) in surface.forest:
             raise ExitsThroughForest(surface.edge_of(exit_he))
 
-        p_to = p_from + surface.vec(exit_he)
         crossings.append(Crossing(exit_he, p_from, p_to))
         entry = surface.twin(exit_he)
         tri_hes = [entry, surface.next(entry), surface.prev(entry)]
         pos = [p_to, p_from, p_from + surface.vec(tri_hes[1])]
-        t_prev = exit_t
-    raise NonTermination("segment tracing exceeded the iteration cap")
 
 
 def _strip(surface: FlatSurface, crossings):

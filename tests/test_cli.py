@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from conesurf import make_doubled_polygon, make_torus
+from conesurf import cli, load_surface, make_doubled_polygon, make_torus
+from conesurf.charts import chart_for
 from conesurf.cli import build_parser, main
 
 
@@ -200,6 +201,24 @@ class TestChecks:
         status, out = run(capsys, "check-flip-invariance", pentagon_path,
                           "--moves", "5", "--seed", "2")
         assert status == 0
+        assert out.strip().endswith("PASS")
+
+    def test_flip_invariance_survives_underflow(self, pentagon_path, capsys, monkeypatch):
+        # on a 1e-100 * kernel frame both densities underflow to 0.0
+        real = cli.flip_density_pair
+
+        def tiny_frame(surface, edge):
+            return real(surface, edge, 1e-100 * chart_for(surface)[1].kernel)
+
+        surface = load_surface(pentagon_path)
+        edge = next(e for e in surface.edges() if e not in surface.forest)
+        assert [r.value for r in tiny_frame(surface, edge)] == [0.0, 0.0]
+        monkeypatch.setattr(cli, "flip_density_pair", tiny_frame)
+        status, out = run(capsys, "check-flip-invariance", pentagon_path,
+                          "--moves", "5", "--seed", "2")
+        assert status == 0
+        deviations = [float(v) for k, v in parse(out).items() if k.startswith("ratio_deviation")]
+        assert len(deviations) == 5 and all(math.isfinite(d) for d in deviations)
         assert out.strip().endswith("PASS")
 
     def test_tree_invariance(self, pentagon_path, capsys):

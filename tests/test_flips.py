@@ -17,7 +17,7 @@ from conesurf import (
 )
 from conesurf import flips
 from conesurf import surface as surface_module
-from conesurf._geom import DELAUNAY_BAND, cross
+from conesurf._geom import DELAUNAY_BAND, POSITION_TOL, cross
 from conesurf.charts import chart_for, exchange_sequence, perturb_surface, spanning_forest
 from conesurf.errors import (
     ConesurfError,
@@ -261,6 +261,15 @@ class TestTrace:
             develop_segment(square_torus, corner, 2 + 2j)
         assert exc.value.parameter == pytest.approx(0.5, abs=1e-9)
 
+    def test_passing_within_the_band_of_the_new_corner_hits_it(self):
+        # aimed 1e-11 rad clockwise of the first triangle's far corner, the
+        # segment passes within the band of it halfway along
+        s = random_flips(make_torus(1, 1j), 15, np.random.default_rng(2))[0]
+        v2 = s.vec(1) + s.vec(s.next(1))
+        with pytest.raises(HitsVertexEarly) as exc:
+            develop_segment(s, 1, 2 * v2 * cmath.exp(-1e-11j))
+        assert exc.value.parameter == pytest.approx(0.5, abs=1e-9)
+
     def test_does_not_terminate(self, square_torus):
         with pytest.raises(DoesNotTerminateAtVertex):
             develop_segment(square_torus, 0, 0.5 + 0j)
@@ -292,6 +301,10 @@ class TestTrace:
             # to its counterclockwise side
             for c in trace.crossings:
                 assert cross(w, c.p_from) < 0 < cross(w, c.p_to)
+                # and its corners lie outside the band around the segment's line
+                local = max(abs(w), abs(s.vec(c.halfedge)))
+                for p in (c.p_from, c.p_to):
+                    assert abs(cross(w, p)) > POSITION_TOL * local * abs(w)
 
     @pytest.mark.parametrize("name, seed", WALKS)
     def test_developing_polygon(self, strip_surfaces, name, seed, monkeypatch):
@@ -413,6 +426,14 @@ class TestFlipPath:
         scrambled, _ = random_flips(doubled_pentagon, 10, rng)
         path = flip_path(doubled_pentagon, scrambled)
         assert isomorphic(path.replay(doubled_pentagon), scrambled) is not None
+
+    def test_long_segments_after_a_walk(self, square_torus):
+        # the way back develops a segment of 10,861 crossings, past the floor
+        # of the crossing cap (7,000 here)
+        walked, _ = random_flips(square_torus, 40, np.random.default_rng(5))
+        path = flip_path(walked, square_torus)
+        assert len(path) == 20
+        assert isomorphic(path.replay(walked), square_torus) is not None
 
     def test_round_trip_composition(self, pillowcase, rng):
         scrambled, _ = random_flips(pillowcase, 6, rng)
