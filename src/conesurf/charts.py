@@ -360,9 +360,10 @@ class ChartSystem:
     """Normalized linear system whose kernel is the local chart.
 
     The rows are held only in ``tree``; ``rows`` (the tree's dense view),
-    ``basis``, ``kernel`` and the fingerprint are derived from it when they
-    are first read and kept.  Neither the rank nor ``kernel_dim`` nor a
-    density needs the basis.  A system is shared by every caller of
+    ``basis``, ``kernel``, ``density`` (the kernel density on ``kernel``)
+    and the fingerprint are derived from it when they are first read and
+    kept.  Neither the rank nor ``kernel_dim`` nor a density on a given
+    frame needs the basis.  A system is shared by every caller of
     ``chart_for`` on the same surface, so every array it hands out is
     read-only."""
 
@@ -401,6 +402,14 @@ class ChartSystem:
             raise DimensionMismatch(self.rank, self.rank)
         kernel.flags.writeable = False
         return kernel
+
+    @cached_property
+    def density(self):
+        """``volume.kernel_density`` on ``kernel``, taken on first read: the
+        chart's own density, which every flip from a kept chart reads."""
+        from .volume import kernel_density  # volume builds on this module
+
+        return kernel_density(self, self.kernel)
 
     def fingerprint(self) -> str:
         return self.tree.fingerprint
@@ -464,8 +473,8 @@ def fix_phases(columns: np.ndarray) -> np.ndarray:
 
 def _tree_kernel(cols, coefs, num_columns):
     """The row graph's BFS spanning tree rooted at the last row, and the rank
-    and S block read off U(1) gauge potentials on it, given the flat lists
-    of ``ChartTree.cols`` and ``.coefs``.
+    and S block read off U(1) gauge potentials on it, given ``ChartTree.cols``
+    and ``.coefs`` as flat lists or arrays, which it may keep.
 
     One stable sort of the nonzero entries by column finds each column's two
     entries (``ChartTree.ends``).  One scalar pass from the root sets
@@ -480,8 +489,8 @@ def _tree_kernel(cols, coefs, num_columns):
     columns in S as the tree's pivot.  Returns (tree, rank, residual), the
     residual being the largest |y_j| over the tree columns, which must stay
     within KERNEL_RESIDUAL_TOL of its unit-modulus terms."""
-    cols = np.array(cols, dtype=np.intp).reshape(-1, 3)
-    coefs = np.array(coefs, dtype=complex).reshape(-1, 3)
+    cols = np.asarray(cols, dtype=np.intp).reshape(-1, 3)
+    coefs = np.asarray(coefs, dtype=complex).reshape(-1, 3)
     num_rows = len(cols)
     at = np.flatnonzero(coefs)
     ends = at[np.argsort(cols.ravel()[at], kind="stable")]
@@ -551,31 +560,68 @@ def assemble_system(cut: CutSurface) -> ChartSystem:
 
     Row order: triangle rows by triangle id, then boundary-pair rows by forest
     edge id.  Each row's entries go straight into ``ChartTree.cols`` and
-    ``.coefs``.  The rank read off the tree's potentials must match the
-    closed-form prediction (one less than the row count exactly when every
-    cone angle is a full-turn multiple), the potentials must solve every
-    tree column's equation, and the surface's own vector must solve the
-    rows.  The kernel basis is built, and checked, only when read.
+    ``.coefs``, which ``_checked_system`` checks.  The kernel basis is built,
+    and checked, only when read.
     """
     surface = cut.surface
     tids = sorted(surface.triangles)
     entries = [cut.col_of[h] for tid in tids for h in surface.triangle(tid)]
     for pair in cut.pairings:
-        entries += ((cut.col_of[pair.a][0], cmath.exp(1j * pair.rotation)),
-                    (cut.col_of[pair.abar][0], 1.0), (0, 0.0))
+        entries += _pair_entries(cut, pair)
     row_kind = ([("triangle", tid) for tid in tids]
                 + [("pair", pair.edge) for pair in cut.pairings])
+    return _checked_system(cut, tuple(row_kind), *zip(*entries), solution_vector(cut))
 
+
+def _pair_entries(cut: CutSurface, pair: BoundaryPair) -> tuple:
+    """A boundary pair's row as three (column, entry) pairs, the last one
+    padding."""
+    return ((cut.col_of[pair.a][0], cmath.exp(1j * pair.rotation)),
+            (cut.col_of[pair.abar][0], 1.0), (0, 0.0))
+
+
+def _flipped_system(system: ChartSystem, cut: CutSurface, edge) -> ChartSystem:
+    """``assemble_system(cut)`` for the cut of the source's surface with the
+    non-forest ``edge`` flipped (``_flipped_cut``), from the source's rows.
+
+    A flip keeps the triangle ids, the forest and the column map, so only the
+    two triangle rows of the flipped quad, the pair rows whose pairing moved
+    and the flipped edge's coordinate of the solution vector are rewritten.
+    The tree is searched again on the patched rows, so the chart equals a
+    full assembly bit for bit."""
+    surface = cut.surface
+    cols = system.tree.cols.copy()
+    coefs = system.tree.coefs.copy()
+    h = surface.edge_of(edge)
+    for tid in (surface.triangle_of(h), surface.triangle_of(surface.twin(h))):
+        row = system.row_kind.index(("triangle", tid))
+        cols[row], coefs[row] = zip(*(cut.col_of[x] for x in surface.triangle(tid)))
+    for i, (old, pair) in enumerate(zip(system.cut.pairings, cut.pairings)):
+        if pair != old:
+            row = cut.num_triangles + i
+            cols[row], coefs[row] = zip(*_pair_entries(cut, pair))
+    z0 = solution_vector(system.cut)
+    col = cut.col_of[h][0]
+    z0[col] = surface.vec(cut.columns[col])
+    return _checked_system(cut, system.row_kind, cols, coefs, z0)
+
+
+def _checked_system(cut: CutSurface, row_kind, cols, coefs, z0) -> ChartSystem:
+    """The system of given rows, after its checks: the rank read off the
+    tree's potentials must match the closed-form prediction (one less than
+    the row count exactly when every cone angle is a full-turn multiple), the
+    potentials must solve every tree column's equation, and the surface's own
+    vector ``z0`` must solve the rows."""
+    surface = cut.surface
     all_multiples = all(is_turn_multiple(surface.cone_angle(v)) for v in surface.vertex_ids)
     predicted = cut.num_rows - (1 if all_multiples else 0)
-    tree, rank, residual = _tree_kernel(*zip(*entries), cut.num_edges)
+    tree, rank, residual = _tree_kernel(cols, coefs, cut.num_edges)
     if rank != predicted or not residual <= KERNEL_RESIDUAL_TOL:
         raise DimensionMismatch(rank, predicted)
-    z0 = solution_vector(cut)
     if not np.linalg.norm(tree.apply(z0)) <= (
             KERNEL_RESIDUAL_TOL * tree.norm() * np.linalg.norm(z0)):
         raise DimensionMismatch(rank, predicted)
-    return ChartSystem(tuple(row_kind), cut.columns, rank, cut, tree)
+    return ChartSystem(row_kind, cut.columns, rank, cut, tree)
 
 
 def surface_from_solution(cut: CutSurface, z, system: ChartSystem) -> FlatSurface:

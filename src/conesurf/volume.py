@@ -56,6 +56,7 @@ from .charts import (
     ChartTree,
     _flip_transition,
     _flipped_cut,
+    _flipped_system,
     _reforest,
     assemble_system,
     chart_for,
@@ -135,19 +136,20 @@ def kernel_density(system, frame) -> DensityReport:
 def flip_density_pair(surface: FlatSurface, edge, frame=None):
     """Densities before and after one flip, on frames matched through the
     chart transition of the flip.  Returns (report_a, report_b).  The
-    surface's chart is kept on it (``chart_for``).  The flipped surface's
-    chart is read once and not kept: its cut is derived from the source's
-    (``charts._flipped_cut``), the transition rewrites one row of the frame
-    (``FlipTransition.apply``), and its density reads only the tree's free
-    columns, so it never builds a kernel basis."""
+    surface's chart is kept on it (``chart_for``), and with no ``frame`` so
+    is its density on its kernel (``ChartSystem.density``).  The flipped
+    surface's chart is read once and not kept: its cut is derived from the
+    source's (``charts._flipped_cut``), its rows are the source's with the
+    flipped quad's triangle rows and the moved pairings rewritten
+    (``charts._flipped_system``), the transition rewrites one row of the
+    frame (``FlipTransition.apply``), and its density reads only the tree's
+    free columns, so it never builds a kernel basis."""
     cut, system = chart_for(surface)
-    if frame is None:
-        frame = system.kernel
     transition = _flip_transition(cut, edge)
     flipped, _ = flip(surface, edge)
-    system_b = assemble_system(_flipped_cut(cut, flipped, edge))
-    report_a = kernel_density(system, frame)
-    report_b = kernel_density(system_b, transition.apply(frame))
+    system_b = _flipped_system(system, _flipped_cut(cut, flipped, edge), edge)
+    report_a = system.density if frame is None else kernel_density(system, frame)
+    report_b = kernel_density(system_b, transition.apply(report_a.frame))
     return report_a, report_b
 
 

@@ -1,6 +1,7 @@
 """The flipped chart built from the source's chart: the sparse flip
-transition, the cut derived with a local erasing check, and the rank and S
-block read off gauge potentials instead of the kernel sweep."""
+transition, the cut derived with a local erasing check, the rows patched
+from the source's, and the rank and S block read off gauge potentials
+instead of the kernel sweep."""
 
 import cmath
 import math
@@ -16,6 +17,7 @@ from conesurf._graph import adjacency, bfs
 from conesurf.charts import (
     _flip_transition,
     _flipped_cut,
+    _flipped_system,
     _quad_erasing,
     assemble_system,
     chart_for,
@@ -159,6 +161,54 @@ def test_uncovered_quad_vertex_raises_the_full_witness(octagon_surface, monkeypa
     with pytest.raises(ForestNotErasing) as local:
         _flipped_cut(cut, flipped, edge)
     assert local.value.witness == ("uncovered", flipped.origin(flipped.edge_of(edge)))
+
+
+# ---------------------------------------------------------------------------
+# the flipped rows patched from the source's
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def check_patched_charts(s):
+    """Patch the chart of every flippable edge of s from s's chart and
+    compare it with a full assembly of the same flipped cut, bit for bit;
+    returns how many of those flips moved a pairing."""
+    cut, system = chart_for(s)
+    kernel = system.kernel
+    moved = 0
+    for e in flippable_edges(s):
+        flipped, _ = flip(s, e)
+        flipped_cut = _flipped_cut(cut, flipped, e)
+        derived = _flipped_system(system, flipped_cut, e)
+        full = assemble_system(flipped_cut)
+        for name in ("cols", "coefs", "ends", "free"):
+            assert same_bits(getattr(derived.tree, name), getattr(full.tree, name)), (e, name)
+        assert derived.tree.links == full.tree.links, e
+        assert (derived.tree.det_s, derived.tree.pivot) == (full.tree.det_s, full.tree.pivot), e
+        assert (derived.rank, derived.row_kind) == (full.rank, full.row_kind), e
+        frame = _flip_transition(cut, e).apply(kernel)
+        assert (kernel_density(derived, frame).log_value
+                == kernel_density(full, frame).log_value), e
+        moved += flipped_cut.pairings != cut.pairings
+    return moved
+
+
+def test_patched_chart_equals_a_full_assembly(golden_surfaces, pillowcase):
+    surfaces = {**golden_surfaces, "doubled_80_gon": doubled_regular(80),
+                "genus5_4g_gon": make_regular_4g_gon(5)}
+    for seed, start in enumerate((doubled_regular(12), pillowcase)):
+        surfaces[f"walk_{seed}"] = random_flips(start, 30, np.random.default_rng(seed))[0]
+    moved = {name: check_patched_charts(s) for name, s in surfaces.items()}
+    # the walks reach flips that move a forest pairing, whose rows are patched too
+    assert sum(moved.values()) > 0, moved
+
+
+def test_patched_chart_after_the_full_check(doubled_pentagon, monkeypatch):
+    # a failed local erasing check hands over the surface's full cut
+    monkeypatch.setattr(charts, "_quad_erasing", lambda *args: False)
+    check_patched_charts(doubled_pentagon)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
+import cmath
 import gc
+import math
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conesurf import charts, flips, make_regular_4g_gon, volume
+from conesurf import charts, flips, make_regular_4g_gon, make_torus, volume
 from conesurf.charts import (
     assemble_system,
     chart_for,
@@ -20,7 +22,7 @@ from conesurf.errors import (
     FrameNotInKernel,
     NotTranslationSurface,
 )
-from conesurf.flips import flip, is_flippable
+from conesurf.flips import chart_transition, flip, is_flippable
 from conesurf.volume import (
     flip_density_pair,
     kernel_density,
@@ -426,9 +428,12 @@ class TestChartCache:
                 return function(*args)
             return wrapper
 
-        assemble = counted("assemble_system", charts.assemble_system)
-        monkeypatch.setattr(charts, "assemble_system", assemble)
-        monkeypatch.setattr(volume, "assemble_system", assemble)
+        # both row sources, the surface and a source's patched rows, end in
+        # the one checking step
+        monkeypatch.setattr(charts, "_checked_system",
+                            counted("_checked_system", charts._checked_system))
+        monkeypatch.setattr(volume, "kernel_density",
+                            counted("kernel_density", volume.kernel_density))
         monkeypatch.setattr(charts, "_deterministic_kernel",
                             counted("_deterministic_kernel", charts._deterministic_kernel))
         monkeypatch.setattr(charts, "_sweep_basis", counted("_sweep_basis", charts._sweep_basis))
@@ -436,9 +441,10 @@ class TestChartCache:
         moves = 5
         for k in range(moves):
             flip_density_pair(s, edges[k % len(edges)])
-        # the one basis is the source's, for its kernel: no flipped chart builds one
-        assert counts == {"assemble_system": moves + 1, "_deterministic_kernel": 1,
-                          "_sweep_basis": 1}
+        # the one basis is the source's, for its kernel: no flipped chart
+        # builds one, and the source's density is taken once, with its chart
+        assert counts == {"_checked_system": moves + 1, "kernel_density": moves + 1,
+                          "_deterministic_kernel": 1, "_sweep_basis": 1}
 
     def test_basis_reads_the_assembled_tree(self, doubled_pentagon, monkeypatch):
         system = assemble_system(cut_along_forest(doubled_pentagon))
@@ -478,3 +484,38 @@ class TestChartCache:
                 assert len(reports[1].fingerprint) == 16
         finally:
             gc.enable()
+
+
+def rotated_4g_gon(g, k):
+    source = make_regular_4g_gon(g)
+    return source, source.scale(cmath.exp(2j * math.pi * k / (4 * g)))
+
+
+class TestGroupAction:
+    """Elements of the group that fix a translation surface's chart: a
+    change of lattice basis of the square torus, and a rotation of a regular
+    4g-gon by a multiple of its angle (an element of its Veech group).  The
+    group preserves the volume form: the density transported by an element
+    is the source's."""
+
+    ELEMENTS = {
+        "torus_shear": lambda: (make_torus(1, 1j), make_torus(1, 1 + 1j)),
+        "torus_basis_change": lambda: (make_torus(1, 1j), make_torus(2 + 1j, 1 + 1j)),
+        "genus2_rotation": lambda: rotated_4g_gon(2, 1),
+        "genus3_rotation": lambda: rotated_4g_gon(3, 2),
+    }
+
+    @pytest.mark.parametrize("name", ELEMENTS)
+    def test_element_preserves_the_density(self, name):
+        source, target = self.ELEMENTS[name]()
+        _, system = chart_for(source)
+        _, system_t = chart_for(target)
+        assert system.fingerprint() == system_t.fingerprint()
+        mat = chart_transition(source, target)
+        assert np.array_equal(mat, np.round(mat.real)), "not an integer matrix"
+        before = kernel_density(system, system.kernel).log_value
+        after = kernel_density(system_t, mat @ system.kernel).log_value
+        assert abs(after - before) <= 4 * math.ulp(before)
+        # composed with its inverse, the element is the identity on the chart
+        inverse = chart_transition(target, source)
+        assert np.allclose(inverse @ mat @ system.kernel, system.kernel, rtol=0, atol=1e-12)
