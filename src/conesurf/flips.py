@@ -1,16 +1,16 @@
 """Elementary moves on geodesic triangulations, Delaunay canonicalization,
 straight-segment tracing and insertion, and flip paths and chart transitions
-between triangulations of the same flat metric, matched through direction
-germs.
+between triangulations of the same flat metric, which meet in their common
+Delaunay tessellation.
 
-The insertion algorithm unfolds the triangles crossed by the target segment
-into a planar strip (the developing polygon), picks the highest vertex of the
-strip above the segment, and flips one diagonal of its fan per step; every
-flip keeps the crossing count from growing and each round strictly reduces
-it.  This only makes sense when developed triangles cannot overlap in an
-ambiguous way, which holds when every holonomy rotation is a half turn or the
-surface has genus zero (the strip then lives in the disk obtained by cutting
-along the forest).
+Segment insertion serves ``insert_segment`` only.  It unfolds the triangles
+crossed by the target segment into a planar strip (the developing polygon),
+picks the highest vertex of the strip above the segment, and flips one
+diagonal of its fan per step; every flip keeps the crossing count from
+growing and each round strictly reduces it.  This only makes sense when
+developed triangles cannot overlap in an ambiguous way, which holds when
+every holonomy rotation is a half turn or the surface has genus zero (the
+strip then lives in the disk obtained by cutting along the forest).
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,8 +37,7 @@ from ._geom import (
     reduce_angle,
     signed_angle,
 )
-from ._graph import edge_vertices
-from .charts import HolonomyCheck, cut_along_forest, solution_vector
+from .charts import HolonomyCheck, _flip_transition, cut_along_forest, solution_vector
 from .errors import (
     DegenerateInput,
     DoesNotTerminateAtVertex,
@@ -51,9 +49,8 @@ from .errors import (
     NotFlippable,
     NotSameMetric,
     TransitionUndefined,
-    Unsupported,
 )
-from .surface import FlatSurface, isomorphic
+from .surface import FlatSurface, _match, isomorphic
 
 
 # ---------------------------------------------------------------------------
@@ -486,39 +483,8 @@ def insert_segment(surface: FlatSurface, corner, w: complex):
 # direction germs
 #
 # A germ is an outgoing direction at a vertex; a vertex of cone angle k*2*pi
-# has k germs per plane direction.  Two triangulations of one metric share
-# their germs, and a germ is carried from one to the other through an anchor,
-# an outgoing half-edge present in both, as its ccw offset from that anchor.
-
-
-def _check_same_metric(source: FlatSurface, target: FlatSurface):
-    """Require equal vertex labels, cone angles and forest sizes."""
-    if sorted(source.vertex_ids) != sorted(target.vertex_ids):
-        raise NotSameMetric("vertex labels differ")
-    for v in source.vertex_ids:
-        if abs(source.cone_angle(v) - target.cone_angle(v)) > angle_tol(source.cone_angle(v)):
-            raise NotSameMetric(f"cone angles differ at vertex {v}")
-    if len(source.forest) != len(target.forest):
-        raise NotSameMetric("forests differ")
-
-
-def _match_forest_halfedges(source: FlatSurface, target: FlatSurface):
-    """Map each forest half-edge of target onto the geometrically identical
-    forest half-edge of source (same origin vertex, same vector)."""
-    matching = {}
-    used = set()
-    for e in target.forest:
-        for h in (e, target.twin(e)):
-            v, w = target.origin(h), target.vec(h)
-            cands = [x for x in source.corners_at(v)
-                     if source.edge_of(x) in source.forest and x not in used
-                     and abs(source.vec(x) - w) <= VEC_TOL * abs(w)]
-            if len(cands) != 1:
-                raise NotSameMetric(
-                    f"forest half-edge at vertex {v} has {len(cands)} geometric matches")
-            matching[h] = cands[0]
-            used.add(cands[0])
-    return matching
+# has k germs per plane direction.  Insertion keeps the germ of its segment as
+# a ccw offset from a reference half-edge at its vertex.
 
 
 def _offset_between(surf: FlatSurface, from_corner, to_corner) -> float:
@@ -531,23 +497,6 @@ def _offset_between(surf: FlatSurface, from_corner, to_corner) -> float:
         theta += surf.corner_angle(h)
         h = surf.sigma(h)
     raise AssertionError("corners do not share a vertex")
-
-
-def _anchor_and_offset(surf: FlatSurface, germ_halfedge, anchors):
-    """(anchor, ccw angle from its germ to the germ of the given outgoing
-    half-edge), the anchor being the smallest half-edge of ``anchors`` at the
-    origin.  Without one the vertex must be a full-turn regular point, where
-    the absolute direction fixes the germ, and (None, None) is returned."""
-    v = surf.origin(germ_halfedge)
-    anchored = [h for h in surf.corners_at(v) if h in anchors]
-    if not anchored:
-        if abs(surf.cone_angle(v) - TWO_PI) > angle_tol(TWO_PI):
-            raise Unsupported(
-                f"vertex {v} has cone angle {surf.cone_angle(v)!r} and no forest edge "
-                "to anchor directions; germs there are ambiguous")
-        return None, None
-    anchor = min(anchored)
-    return anchor, _offset_between(surf, anchor, germ_halfedge)
 
 
 def _germs(surf: FlatSurface, vertex, direction):
@@ -595,86 +544,162 @@ def _locate_germ(surf: FlatSurface, vertex, anchor, theta, direction, length):
 
 
 # ---------------------------------------------------------------------------
-# chart transitions and flip paths between triangulations
+# flip paths and chart transitions through the Delaunay tessellation
+#
+# Two presentations of one metric with the same forest have the same
+# constrained Delaunay tessellation, which is unique (Bobenko and Springborn
+# 2007), and Delaunay flipping reaches it (Indermitte, Liebling, Troyanov and
+# Clemencon 2001).  Its cells are the triangles joined across cocircular
+# edges: convex polygons inscribed in a circle, which any triangulation
+# presents with other diagonals.  Flipped to the fan at matched corners, the
+# two sides become one triangulation.
+
+
+def _check_same_metric(source: FlatSurface, target: FlatSurface):
+    """Require equal vertex labels, cone angles and forest sizes."""
+    if sorted(source.vertex_ids) != sorted(target.vertex_ids):
+        raise NotSameMetric("vertex labels differ")
+    for v in source.vertex_ids:
+        if abs(source.cone_angle(v) - target.cone_angle(v)) > angle_tol(source.cone_angle(v)):
+            raise NotSameMetric(f"cone angles differ at vertex {v}")
+    if len(source.forest) != len(target.forest):
+        raise NotSameMetric("forests differ")
+
+
+def _cells(surface: FlatSurface):
+    """(inner, step) of a Delaunay surface: the cocircular edges, non-forest
+    ones whose angle sum lies within DELAUNAY_BAND of pi, which lie inside
+    the cells; and, for every other half-edge, the next half-edge on the
+    boundary of the cell on its left, found by turning clockwise about its
+    head past the inner edges."""
+    inner = {e for e in surface.edges() if e not in surface.forest
+             and abs(delaunay_angle_sum(surface, e) - math.pi) <= DELAUNAY_BAND}
+    if not inner:
+        return inner, surface._next
+    step = {}
+    for h in surface.halfedges:
+        if surface.edge_of(h) not in inner:
+            x = surface.next(h)
+            while surface.edge_of(x) in inner:
+                x = surface.next(surface.twin(x))
+            step[h] = x
+    return inner, step
+
+
+def _fan_degree(surface: FlatSurface, corner, inner):
+    """The inner edges at the cell corner that the boundary half-edge
+    ``corner`` leaves: the fan edges that corner already has."""
+    count, h = 0, surface.sigma(corner)
+    while surface.edge_of(h) in inner:
+        count, h = count + 1, surface.sigma(h)
+    return count
+
+
+def _fan(surface: FlatSurface, corner, inner, moves):
+    """Flip the cell on the left of the boundary half-edge ``corner``, in
+    place, to the fan from the corner's origin, appending the moves: flip the
+    side opposite the origin while it is inner, then turn to the next fan
+    edge, until the turn reaches the cell's boundary."""
+    h = corner
+    while True:
+        while surface.edge_of(surface.next(h)) in inner:
+            moves.append(_flip_owned(surface, surface.next(h)))
+        h = surface.sigma(h)
+        if surface.edge_of(h) not in inner:
+            return
+
+
+def _tessellation_path(source: FlatSurface, target: FlatSurface):
+    """(path, isomorphism from the replayed source onto the target).
+
+    The surfaces must pass ``_check_same_metric``.  The path is the source's
+    ``delaunay`` moves, each cell with inner edges flipped to the fan at the
+    corner where the two sides have the most fan edges between them (the
+    smallest boundary half-edge on ties), then the target's own moves to the
+    same place, reversed and relabelled through the match, less the flips of
+    one edge that meet where the two ends join.  The two tessellations are
+    matched with their inner edges ignored and vectors compared within
+    VEC_TOL times the longest edge of the two inputs, so walk drift on short
+    edges passes; a failed match reports whether the areas differ.  The
+    replayed source must then be ``isomorphic`` to the target, within VEC_TOL
+    of each edge."""
+    _check_same_metric(source, target)
+    bound = VEC_TOL * max(abs(s.vec(h)) for s in (source, target) for h in s.halfedges)
+    current, there = delaunay(source)
+    meeting, back = delaunay(target)
+    inner_s, step_s = _cells(current)
+    inner_t, step_t = _cells(meeting)
+    match = _match(current, meeting, step_s, step_t, 0.0, bound)
+    if match is None:
+        area = source.total_area()
+        if abs(area - target.total_area()) > AREA_MATCH_TOL * area:
+            raise NotSameMetric("areas differ")
+        raise NotSameMetric("the Delaunay tessellations do not match")
+    moves, back = list(there.moves), list(back.moves)
+    seen = set()
+    for h in sorted(step_s) if inner_s else ():
+        if h in seen:
+            continue
+        cycle = [h]
+        while step_s[cycle[-1]] != h:
+            cycle.append(step_s[cycle[-1]])
+        seen.update(cycle)
+        if len(cycle) > 3:
+            corner = max(cycle, key=lambda c: (_fan_degree(current, c, inner_s)
+                                               + _fan_degree(meeting, match[c], inner_t), -c))
+            _fan(current, corner, inner_s, moves)
+            _fan(meeting, match[corner], inner_t, back)
+            x, y = corner, match[corner]
+            for _ in range(len(cycle) - 3):
+                x, y = current.sigma(x), meeting.sigma(y)
+                match[x], match[current.twin(x)] = y, meeting.twin(y)
+    if len(match) != len(current.halfedges):
+        raise NotSameMetric("the Delaunay cells do not match")
+    inverse = {y: x for x, y in match.items()}
+    back = [current.edge_of(inverse[move.edge]) for move in back]
+    # a flip followed by the flip of the same edge leaves the triangulation
+    # as it was, so the two ends cancel where they meet
+    k = 0
+    while k < min(len(moves), len(back)) and moves[-1 - k].edge == back[-1 - k]:
+        k += 1
+    if k:
+        current = source._copy()
+        moves = [_flip_owned(current, move.edge) for move in moves[:-k]]
+        del back[-k:]
+    for edge in reversed(back):
+        moves.append(_flip_owned(current, edge))
+    iso = isomorphic(current, target)
+    if iso is None:
+        raise NotSameMetric("the replayed source is not the target")
+    return FlipPath(tuple(moves)), iso
 
 
 def chart_transition(source: FlatSurface, target: FlatSurface) -> np.ndarray:
     """Linear map sending source-chart coordinates to target-chart coordinates.
 
-    The two surfaces must carry the same metric, vertex labels and forest;
-    each target edge is developed across the source triangulation and written
-    as a signed sum of source columns (a combinatorial expression, constant on
-    a chart neighbourhood).  At one cone vertex without a forest edge, as in
-    ``flip_path``, each germ of its smallest target corner is tried in turn,
-    and the first whose matrix reproduces the target coordinates is kept."""
-    _check_same_metric(source, target)
-    attempt = partial(_transition_matrix, source, target,
-                      cut_along_forest(source), cut_along_forest(target))
-    return _first_germ(source, target, attempt,
-                       (NotSameMetric, TransitionUndefined, NonTermination), several=True)
-
-
-def _first_germ(source, target, attempt, caught, several):
-    """``attempt(matching, first)`` with the forest half-edges matched.  At
-    the one cone vertex without a forest edge (whose angle is not one turn),
-    ``first`` runs through its germs until an attempt raises none of
-    ``caught``; with no such vertex, or several and ``several`` true, it is
-    None, and several otherwise raise ``Unsupported``."""
-    matching = _match_forest_halfedges(source, target)
-    anchored = edge_vertices(source, source.forest)
-    fat = [v for v in source.vertex_ids if v not in anchored
-           and abs(source.cone_angle(v) - TWO_PI) > angle_tol(TWO_PI)]
-    if len(fat) > 1 and not several:
-        raise Unsupported("more than one cone vertex without a forest anchor; direction "
-                          "germs cannot be matched canonically")
-    if len(fat) != 1:
-        return attempt(matching)
-    ref_t = min(target.corners_at(fat[0]))
-    failure = None
-    for h, delta in _germs(source, fat[0], target.vec(ref_t) / abs(target.vec(ref_t))):
-        try:
-            return attempt(matching, (ref_t, h, delta))
-        except caught as exc:
-            failure = exc
-    raise NotSameMetric("no direction germ reproduces the target") from failure
-
-
-def _transition_matrix(source, target, cut_s, cut_t, matching, first=None):
-    """``chart_transition`` with germs located through the forest half-edges
-    in ``matching`` and, when given, ``first`` = (target half-edge, source
-    corner, offset from its leading ray), which anchors every direction at
-    its vertex."""
-    anchors = {h: (h_s, 0.0) for h, h_s in matching.items()}
-    if first is not None:
-        ref_t, corner_s, delta = first
-        anchors[ref_t] = (corner_s, delta)
-    mat = np.zeros((cut_t.num_edges, cut_s.num_edges), dtype=complex)
+    The two surfaces must carry the same metric, vertex labels and forest,
+    under any holonomy.  The map is the product of the flip transitions along
+    the path of ``flip_path``, its rows then read through the final
+    isomorphism onto the target's columns, with the signs of the source's
+    column map: an integer matrix, constant on a chart neighbourhood.  It must
+    reproduce the target coordinates from the source's."""
+    path, iso = _tessellation_path(source, target)
+    cut_s, cut_t = cut_along_forest(source), cut_along_forest(target)
+    # a flip keeps the columns, so one cut follows the walk's surface, on
+    # which _flip_transition reads the quad before each flip; each transition
+    # rewrites one row, in place, as FlipTransition.apply does on a copy
+    current = source._copy()
+    walk = replace(cut_s, surface=current)
+    frame = np.eye(cut_s.num_edges, dtype=complex)
+    for move in path:
+        step = _flip_transition(walk, move.edge)
+        frame[step.column] = sum(coef * frame[col] for col, coef in step.terms)
+        _flip_owned(current, move.edge)
+    inverse = {k: h for h, k in iso.items()}
+    mat = np.empty((cut_t.num_edges, cut_s.num_edges), dtype=complex)
     for col_t, rep in enumerate(cut_t.columns):
-        if rep in cut_t.boundary:
-            col_s, sign = cut_s.column_of(matching[rep])
-            mat[col_t, col_s] = sign
-            continue
-        w = target.vec(rep)
-        anchor_t, theta = _anchor_and_offset(target, rep, anchors)
-        anchor_s = None
-        if anchor_t is not None:
-            anchor_s, offset = anchors[anchor_t]
-            theta += offset
-        corner, w_src = _locate_germ(source, target.origin(rep), anchor_s, theta,
-                                     w / abs(w), abs(w))
-        try:
-            trace = develop_segment(source, corner, w_src)
-        except (DoesNotTerminateAtVertex, HitsVertexEarly) as exc:
-            raise NotSameMetric(
-                f"target edge {rep} does not develop to a source geodesic") from exc
-        except ExitsThroughForest as exc:
-            raise TransitionUndefined(
-                f"target edge {rep} crosses the forest") from exc
-        if trace.end_vertex != target.head(rep):
-            raise NotSameMetric(f"target edge {rep} develops to another vertex")
-        for h, sign in trace.chain:
-            col_s, rep_sign = cut_s.column_of(h)
-            mat[col_t, col_s] += sign * rep_sign
+        col_s, sign = cut_s.column_of(inverse[rep])
+        mat[col_t] = sign * frame[col_s]
     z_s = solution_vector(cut_s)
     z_t = solution_vector(cut_t)
     if not np.linalg.norm(mat @ z_s - z_t) <= SOLUTION_RESIDUAL_TOL * np.linalg.norm(z_t):
@@ -682,61 +707,15 @@ def _transition_matrix(source, target, cut_s, cut_t, matching, first=None):
     return mat
 
 
-def _flip_path_anchored(source, target, matching, first=None):
-    """Insert all target edges, each germ located through the smallest
-    anchored target half-edge at its origin (``matching`` maps anchors to
-    source half-edges).  ``first``, when given, is (target half-edge, source
-    corner, offset) at a vertex without anchors: that edge goes in first and
-    its inserted half-edge anchors every later germ there, since flips only
-    hit edges crossing the segment being inserted, and target edges do not
-    cross each other.  The walk flips its own copy of the source."""
-    current = source._copy()
-    moves = []
-
-    def insert(vertex, anchor_s, theta, w, label):
-        try:
-            path, trace = _insert_located(current, vertex, anchor_s, theta, w / abs(w), abs(w))
-        except (DoesNotTerminateAtVertex, HitsVertexEarly, ExitsThroughForest) as exc:
-            raise NotSameMetric(
-                f"target edge {label} is not a geodesic of the source metric") from exc
-        moves.extend(path.moves)
-        return trace
-
-    edges = [e for e in sorted(target.edges()) if e not in target.forest]
-    if first is not None:
-        ref_t, corner_s, delta = first
-        ref_edge = target.edge_of(ref_t)
-        trace = insert(target.origin(ref_t), corner_s, delta, target.vec(ref_t), ref_edge)
-        matching = {**matching, ref_t: trace.corner}
-        edges.remove(ref_edge)
-
-    for e2 in edges:
-        anchor_t, theta = _anchor_and_offset(target, e2, matching)
-        anchor_s = matching[anchor_t] if anchor_t is not None else None
-        insert(target.origin(e2), anchor_s, theta, target.vec(e2), e2)
-    if isomorphic(current, target) is None:
-        raise NotSameMetric("inserted triangulation is not the target")
-    return FlipPath(tuple(moves))
-
-
 def flip_path(source: FlatSurface, target: FlatSurface) -> FlipPath:
     """Sequence of flips carrying the source triangulation onto the target.
 
-    Both surfaces must present the same flat metric with the same vertex
-    labels and forest.  Works under half-turn holonomy or in genus zero; the
-    replayed path ends in a surface canonically equal to the target.
-
-    Directions at a vertex are matched between the two presentations through
-    a forest half-edge when one is incident, or directly when the cone angle
-    is a single turn.  One vertex with a larger angle and no forest edge is
-    handled by trying each of its finitely many germs of the reference
-    direction; more than one such vertex is not supported.
-    """
-    _check_same_metric(source, target)
-    if abs(source.total_area() - target.total_area()) > AREA_MATCH_TOL * source.total_area():
-        raise NotSameMetric("areas differ")
-    if not has_half_turn_holonomy(source) and source.genus() != 0:
-        raise Unsupported("flip paths need half-turn holonomy or genus zero")
-
-    return _first_germ(source, target, partial(_flip_path_anchored, source, target),
-                       (NotSameMetric, NonTermination, Unsupported), several=False)
+    Both surfaces must present the same flat metric, of any holonomy, with
+    the same vertex labels, forest and area.  The path meets the target in
+    their common Delaunay tessellation: both sides are flipped to it and
+    their cells to fans at matched corners, and the target's moves are
+    replayed backwards.  The tessellations match within VEC_TOL times the
+    longest edge of the two inputs; the replayed path must end in a surface
+    ``isomorphic`` to the target, within VEC_TOL of each edge, or the call
+    raises ``NotSameMetric``."""
+    return _tessellation_path(source, target)[0]

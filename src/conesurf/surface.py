@@ -733,36 +733,49 @@ def isomorphic(s1: FlatSurface, s2: FlatSurface):
         return None
     if len(s1.forest) != len(s2.forest):
         return None
+    return _match(s1, s2, s1._next, s2._next, VEC_TOL, 0.0)
 
-    def agree(h, k):
-        """Same origin, same vector within VEC_TOL, same forest membership."""
-        return (s1.origin(h) == s2.origin(k)
-                and abs(s1.vec(h) - s2.vec(k)) <= VEC_TOL * abs(s1.vec(h))
-                and (s1.edge_of(h) in s1.forest) == (s2.edge_of(k) in s2.forest))
 
-    h0 = s1.halfedges[0]
-    for cand in s2.halfedges:
-        if not agree(h0, cand):
+def _match(s1, s2, step1, step2, rel, bound):
+    """The bijection from the half-edges keyed in ``step1`` onto those keyed
+    in ``step2`` that commutes with the steps and with twin, keeps origin
+    vertex ids and forest membership, and matches vectors within
+    ``rel * |v| + bound``, v the s1 vector; or None.  Every step and twin
+    must land in its key set.  The smallest key of ``step1`` is tried against
+    every candidate at its origin in increasing id order, and the first
+    candidate whose image closes is returned."""
+    if len(step1) != len(step2):
+        return None
+    twin1, twin2, origin1, origin2 = s1._twin, s2._twin, s1._origin, s2._origin
+    vec1, vec2 = s1._vec, s2._vec
+    forest1 = s1._forest.union(twin1[e] for e in s1._forest)
+    forest2 = s2._forest.union(twin2[e] for e in s2._forest)
+    h0 = min(step1)
+    v0 = vec1[h0]
+    for cand in sorted(s2._corners_at.get(origin1[h0], ())):
+        if (cand not in step2 or abs(v0 - vec2[cand]) > rel * abs(v0) + bound
+                or (h0 in forest1) != (cand in forest2)):
             continue
         mapping = {h0: cand}
         stack = [h0]
-        used = {cand}
-        ok = True
-        while stack and ok:
+        while stack:
             h = stack.pop()
-            for nh, img in ((s1.next(h), s2.next(mapping[h])),
-                            (s1.twin(h), s2.twin(mapping[h]))):
-                if nh in mapping:
-                    if mapping[nh] != img:
-                        ok = False
+            k = mapping[h]
+            for nh, img in ((step1[h], step2[k]), (twin1[h], twin2[k])):
+                seen = mapping.get(nh)
+                if seen is None:
+                    v = vec1[nh]
+                    if (origin1[nh] != origin2[img] or abs(v - vec2[img]) > rel * abs(v) + bound
+                            or (nh in forest1) != (img in forest2)):
                         break
-                    continue
-                if img in used or not agree(nh, img):
-                    ok = False
+                    mapping[nh] = img
+                    stack.append(nh)
+                elif seen != img:
                     break
-                mapping[nh] = img
-                used.add(img)
-                stack.append(nh)
-        if ok and len(mapping) == len(s1.halfedges):
-            return mapping
+            else:
+                continue
+            break
+        else:
+            if len(mapping) == len(step1) == len(set(mapping.values())):
+                return mapping
     return None

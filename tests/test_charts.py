@@ -289,6 +289,9 @@ class TestTransitions:
     def test_identity_transition(self, doubled_pentagon):
         mat = chart_transition(doubled_pentagon, doubled_pentagon)
         assert np.allclose(mat, np.eye(mat.shape[0]), atol=1e-12)
+        walked, _ = random_flips(doubled_pentagon, 10, np.random.default_rng(0))
+        mat = chart_transition(walked, walked)
+        assert np.array_equal(mat, np.eye(mat.shape[0]))
 
     def test_flip_transition_agrees_on_kernel(self, square_torus, doubled_pentagon):
         for s in (square_torus, doubled_pentagon):

@@ -18,7 +18,14 @@ from conesurf import (
 from conesurf import flips
 from conesurf import surface as surface_module
 from conesurf._geom import DELAUNAY_BAND, POSITION_TOL, cross
-from conesurf.charts import chart_for, exchange_sequence, perturb_surface, spanning_forest
+from conesurf.charts import (
+    chart_for,
+    cut_along_forest,
+    exchange_sequence,
+    perturb_surface,
+    solution_vector,
+    spanning_forest,
+)
 from conesurf.errors import (
     ConesurfError,
     DegenerateInput,
@@ -30,7 +37,6 @@ from conesurf.errors import (
     NonTermination,
     NotFlippable,
     NotSameMetric,
-    Unsupported,
 )
 from conesurf.flips import (
     FlipPath,
@@ -47,6 +53,7 @@ from conesurf.flips import (
     is_flippable,
     random_flips,
 )
+from conesurf.volume import kernel_density
 
 TWO_PI = 2 * math.pi
 
@@ -224,10 +231,12 @@ WALKS = [(name, seed) for name in ("square_torus", "octagon", "doubled_triangle"
 
 
 def walk_segments(surface, seed, monkeypatch):
-    """(surface, corner, vector) of every segment that flip_path develops on
-    its way from a seeded 20-flip walk of the surface back to it, and on the
-    way there; the surface is a copy of the walk's surface at that moment.
-    Germ attempts whose segment does not develop are left out."""
+    """(surface, corner, vector) of every segment that insert_segment develops
+    while it inserts each non-forest edge of a seeded 20-flip walk of the
+    surface into the surface, and each edge of the surface into the walk,
+    from every germ of the edge's direction at its origin; the surface is a
+    copy of the inserting surface at that moment.  Germs whose segment does
+    not develop are left out."""
     walked, _ = random_flips(surface, 20, np.random.default_rng(seed))
     segments = []
     develop = flips.develop_segment
@@ -239,8 +248,17 @@ def walk_segments(surface, seed, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(flips, "develop_segment", recording)
-        flip_path(walked, surface)
-        flip_path(surface, walked)
+        for source, target in ((walked, surface), (surface, walked)):
+            for e in target.edges():
+                if e in target.forest:
+                    continue
+                w = target.vec(e)
+                for h, delta in flips._germs(source, target.origin(e), w / abs(w)):
+                    unit = source.vec(h) / abs(source.vec(h))
+                    try:
+                        insert_segment(source, h, unit * cmath.exp(1j * delta) * abs(w))
+                    except ConesurfError:
+                        pass
     assert segments
     return segments
 
@@ -390,14 +408,13 @@ class TestInsert:
 
 def corner_for_direction_any(surface, w, original, edge):
     """Corner of the flipped surface at the old diagonal's origin vertex whose
-    sector contains the old diagonal direction (anchored by the forest)."""
-    from conesurf.flips import _anchor_and_offset, _locate_germ, _match_forest_halfedges
-
-    matching = _match_forest_halfedges(surface, original)
-    anchor_o, theta = _anchor_and_offset(original, edge, matching)
-    corner, _ = _locate_germ(surface, original.origin(edge),
-                             matching[anchor_o] if anchor_o is not None else None,
-                             theta, w / abs(w), abs(w))
+    sector contains the old diagonal's germ, carried over as its ccw offset
+    from a half-edge at that vertex that the flip kept."""
+    v = original.origin(edge)
+    anchor = next(h for h in original.corners_at(v)
+                  if original.edge_of(h) != original.edge_of(edge))
+    theta = flips._offset_between(original, anchor, edge)
+    corner, _ = flips._locate_germ(surface, v, anchor, theta, w / abs(w), abs(w))
     return corner
 
 
@@ -405,6 +422,11 @@ class TestFlipPath:
     def test_identity(self, square_torus):
         path = flip_path(square_torus, square_torus)
         assert len(path) == 0
+        # a walked doubled 12-gon's cells are not fans: each side flips its
+        # cells to the same fans, and the two ends cancel
+        for seed in range(3):
+            walked, _ = random_flips(doubled_polygon(12), 20, np.random.default_rng(seed))
+            assert len(flip_path(walked, walked)) == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_torus_scrambles(self, square_torus, seed):
@@ -428,8 +450,8 @@ class TestFlipPath:
         assert isomorphic(path.replay(doubled_pentagon), scrambled) is not None
 
     def test_long_segments_after_a_walk(self, square_torus):
-        # the way back develops a segment of 10,861 crossings, past the floor
-        # of the crossing cap (7,000 here)
+        # the walk's longest edge has length about 5,800; the way back is its
+        # Delaunay flips, through edges that long
         walked, _ = random_flips(square_torus, 40, np.random.default_rng(5))
         path = flip_path(walked, square_torus)
         assert len(path) == 20
@@ -448,8 +470,8 @@ class TestFlipPath:
 
     @pytest.mark.parametrize("seed", [17, 18])
     def test_octagon_scrambles_via_germ_backtracking(self, octagon_surface, seed):
-        # one unanchored 6-pi vertex: the direction germ is found by trying
-        # its three sheets and checking the replay
+        # one 6-pi vertex without a forest edge, and every diagonal of the
+        # octagon cocircular: one Delaunay cell, flipped to a fan on each side
         rng = np.random.default_rng(seed)
         scrambled, _ = random_flips(octagon_surface, 8, rng)
         path = flip_path(octagon_surface, scrambled)
@@ -457,24 +479,56 @@ class TestFlipPath:
 
     def test_two_unanchored_cone_vertices(self):
         # the regular decagon with opposite sides glued has two 4-pi vertices
-        # and an empty forest: flip_path refuses it up front, chart_transition
-        # tries the anchored matrix, whose germ lookup refuses the vertex
+        # and an empty forest (stratum H(1,1)); the path replays, and the
+        # transition is an integer matrix that keeps the density
         pts = [cmath.exp(2j * math.pi * j / 10) for j in range(10)]
         triangles, vectors, twin, sides = surface_module._fan(pts)
         for a, b in zip(sides[:5], sides[5:]):
             twin[a], twin[b] = b, a
         s = FlatSurface(triangles, twin, vectors)
         assert [s.cone_angle(v) for v in s.vertex_ids] == pytest.approx([2 * TWO_PI] * 2)
+        _, system = chart_for(s)
+        before = kernel_density(system, system.kernel).log_value
         flipped, _ = flip(s, next(e for e in s.edges() if is_flippable(s, e)))
-        with pytest.raises(Unsupported, match="more than one cone vertex"):
-            flip_path(s, flipped)
-        with pytest.raises(Unsupported, match="no forest edge"):
-            chart_transition(s, flipped)
+        walks = [random_flips(s, 10, np.random.default_rng(seed))[0] for seed in (0, 1)]
+        for target in [flipped, *walks]:
+            path = flip_path(s, target)
+            assert isomorphic(path.replay(s), target) is not None
+            mat = chart_transition(s, target)
+            assert np.array_equal(mat, np.round(mat.real))
+            _, system_t = chart_for(target)
+            after = kernel_density(system_t, mat @ system.kernel).log_value
+            assert abs(after - before) <= 4 * math.ulp(before)
+
+
+WALKED_TORI = {"square": (1, 1j), "skew": (1, 0.3 + 1.1j), "thin": (1, 0.05 + 0.2j)}
+# 40-flip walks whose Delaunay edges drift from the torus by more than
+# VEC_TOL: the way back does not replay to the torus within VEC_TOL
+DRIFTED = {("skew", 11), ("thin", 1), ("thin", 11)}
+
+
+class TestWalkedTori:
+    """flip_path both ways and chart_transition between a torus and its
+    seeded 40-flip walks, whose edges reach lengths of about 5e4."""
+
+    @pytest.mark.parametrize("name", WALKED_TORI)
+    def test_walks_replay(self, name):
+        torus = make_torus(*WALKED_TORI[name])
+        z_torus = solution_vector(cut_along_forest(torus))
+        for seed in range(12):
+            walked, _ = random_flips(torus, 40, np.random.default_rng(seed))
+            assert isomorphic(flip_path(torus, walked).replay(torus), walked) is not None
+            if (name, seed) not in DRIFTED:
+                assert isomorphic(flip_path(walked, torus).replay(walked), torus) is not None
+            mat = chart_transition(torus, walked)
+            z_walked = solution_vector(cut_along_forest(walked))
+            assert np.array_equal(mat, np.round(mat.real))
+            assert np.linalg.norm(mat @ z_torus - z_walked) <= 1e-8 * np.linalg.norm(z_walked)
 
 
 class TestPinnedPaths:
-    """FlipPath.to_json() digests of seeded runs, so that a changed fan choice
-    or germ order fails here and not only at scale."""
+    """FlipPath.to_json() digests of seeded runs, so that a changed fan
+    choice, Delaunay order or cell corner fails here and not only at scale."""
 
     @pytest.mark.parametrize("name, seed, back, flips_, digest", [
         ("square_torus", 2, True, 16,
@@ -483,10 +537,10 @@ class TestPinnedPaths:
          "ebe42bd2f33f4ab09302724aa76a91d92e6fc4e854fe349229b42d50f8853ec2"),
         ("doubled_pentagon", 2, True, 4,
          "620dc359fb3cddac70288c4392056e3c9ab211a1defa8830ef4ad59727addb15"),
-        ("doubled_12gon", 1, True, 19,
-         "6baf05bf83423f4ffbe7be369c5ed56365fad707b5529ad8464bd68a6c3aef67"),
-        ("doubled_12gon", 3, False, 21,
-         "6517d882d3fbf7a97098878dd67067a4c60034adf81bfa27ec45d62b57ec1b5a"),
+        ("doubled_12gon", 1, True, 14,
+         "dadfcf5f587daf12570d6ce2c6bd7ada2ffd0e752a3a7eee4ff723235fdde329"),
+        ("doubled_12gon", 3, False, 13,
+         "3202b432ab20c3bcf802d2f8af533601e4a13b1867c96ebd2391d1c554945f89"),
     ], ids=["torus-2-back", "octagon-4-there", "pentagon-2-back", "12gon-1-back",
             "12gon-3-there"])
     def test_flip_path(self, strip_surfaces, name, seed, back, flips_, digest):
@@ -758,28 +812,16 @@ class TestOwnership:
             walk(surface)
         assert vars(surface) == snapshot
 
-    def test_failed_germ_attempt_leaves_input(self, octagon_surface, monkeypatch):
-        """The first germ of the octagon's 6-pi vertex fails for this scramble;
-        the second attempt starts again from an unflipped copy."""
-        scrambled, _ = random_flips(octagon_surface, 8, np.random.default_rng(0))
-        snapshot = copy.deepcopy(vars(octagon_surface))
-        attempts = []
-        anchored = flips._flip_path_anchored
-
-        def recorded(*args):
-            try:
-                path = anchored(*args)
-            except NotSameMetric:
-                attempts.append("failed")
-                raise
-            attempts.append("ok")
-            return path
-
-        monkeypatch.setattr(flips, "_flip_path_anchored", recorded)
-        path = flip_path(octagon_surface, scrambled)
-        assert attempts == ["failed", "ok"]
-        assert vars(octagon_surface) == snapshot
-        assert isomorphic(path.replay(octagon_surface), scrambled) is not None
+    def test_failed_tessellation_match_leaves_input(self):
+        """Walks of two tori of equal area and cone angle are flipped to their
+        Delaunay tessellations, which do not match; neither input changes."""
+        source, _ = random_flips(make_torus(1, 1j), 10, np.random.default_rng(0))
+        target, _ = random_flips(make_torus(1, 0.5 + 1j), 10, np.random.default_rng(1))
+        snapshots = [copy.deepcopy(vars(s)) for s in (source, target)]
+        for call in (flip_path, chart_transition):
+            with pytest.raises(NotSameMetric, match="tessellations do not match"):
+                call(source, target)
+            assert [vars(s) for s in (source, target)] == snapshots
 
 
 # Full-rescan versions of the flip loops: each rescans every edge after every

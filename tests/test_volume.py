@@ -491,6 +491,13 @@ def rotated_4g_gon(g, k):
     return source, source.scale(cmath.exp(2j * math.pi * k / (4 * g)))
 
 
+def rotations(g, k, power):
+    """The regular 4g-gon and its rotations by k steps, up to the given
+    power."""
+    source = make_regular_4g_gon(g)
+    return [source.scale(cmath.exp(2j * math.pi * k * j / (4 * g))) for j in range(power + 1)]
+
+
 class TestGroupAction:
     """Elements of the group that fix a translation surface's chart: a
     change of lattice basis of the square torus, and a rotation of a regular
@@ -519,3 +526,31 @@ class TestGroupAction:
         # composed with its inverse, the element is the identity on the chart
         inverse = chart_transition(target, source)
         assert np.allclose(inverse @ mat @ system.kernel, system.kernel, rtol=0, atol=1e-12)
+
+    # chains of surfaces whose consecutive pairs are the elements above or
+    # their inverses
+    PRODUCTS = {
+        "shear_inverse_then_basis_change": lambda: [make_torus(1, 1 + 1j), make_torus(1, 1j),
+                                                    make_torus(2 + 1j, 1 + 1j)],
+        "basis_change_inverse_then_shear": lambda: [make_torus(2 + 1j, 1 + 1j), make_torus(1, 1j),
+                                                    make_torus(1, 1 + 1j)],
+        "shear_and_back_then_basis_change": lambda: [make_torus(1, 1j), make_torus(1, 1 + 1j),
+                                                     make_torus(1, 1j),
+                                                     make_torus(2 + 1j, 1 + 1j)],
+        "genus2_rotation_squared": lambda: rotations(2, 1, 2),
+        "genus2_rotation_to_the_fourth": lambda: rotations(2, 1, 4),
+        "genus3_rotation_cubed": lambda: rotations(3, 2, 3),
+    }
+
+    @pytest.mark.parametrize("name", PRODUCTS)
+    def test_product_preserves_the_density(self, name):
+        chain = self.PRODUCTS[name]()
+        _, system = chart_for(chain[0])
+        _, system_t = chart_for(chain[-1])
+        mat = np.eye(system.rows.shape[1])
+        for source, target in zip(chain, chain[1:]):
+            mat = chart_transition(source, target) @ mat
+        assert np.array_equal(mat, np.round(mat.real)), "not an integer matrix"
+        before = kernel_density(system, system.kernel).log_value
+        after = kernel_density(system_t, mat @ system.kernel).log_value
+        assert abs(after - before) <= 4 * math.ulp(before)
