@@ -28,8 +28,6 @@ DELAUNAY_BAND = 1e-9          # absolute: an opposite-angle sum up to pi + DELAU
 POSITION_TOL = 1e-9           # relative: developed points coincide within POSITION_TOL * scale
 FRAME_RESIDUAL_TOL = 1e-8     # relative: a frame F needs |A F| <= FRAME_RESIDUAL_TOL*|F|*(1 + |A|)
 Q1_TOL = 1e-9                 # absolute: a point Z on the quadric has |f(Z) + 1| <= Q1_TOL
-GERM_TOL = 1e-9               # absolute, radians: a direction this close to a corner's leading ray
-                              # lies on it, and this close to its trailing ray in the next corner
 TANGENT_TOL = 1e-8            # relative: a tangent x has |<Z, x>| <= TANGENT_TOL * (1 + |x|)
 HERMITIAN_TOL = 1e-12         # relative: H is Hermitian when |H - H*| <= HERMITIAN_TOL * (1 + |H|)
 SIGNATURE_TOL = 1e-10         # relative: an eigenvalue e counts when |e| > SIGNATURE_TOL * max |e|

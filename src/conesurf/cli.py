@@ -297,7 +297,7 @@ def _cmd_hyp_compare(args, out):
     surface = load_surface(args.surface)
     chart = genus_zero_chart(surface)
     rng = np.random.default_rng(args.seed)
-    scan = ratio_scan(chart, args.samples, rng, tolerance=PASS_TOL_HYP)
+    scan = ratio_scan(chart, args.samples, rng)
     for k, (ratio, residual) in enumerate(zip(scan.ratios, scan.residuals)):
         _emit(out, f"ratio[{k}]", ratio)
         _emit(out, f"residual[{k}]", residual)

@@ -25,13 +25,10 @@ import numpy as np
 from ._geom import (
     AREA_MATCH_TOL,
     DELAUNAY_BAND,
-    GERM_TOL,
     POSITION_TOL,
     SOLUTION_RESIDUAL_TOL,
-    TWO_PI,
     VEC_TOL,
     angle_tol,
-    ccw_angle,
     cross,
     json_text,
     reduce_angle,
@@ -417,15 +414,26 @@ def _fan_flip_choice(surface: FlatSurface, trace: Trace):
     return min(fan, key=lambda k: (height(k, 1 - side), k))
 
 
-def _insert_located(surface, vertex, anchor, theta, direction, length):
-    """Insertion core, flipping a surface the caller owns in place; returns
-    (path, trace of the inserted segment).  Resolve the germ once, then keep
-    it as (reference half-edge at the vertex, ccw offset), re-anchoring before
-    any flip that would remove the reference edge.  The offset between two
-    geodesic germs at a vertex never changes, so the tracked germ survives
-    every flip."""
-    corner, wv = _locate_germ(surface, vertex, anchor, theta, direction, length)
-    h_ref, delta = corner, max(signed_angle(surface.vec(corner), wv), 0.0)
+def insert_segment(surface: FlatSurface, corner, w: complex):
+    """Flip until the straight segment from the corner becomes an edge.
+
+    Requires half-turn holonomy or genus zero, and a segment that ends at a
+    vertex without crossing the forest.  Returns (surface, path).  The germ
+    of the segment is kept as a ccw offset from a reference half-edge at its
+    vertex, re-anchored before any flip that would remove the reference edge:
+    the offset between two geodesic germs at a vertex never changes, so the
+    germ survives every flip."""
+    check = has_half_turn_holonomy(surface)
+    if not check and surface.genus() != 0:
+        raise HolonomyNotHalfTurn(
+            "holonomy has rotations outside half turns and the genus is positive", check.witness)
+    develop_segment(surface, corner, w)  # validate the trace up front
+    delta = max(signed_angle(surface.vec(corner), w), 0.0)
+    length = abs(w)
+    surface = surface._copy()
+    vertex = surface.origin(corner)
+    h_ref, wv = _locate_germ(surface, corner, delta, length)
+    delta = max(signed_angle(surface.vec(h_ref), wv), 0.0)
 
     moves = []
     n_edges = len(surface.halfedges) // 2 + len(surface.forest)
@@ -433,11 +441,11 @@ def _insert_located(surface, vertex, anchor, theta, direction, length):
     prev_m = None
     budget = None
     while True:
-        corner, wv = _locate_germ(surface, vertex, h_ref, delta, direction, length)
+        corner, wv = _locate_germ(surface, h_ref, delta, length)
         trace = develop_segment(surface, corner, wv)
         m = len(trace.crossings)
         if m == 0:
-            return FlipPath(tuple(moves)), trace
+            return surface, FlipPath(tuple(moves))
         if prev_m is None or m < prev_m:
             prev_m = m
             budget = m + 2
@@ -463,28 +471,11 @@ def _insert_located(surface, vertex, anchor, theta, direction, length):
             raise NonTermination(f"insertion exceeded {cap} flips")
 
 
-def insert_segment(surface: FlatSurface, corner, w: complex):
-    """Flip until the straight segment from the corner becomes an edge.
-
-    Requires half-turn holonomy or genus zero, and a segment that ends at a
-    vertex without crossing the forest.  Returns (surface, path)."""
-    check = has_half_turn_holonomy(surface)
-    if not check and surface.genus() != 0:
-        raise HolonomyNotHalfTurn(
-            "holonomy has rotations outside half turns and the genus is positive", check.witness)
-    develop_segment(surface, corner, w)  # validate the trace up front
-    delta = max(signed_angle(surface.vec(corner), w), 0.0)
-    result = surface._copy()
-    path, _ = _insert_located(result, surface.origin(corner), corner, delta, w / abs(w), abs(w))
-    return result, path
-
-
 # ---------------------------------------------------------------------------
 # direction germs
 #
 # A germ is an outgoing direction at a vertex; a vertex of cone angle k*2*pi
-# has k germs per plane direction.  Insertion keeps the germ of its segment as
-# a ccw offset from a reference half-edge at its vertex.
+# has k germs per plane direction.
 
 
 def _offset_between(surf: FlatSurface, from_corner, to_corner) -> float:
@@ -499,30 +490,10 @@ def _offset_between(surf: FlatSurface, from_corner, to_corner) -> float:
     raise AssertionError("corners do not share a vertex")
 
 
-def _germs(surf: FlatSurface, vertex, direction):
-    """Every (corner half-edge, ccw offset from its leading ray) at the vertex
-    whose sector, leading ray included, holds the plane direction: one per
-    full turn of the cone angle."""
-    for h in surf.corners_at(vertex):
-        delta = ccw_angle(surf.vec(h), direction)
-        if delta <= GERM_TOL or delta >= TWO_PI - GERM_TOL:
-            yield h, 0.0
-        elif delta < surf.corner_angle(h) - GERM_TOL:
-            yield h, delta
-
-
-def _locate_germ(surf: FlatSurface, vertex, anchor, theta, direction, length):
-    """Resolve a germ description to a (corner half-edge, vector) pair.
-
-    Anchored form: ``theta`` is the ccw angle from the anchor germ.  Anchor
-    None: ``direction`` is an absolute plane direction at a full-turn vertex.
-    """
-    if anchor is None:
-        for h, delta in _germs(surf, vertex, direction):
-            unit = surf.vec(h) / abs(surf.vec(h))
-            return h, unit * cmath.exp(1j * delta) * length
-        raise TransitionUndefined(f"no corner at vertex {vertex} contains the direction")
-
+def _locate_germ(surf: FlatSurface, anchor, theta, length):
+    """Resolve the germ ``theta`` ccw from the anchor germ, at the anchor's
+    origin, to a (corner half-edge, vector of the given length) pair."""
+    vertex = surf.origin(anchor)
     theta %= surf.cone_angle(vertex)
     h = anchor
     acc = 0.0

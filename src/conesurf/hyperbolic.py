@@ -43,6 +43,11 @@ from .errors import (
 from .surface import FlatSurface
 from .volume import kernel_density
 
+# ratio_scan samples v0 + RATIO_SCAN_STEP * |v0| * (a standard complex normal vector) about the
+# chart point v0, and passes when the ratios' relative spread is below RATIO_SCAN_TOL
+RATIO_SCAN_STEP = 0.01
+RATIO_SCAN_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class GenusZeroChart:
@@ -299,8 +304,7 @@ class RatioScan:
     passed: bool
 
 
-def ratio_scan(chart: GenusZeroChart, samples: int, rng, rel: float = 0.01,
-               tolerance: float = 1e-6) -> RatioScan:
+def ratio_scan(chart: GenusZeroChart, samples: int, rng) -> RatioScan:
     """Sample nearby unit-area surfaces in one chart and compare the two
     densities; the ratio must be constant across samples (and equals a quarter
     of the chart constant with these conventions)."""
@@ -320,7 +324,7 @@ def ratio_scan(chart: GenusZeroChart, samples: int, rng, rel: float = 0.01,
         guard += 1
         if guard > 20 * samples:
             raise MetricNotPositive("sampling kept leaving the chart")
-        v = v0 + rel * np.linalg.norm(v0) * (
+        v = v0 + RATIO_SCAN_STEP * np.linalg.norm(v0) * (
             rng.standard_normal(chart.dim) + 1j * rng.standard_normal(chart.dim))
         z_full = chart.expansion @ v
         areas = _triangle_areas(cut, z_full)
@@ -340,4 +344,4 @@ def ratio_scan(chart: GenusZeroChart, samples: int, rng, rel: float = 0.01,
         residuals.append(abs(quadric_value(zeta) + 1.0))
     low, high = min(ratios), max(ratios)
     spread = (high - low) / abs(low)
-    return RatioScan(tuple(ratios), tuple(residuals), spread, c0, spread < tolerance)
+    return RatioScan(tuple(ratios), tuple(residuals), spread, c0, spread < RATIO_SCAN_TOL)

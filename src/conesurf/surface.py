@@ -727,12 +727,6 @@ def isomorphic(s1: FlatSurface, s2: FlatSurface):
     preserving origin vertex ids and forest membership, and matching vectors
     within VEC_TOL.  Returns the bijection (dict) or None.
     """
-    if len(s1.halfedges) != len(s2.halfedges):
-        return None
-    if sorted(s1.vertex_ids) != sorted(s2.vertex_ids):
-        return None
-    if len(s1.forest) != len(s2.forest):
-        return None
     return _match(s1, s2, s1._next, s2._next, VEC_TOL, 0.0)
 
 

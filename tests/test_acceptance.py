@@ -204,11 +204,11 @@ def test_criterion_9_hyperbolic_comparison():
     # (b) constancy of the density ratio over samples and across two charts
     pentagon = goldens()["doubled_pentagon"]
     chart_a = genus_zero_chart(pentagon)
-    scan_a = ratio_scan(chart_a, 50, rng, tolerance=1e-6)
+    scan_a = ratio_scan(chart_a, 50, rng)
     ok = ok and scan_a.passed
     leaves = [v for v in pentagon.vertex_ids if v != chart_a.excluded_vertex]
     chart_b = genus_zero_chart(pentagon, excluded_vertex=min(leaves))
-    scan_b = ratio_scan(chart_b, 10, rng, tolerance=1e-6)
+    scan_b = ratio_scan(chart_b, 10, rng)
     ok = ok and scan_b.passed
     ok = ok and abs(scan_b.ratios[0] / scan_a.ratios[0] - 1.0) < 1e-6
     report(9, "hyperbolic volume comparison", ok, started, 60.0)

@@ -17,7 +17,7 @@ from conesurf import (
 )
 from conesurf import flips
 from conesurf import surface as surface_module
-from conesurf._geom import DELAUNAY_BAND, POSITION_TOL, cross
+from conesurf._geom import DELAUNAY_BAND, POSITION_TOL, ccw_angle, cross
 from conesurf.charts import (
     chart_for,
     cut_along_forest,
@@ -83,8 +83,6 @@ def torus_crossing_oracle(w: complex) -> int:
 
 
 def corner_for_direction(surface, vertex, w):
-    from conesurf._geom import ccw_angle
-
     for h in surface.corners_at(vertex):
         delta = ccw_angle(surface.vec(h), w)
         if delta <= 1e-12 or delta < surface.corner_angle(h) - 1e-12:
@@ -225,19 +223,46 @@ def strip_surfaces(golden_surfaces):
 
 
 # (surface, seed) of the walks whose flip paths the strip tests read
-WALKS = [(name, seed) for name in ("square_torus", "octagon", "doubled_triangle", "pillowcase",
-                                   "doubled_pentagon", "doubled_12gon")
-         for seed in range(3)]
+STRIP_WALKS = [(name, seed)
+               for name in ("square_torus", "octagon", "doubled_triangle", "pillowcase",
+                            "doubled_pentagon", "doubled_12gon")
+               for seed in range(3)]
+
+
+def germs(surface, vertex, direction):
+    """(corner, ccw offset from its leading ray) of every corner at the
+    vertex whose sector, leading ray included, holds the plane direction: one
+    per full turn of the cone angle.  Within 1e-9 rad of a ray the direction
+    lies on it."""
+    for h in surface.corners_at(vertex):
+        delta = ccw_angle(surface.vec(h), direction)
+        if delta <= 1e-9 or delta >= TWO_PI - 1e-9:
+            yield h, 0.0
+        elif delta < surface.corner_angle(h) - 1e-9:
+            yield h, delta
+
+
+def walk_insertions(surface, seed):
+    """(surface, corner, vector) of the insertion of each non-forest edge of
+    a seeded 20-flip walk of the surface into the surface, and of each edge
+    of the surface into the walk, from every germ of the edge's direction at
+    its origin."""
+    walked, _ = random_flips(surface, 20, np.random.default_rng(seed))
+    for source, target in ((walked, surface), (surface, walked)):
+        for e in target.edges():
+            if e in target.forest:
+                continue
+            w = target.vec(e)
+            for h, delta in germs(source, target.origin(e), w / abs(w)):
+                unit = source.vec(h) / abs(source.vec(h))
+                yield source, h, unit * cmath.exp(1j * delta) * abs(w)
 
 
 def walk_segments(surface, seed, monkeypatch):
     """(surface, corner, vector) of every segment that insert_segment develops
-    while it inserts each non-forest edge of a seeded 20-flip walk of the
-    surface into the surface, and each edge of the surface into the walk,
-    from every germ of the edge's direction at its origin; the surface is a
+    during the ``walk_insertions`` of the surface and seed; the surface is a
     copy of the inserting surface at that moment.  Germs whose segment does
     not develop are left out."""
-    walked, _ = random_flips(surface, 20, np.random.default_rng(seed))
     segments = []
     develop = flips.develop_segment
 
@@ -248,17 +273,11 @@ def walk_segments(surface, seed, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(flips, "develop_segment", recording)
-        for source, target in ((walked, surface), (surface, walked)):
-            for e in target.edges():
-                if e in target.forest:
-                    continue
-                w = target.vec(e)
-                for h, delta in flips._germs(source, target.origin(e), w / abs(w)):
-                    unit = source.vec(h) / abs(source.vec(h))
-                    try:
-                        insert_segment(source, h, unit * cmath.exp(1j * delta) * abs(w))
-                    except ConesurfError:
-                        pass
+        for source, corner, w in walk_insertions(surface, seed):
+            try:
+                insert_segment(source, corner, w)
+            except ConesurfError:
+                pass
     assert segments
     return segments
 
@@ -308,7 +327,7 @@ class TestTrace:
         with pytest.raises(ValueError):
             develop_segment(square_torus, 0, -1 + 0.5j)
 
-    @pytest.mark.parametrize("name, seed", WALKS)
+    @pytest.mark.parametrize("name, seed", STRIP_WALKS)
     def test_chain_telescopes(self, strip_surfaces, name, seed, monkeypatch):
         surface = strip_surfaces[name]
         for s, corner, w in walk_segments(surface, seed, monkeypatch):
@@ -324,7 +343,7 @@ class TestTrace:
                 for p in (c.p_from, c.p_to):
                     assert abs(cross(w, p)) > POSITION_TOL * local * abs(w)
 
-    @pytest.mark.parametrize("name, seed", WALKS)
+    @pytest.mark.parametrize("name, seed", STRIP_WALKS)
     def test_developing_polygon(self, strip_surfaces, name, seed, monkeypatch):
         surface = strip_surfaces[name]
         for s, corner, w in walk_segments(surface, seed, monkeypatch):
@@ -414,7 +433,7 @@ def corner_for_direction_any(surface, w, original, edge):
     anchor = next(h for h in original.corners_at(v)
                   if original.edge_of(h) != original.edge_of(edge))
     theta = flips._offset_between(original, anchor, edge)
-    corner, _ = flips._locate_germ(surface, v, anchor, theta, w / abs(w), abs(w))
+    corner, _ = flips._locate_germ(surface, anchor, theta, abs(w))
     return corner
 
 
@@ -571,6 +590,31 @@ class TestPinnedPaths:
         assert len(path) == 9
         assert hashlib.sha256(path.to_json().encode()).hexdigest() == (
             "469f563bfc4fbef4138e5d8e05ab9c9d2495e6b81b45ed524c8e9d4c1aae3d50")
+
+    def test_insert_segment_breaks_a_height_tie_by_the_last_bit(self, octagon_surface):
+        # the strip corners of this segment on a walked octagon tie in
+        # height, so the fan choices turn on the last bits of w
+        walked, _ = random_flips(octagon_surface, 20, np.random.default_rng(3))
+        _, path = insert_segment(walked, 13, 1.7071067811865475 + 0.7071067811865475j)
+        assert [move.edge for move in path] == [8, 14]
+        assert hashlib.sha256(path.to_json().encode()).hexdigest() == (
+            "8b3e059c743a45e5e0342b78b8e8c5fe4760952d55d916e7b22044212480e225")
+        _, path = insert_segment(walked, 13, 1.7071067811865477 + 0.7071067811865475j)
+        assert [move.edge for move in path] == [14, 8]
+
+    def test_insert_segment_on_strip_walks(self, strip_surfaces):
+        # the path, or the error class, of every walk insertion of the strip
+        # tests, so that a change in the last bits of a traced vector shows
+        outcomes = []
+        for name, seed in STRIP_WALKS:
+            for source, corner, w in walk_insertions(strip_surfaces[name], seed):
+                try:
+                    outcomes.append(insert_segment(source, corner, w)[1].to_json())
+                except ConesurfError as exc:
+                    outcomes.append(type(exc).__name__)
+        assert len(outcomes) == 386
+        assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == (
+            "b7001e14e9af296937e48dc1b27993bd2bd32b0a5b3c479daab1bfb1288e51bc")
 
 
 class TestExchangeTree:

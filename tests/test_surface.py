@@ -442,6 +442,18 @@ class TestCanonicalEquality:
     def test_not_isomorphic_after_scaling(self, square_torus):
         assert isomorphic(square_torus, square_torus.scale(2)) is None
 
+    def test_not_isomorphic_across_sizes_labels_or_forests(self, square_torus, octagon_surface,
+                                                           pillowcase, marked_torus):
+        def rebuilt(s, forest, names):
+            return FlatSurface(s.triangles, {h: s.twin(h) for h in s.halfedges},
+                               {h: s.vec(h) for h in s.halfedges}, forest,
+                               [(names.get(v, v), s.angle_target(v)) for v in s.vertex_ids])
+
+        # one vertex 0 and no forest each, 6 and 18 half-edges
+        assert isomorphic(square_torus, octagon_surface) is None
+        assert isomorphic(pillowcase, rebuilt(pillowcase, pillowcase.forest, {3: 7})) is None
+        assert isomorphic(marked_torus, rebuilt(marked_torus, (), {})) is None
+
     def test_isomorphic_under_relabeling(self, pillowcase, rng):
         perm = rng.permutation(len(pillowcase.halfedges))
         mapping = {h: int(perm[i]) for i, h in enumerate(pillowcase.halfedges)}
