@@ -31,7 +31,7 @@ from .flips import (
     is_delaunay_edge,
     is_flippable,
 )
-from .hyperbolic import genus_zero_chart, ratio_scan
+from .hyperbolic import RATIO_SCAN_TOL, genus_zero_chart, ratio_scan
 from .surface import (
     FlatSurface,
     isomorphic,
@@ -52,7 +52,6 @@ from .volume import (
 PASS_TOL_FLIP = 1e-9
 PASS_TOL_TREE = 1e-9
 PASS_TOL_PERIOD = 1e-8
-PASS_TOL_HYP = 1e-6
 
 
 def _emit(out, key, value):
@@ -302,7 +301,7 @@ def _cmd_hyp_compare(args, out):
         _emit(out, f"ratio[{k}]", ratio)
         _emit(out, f"residual[{k}]", residual)
     _emit(out, "chart_constant", scan.chart_constant)
-    return _within_tolerance(out, "spread", scan.spread, PASS_TOL_HYP), None
+    return _within_tolerance(out, "spread", scan.spread, RATIO_SCAN_TOL), None
 
 
 @functools.cache

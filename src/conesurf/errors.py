@@ -147,15 +147,6 @@ class ExitsThroughForest(ConesurfError):
         super().__init__(f"segment crosses forest edge {edge}")
 
 
-class HolonomyNotHalfTurn(ConesurfError):
-    """Some cycle has rotation outside {0, pi}; the flip-connection algorithm
-    is only available under the half-turn hypothesis (or in genus zero)."""
-
-    def __init__(self, message, witness=None):
-        self.witness = witness
-        super().__init__(message)
-
-
 class Unsupported(ConesurfError):
     pass
 

@@ -7,10 +7,7 @@ Segment insertion serves ``insert_segment`` only.  It unfolds the triangles
 crossed by the target segment into a planar strip (the developing polygon),
 picks the highest vertex of the strip above the segment, and flips one
 diagonal of its fan per step; every flip keeps the crossing count from
-growing and each round strictly reduces it.  This only makes sense when
-developed triangles cannot overlap in an ambiguous way, which holds when
-every holonomy rotation is a half turn or the surface has genus zero (the
-strip then lives in the disk obtained by cutting along the forest).
+growing and each round strictly reduces it.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from .errors import (
     ExitsThroughForest,
     ForestEdge,
     HitsVertexEarly,
-    HolonomyNotHalfTurn,
     NonTermination,
     NotFlippable,
     NotSameMetric,
@@ -417,16 +413,17 @@ def _fan_flip_choice(surface: FlatSurface, trace: Trace):
 def insert_segment(surface: FlatSurface, corner, w: complex):
     """Flip until the straight segment from the corner becomes an edge.
 
-    Requires half-turn holonomy or genus zero, and a segment that ends at a
-    vertex without crossing the forest.  Returns (surface, path).  The germ
-    of the segment is kept as a ccw offset from a reference half-edge at its
-    vertex, re-anchored before any flip that would remove the reference edge:
-    the offset between two geodesic germs at a vertex never changes, so the
-    germ survives every flip."""
-    check = has_half_turn_holonomy(surface)
-    if not check and surface.genus() != 0:
-        raise HolonomyNotHalfTurn(
-            "holonomy has rotations outside half turns and the genus is positive", check.witness)
+    Works under any holonomy: the segment must end at a vertex without
+    crossing the forest, so its strip develops by translations alone.
+    Returns (surface, path).  The germ of the segment is kept as a ccw offset
+    from a reference half-edge at its vertex, re-anchored before any flip that
+    would remove the reference edge: the offset between two geodesic germs at
+    a vertex never changes, so the germ survives every flip.
+
+    A round whose crossing count m rises raises ``NonTermination``, and so
+    does one that would make an (m + 4)th flip at the same m, so an
+    insertion whose first trace crosses m0 edges makes at most
+    m0 (m0 + 7) / 2 flips."""
     develop_segment(surface, corner, w)  # validate the trace up front
     delta = max(signed_angle(surface.vec(corner), w), 0.0)
     length = abs(w)
@@ -436,8 +433,6 @@ def insert_segment(surface: FlatSurface, corner, w: complex):
     delta = max(signed_angle(surface.vec(h_ref), wv), 0.0)
 
     moves = []
-    n_edges = len(surface.halfedges) // 2 + len(surface.forest)
-    cap = 100 * n_edges * n_edges
     prev_m = None
     budget = None
     while True:
@@ -467,8 +462,6 @@ def insert_segment(surface: FlatSurface, corner, w: complex):
                 % surface.cone_angle(vertex)
             h_ref = h_new
         moves.append(_flip_owned(surface, edge))
-        if len(moves) > cap:
-            raise NonTermination(f"insertion exceeded {cap} flips")
 
 
 # ---------------------------------------------------------------------------

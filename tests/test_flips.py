@@ -33,7 +33,6 @@ from conesurf.errors import (
     ExitsThroughForest,
     ForestEdge,
     HitsVertexEarly,
-    HolonomyNotHalfTurn,
     NonTermination,
     NotFlippable,
     NotSameMetric,
@@ -323,6 +322,15 @@ class TestTrace:
         with pytest.raises(ExitsThroughForest):
             develop_segment(s, corner, w)
 
+    def test_crossing_cap_grows_with_the_segment(self):
+        # 17,997 crossings, past the floor of 1000 per half-edge, so the cap
+        # is raised from the smallest triangle altitude
+        torus = make_torus(1, 1j)
+        w = 9000 + 1j
+        trace = develop_segment(torus, 0, w)
+        assert len(trace.crossings) == 17997 > 1000 * (len(torus.halfedges) + 1)
+        assert abs(sum(s * torus.vec(h) for h, s in trace.chain) - w) <= POSITION_TOL * abs(w)
+
     def test_direction_outside_sector(self, square_torus):
         with pytest.raises(ValueError):
             develop_segment(square_torus, 0, -1 + 0.5j)
@@ -402,27 +410,34 @@ class TestInsert:
         # more than once), but at least one flip is always needed
         assert len(path) >= 1
 
-    def test_refusal_names_its_witness(self, genus_one_octagon):
-        # the tree's edge 1 crosses with a quarter turn
-        s = genus_one_octagon
-        with pytest.raises(HolonomyNotHalfTurn) as exc:
-            insert_segment(s, 0, s.vec(0))
-        assert exc.value.witness == 1
-
-    def test_genus_zero_without_half_turn(self, doubled_pentagon):
-        s = doubled_pentagon
-        # in genus 0 the insertion runs despite generic holonomy
-        edge = next(e for e in s.edges() if e not in s.forest and is_flippable(s, e))
-        flipped, move = flip(s, edge)
-        # re-insert the old diagonal in the flipped surface
-        corner = next(h for h in flipped.corners_at(flipped.origin(edge))
-                      if True)
-        result, path = insert_segment(
-            flipped, corner_for_direction_any(flipped, move.old_diagonal, s, edge),
-            move.old_diagonal)
-        assert any(abs(result.vec(h) - move.old_diagonal) < 1e-9
-                   or abs(result.vec(h) + move.old_diagonal) < 1e-9
-                   for h in result.halfedges)
+    @pytest.mark.parametrize("name, count, digest", [
+        ("genus_one_octagon", 154,
+         "9309901746f0efb7ef5e531c7e7f657ab3bf7d3bdb98746294d9ca9a8296d15b"),
+        ("doubled_pentagon", 108,
+         "186fbddc1184c8d4420beaab14367a0dab889919c66725f1213c9c11d27f7c6a"),
+    ], ids=["genus_one_octagon", "doubled_pentagon"])
+    def test_reinserted_diagonals_give_back_the_source(self, request, name, count, digest):
+        # any holonomy: the octagon's forest edge 1 crosses with a quarter
+        # turn, and the pentagon is genus 0 with generic rotations; the old
+        # diagonal of every flippable edge is inserted from both ends, on the
+        # surface and on its 5- and 20-flip walks
+        surface = request.getfixturevalue(name)
+        assert not has_half_turn_holonomy(surface)
+        bases = [surface] + [random_flips(surface, n, np.random.default_rng(seed))[0]
+                             for n in (5, 20) for seed in range(6)]
+        paths = []
+        for s in bases:
+            for e in s.edges():
+                if e in s.forest or not is_flippable(s, e):
+                    continue
+                flipped, move = flip(s, e)
+                for h, w in ((e, move.old_diagonal), (s.twin(e), -move.old_diagonal)):
+                    result, path = insert_segment(
+                        flipped, corner_for_direction_any(flipped, w, s, h), w)
+                    assert isomorphic(result, s) is not None
+                    paths.append(path.to_json())
+        assert len(paths) == count
+        assert hashlib.sha256("\n".join(paths).encode()).hexdigest() == digest
 
 
 def corner_for_direction_any(surface, w, original, edge):
