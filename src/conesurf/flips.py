@@ -210,18 +210,15 @@ def _violates(surface, edge):
     return not is_delaunay_edge(surface, edge)
 
 
-def delaunay(surface: FlatSurface, rng=None):
-    """Flip until every non-forest interior edge passes the local predicate.
-
-    Deterministic scan order by default; an rng randomizes the choice among
-    violating edges (the metric result is the same up to cocircular flips)."""
+def delaunay(surface: FlatSurface):
+    """Flip until every non-forest interior edge passes the local predicate,
+    always the first violating edge of the worklist."""
     cap = 50 * (len(surface.halfedges) // 2 + len(surface.forest)) ** 2
     surface = surface._copy()
     moves = []
     bad = _worklist(surface, _violates)
     while bad:
-        e = bad[0] if rng is None else bad[rng.integers(len(bad))]
-        moves.append(_flip_tracked(surface, e, bad, _violates))
+        moves.append(_flip_tracked(surface, bad[0], bad, _violates))
         if len(moves) > cap:
             raise NonTermination(f"Delaunay flipping exceeded {cap} moves")
     return surface, FlipPath(tuple(moves))

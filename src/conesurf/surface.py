@@ -665,7 +665,8 @@ def _fan(pts, back=False):
 
 
 def make_doubled_polygon(points) -> FlatSurface:
-    """Double of a strictly convex polygon across its boundary.
+    """Double of a ccw polygon, star-shaped from its first vertex, across its
+    boundary.
 
     The two copies of the polygon are glued fold-to-fold, producing a genus-0
     surface with one cone point of angle twice the interior angle at each
@@ -677,27 +678,26 @@ def make_doubled_polygon(points) -> FlatSurface:
     k = len(pts)
     if k < 3:
         raise DegenerateInput("need at least 3 vertices")
-    convex = "polygon must be strictly convex and ccw"
-    corners = zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])
-    _require_triangles([(b - a, c - b, a - c) for a, b, c in corners], convex)
-
-    axis = pts[0] - pts[-1]
+    star = "polygon must be ccw and star-shaped from its first vertex"
+    triangles, vectors, twin, front = _fan(pts)
+    _require_triangles([[vectors[h] for h in t] for t in triangles.values()], star)
+    axis = pts[0] - pts[-1]  # nonzero, since the last fan triangle passed
     rot = (axis / abs(axis)) ** 2
 
     def reflect(z):
         return pts[-1] + rot * (z - pts[-1]).conjugate()
 
-    triangles, vectors, twin, front = _fan(pts)
     *copy, back = _fan(list(map(reflect, pts)), back=True)
+    back_triangles, back_vectors, _ = copy
+    _require_triangles([[back_vectors[h] for h in t] for t in back_triangles.values()], star)
     for part, more in zip((triangles, vectors, twin), copy):
         part.update(more)
-    _require_triangles([[vectors[h] for h in t] for t in triangles.values()], convex)
     for x, y in zip(front, back):  # the folds (p_j, p_{j+1})
         twin[x], twin[y] = y, x
     forest = front[:-1]
 
     def interior_angle(i):
-        return signed_angle(pts[(i + 1) % k] - pts[i], pts[i - 1] - pts[i])
+        return ccw_angle(pts[(i + 1) % k] - pts[i], pts[i - 1] - pts[i])
 
     vertices = [(i, 2.0 * interior_angle(i)) for i in range(k)]
     return FlatSurface(triangles, twin, vectors, forest, vertices)

@@ -247,12 +247,10 @@ def period_density_ratio(surface: FlatSurface, samples: int = 10, rng=None,
     """Ratio of the kernel density to the Lebesgue density of the same frame
     in primitive-edge period coordinates, per sample point.
 
-    Requires a translation surface presented with an empty forest.  Returns
+    Requires a translation surface, with any erasing forest.  Returns
     (ratios, primitive edge family)."""
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
-    if surface.forest:
-        raise NotTranslationSurface("period coordinates need an empty forest")
     for v in surface.vertex_ids:
         if not is_turn_multiple(surface.cone_angle(v)):
             raise NotTranslationSurface(f"cone angle at vertex {v} is not a full-turn multiple")

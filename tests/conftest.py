@@ -11,7 +11,14 @@ from conesurf import (
     make_regular_4g_gon,
     make_torus,
 )
+from conesurf import surface as surface_module
+from conesurf.charts import spanning_forest
 from conesurf.surface import SurfaceSpec
+
+# doubled polygons star-shaped from their first vertex, each with one reflex
+# corner: the L-hexagon's is a 3-pi cone point, the dart's about 3.153 pi
+STAR_SHAPED = {"l_hexagon": [0, 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1],
+               "dart": [0, 2, 1 + 0.3j, 2 + 2j, -1 + 1j]}
 
 
 @pytest.fixture
@@ -78,6 +85,41 @@ def make_marked_torus() -> FlatSurface:
 @pytest.fixture
 def marked_torus():
     return make_marked_torus()
+
+
+@pytest.fixture
+def h11_decagon():
+    """The regular decagon with opposite sides glued: two 4-pi vertices and
+    an empty forest (stratum H(1,1))."""
+    pts = [cmath.exp(2j * math.pi * j / 10) for j in range(10)]
+    triangles, vectors, twin, sides = surface_module._fan(pts)
+    for a, b in zip(sides[:5], sides[5:]):
+        twin[a], twin[b] = b, a
+    return FlatSurface(triangles, twin, vectors)
+
+
+@pytest.fixture(params=sorted(STAR_SHAPED))
+def star_shaped(request):
+    return make_doubled_polygon(STAR_SHAPED[request.param])
+
+
+def _with_forest(surface, forest) -> FlatSurface:
+    """The surface on the same triangulation with another forest, each cone
+    angle kept."""
+    return FlatSurface(surface.triangles, {h: surface.twin(h) for h in surface.halfedges},
+                       {h: surface.vec(h) for h in surface.halfedges}, forest,
+                       [(v, surface.angle_target(v)) for v in surface.vertex_ids])
+
+
+@pytest.fixture
+def with_forest():
+    return _with_forest
+
+
+@pytest.fixture
+def two_tree_pillowcase(pillowcase):
+    """The pillowcase with a forest of two one-edge trees."""
+    return _with_forest(pillowcase, spanning_forest(pillowcase, parts=[{0, 1}, {2, 3}]))
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,20 @@ class TestMakeValidate:
         status, out = run(capsys, "make", "torus", "--u", "1,0", "--v", "1,5e-12")
         assert status == 1
         assert parse(out)["error"] == "DegenerateInput"
+
+    def test_make_star_shaped_polygon(self, capsys):
+        # the L-hexagon, star-shaped from its first vertex, a 3-pi point
+        status, out = run(capsys, "make", "polygon", "--vertices",
+                          "0,0;0,1;-1,1;-1,-1;1,-1;1,0")
+        assert status == 0
+        assert parse(out)["angle[0]"] == "9.42477796076938"
+
+    def test_make_polygon_needs_vertices(self, capsys):
+        status, out = run(capsys, "make", "polygon")
+        assert status == 1
+        record = parse(out)
+        assert record["error"] == "ConesurfError"
+        assert record["message"].startswith("make polygon needs --vertices")
 
     def test_disconnected_file_is_an_error_record(self, tmp_path, capsys, disjoint_union):
         path = tmp_path / "two_pieces.json"
@@ -357,7 +372,7 @@ def readme_commands():
     """The ``conesurf`` lines of the sh block under "## Command line"."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    lines = [shlex.split(line.split("#", 1)[0]) for line in block.splitlines()]
     return [line[1:] for line in lines if line and line[0] == "conesurf"]
 
 

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from conesurf import make_doubled_polygon
 from conesurf.charts import surface_from_solution
 from conesurf.errors import (
     FrameNotTangent,
     NotGenusZero,
     PointNotOnQ1,
+    SignatureUnexpected,
     TooFewVertices,
     Unsupported,
 )
@@ -50,6 +52,10 @@ class TestChart:
         with pytest.raises(Unsupported):
             genus_zero_chart(doubled_pentagon, excluded_vertex=2)
 
+    def test_forest_of_two_trees_is_refused(self, two_tree_pillowcase):
+        with pytest.raises(NotGenusZero, match="single spanning tree"):
+            genus_zero_chart(two_tree_pillowcase)
+
     def test_expansion_consistency(self, doubled_pentagon):
         chart = genus_zero_chart(doubled_pentagon)
         residual = np.linalg.norm(chart.system.rows @ chart.expansion)
@@ -70,6 +76,24 @@ class TestAreaForm:
     def test_signatures(self, pillowcase, doubled_pentagon):
         assert area_form(genus_zero_chart(pillowcase)).signature == (1, 1)
         assert area_form(genus_zero_chart(doubled_pentagon)).signature == (1, 2)
+
+    def test_reflex_corner_inertia(self, star_shaped):
+        # a measured regression, not a theorem: with one cone angle above
+        # 2 pi the form reads (2, n - 4), not the (1, n - 3) that needs
+        # every angle below 2 pi, and area_form refuses it
+        chart = genus_zero_chart(star_shaped)
+        with pytest.raises(SignatureUnexpected) as refusal:
+            area_form(chart)
+        assert refusal.value.signature == (2, len(star_shaped.vertex_ids) - 4)
+
+    def test_straight_corners_are_refused(self):
+        # the straight corners at p0 and p3 are 2-pi points of the forest;
+        # measured: the form reads (1, 1), with two null directions of four
+        chart = genus_zero_chart(make_doubled_polygon([0, 1, 1 + 1j, 1j, -1 + 1j, -1]))
+        assert chart.dim == 4
+        with pytest.raises(SignatureUnexpected) as refusal:
+            area_form(chart)
+        assert refusal.value.signature == (1, 1)
 
     def test_reproduces_area_at_random_points(self, doubled_pentagon, rng):
         chart = genus_zero_chart(doubled_pentagon)

@@ -231,15 +231,6 @@ def pentagon_star(doubled_pentagon):
     return star
 
 
-def two_tree_pillowcase(pillowcase):
-    """The pillowcase with a forest of two one-edge trees."""
-    forest = spanning_forest(pillowcase, parts=[{0, 1}, {2, 3}])
-    s = pillowcase
-    return FlatSurface(s.triangles, {h: s.twin(h) for h in s.halfedges},
-                       {h: s.vec(h) for h in s.halfedges}, forest,
-                       [(v, s.angle_target(v)) for v in s.vertex_ids])
-
-
 class TestForestRotations:
     def check(self, surface):
         assert surface.forest
@@ -264,18 +255,17 @@ class TestForestRotations:
         assert star.forest != s.forest
         self.check(star)
 
-    def test_multi_tree_forest(self, pillowcase):
-        two_trees = two_tree_pillowcase(pillowcase)
-        assert two_trees.num_trees() == 2
-        self.check(two_trees)
+    def test_multi_tree_forest(self, two_tree_pillowcase):
+        assert two_tree_pillowcase.num_trees() == 2
+        self.check(two_tree_pillowcase)
 
     def test_marked_torus(self, marked_torus):
         self.check(marked_torus)
 
     @pytest.mark.parametrize("name", ["doubled_12_gon", "doubled_48_gon", "walked_48_gon",
                                       "pentagon_star", "two_tree_pillowcase"])
-    def test_pairing_is_the_correctly_rounded_subtree_sum(self, doubled_pentagon, pillowcase,
-                                                          name):
+    def test_pairing_is_the_correctly_rounded_subtree_sum(self, doubled_pentagon,
+                                                          two_tree_pillowcase, name):
         """Every theta equals the math.fsum of its subtree's cone angles, bit
         for bit, whatever order the angles were added in."""
         rng = np.random.default_rng(48)
@@ -284,7 +274,7 @@ class TestForestRotations:
                 "walked_48_gon": lambda: random_flips(
                     perturb_surface(doubled_regular(48), rng), 60, rng)[0],
                 "pentagon_star": lambda: pentagon_star(doubled_pentagon),
-                "two_tree_pillowcase": lambda: two_tree_pillowcase(pillowcase)}
+                "two_tree_pillowcase": lambda: two_tree_pillowcase}
         s = make[name]()
         assert s.forest
         for e in s.forest:
@@ -327,9 +317,41 @@ class TestConstructors:
         with pytest.raises(DegenerateInput):
             make_torus(1, 2)  # collinear
 
-    def test_doubled_polygon_needs_convexity(self):
-        with pytest.raises(DegenerateInput):
-            make_doubled_polygon([0, 1, 1 + 1j, 0.5 + 0.4j])  # reflex corner
+    @pytest.mark.parametrize("points", [
+        [0, 1, 1 + 1j, 0.5 + 0.4j],  # p3 lies right of the ray p0 -> p2
+        [-1 + 1j, -1 - 1j, 1 - 1j, 1, 0, 1j],  # the L-hexagon from two other
+        [1j, -1 + 1j, -1 - 1j, 1 - 1j, 1, 0],  # vertices
+        [0, 1j, 1 + 1j, 1],  # cw
+        [0, 1, 1j, 0],  # the reflection axis p(k-1) -> p0 has no length
+    ])
+    def test_doubled_polygon_needs_a_star_from_its_first_vertex(self, points):
+        with pytest.raises(DegenerateInput, match="star-shaped from its first vertex"):
+            make_doubled_polygon(points)
+
+    def test_reflex_corners_are_cone_angles_above_a_full_turn(self):
+        # every fan triangle from p0 is ccw; the corner at p0 is a 3-pi point
+        s = make_doubled_polygon([0, 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1])
+        assert [s.cone_angle(v) / math.pi for v in s.vertex_ids] == pytest.approx(
+            [3, 1, 1, 1, 1, 1], abs=1e-12)
+
+    def test_fan_winding_past_a_full_turn_is_an_angle_mismatch(self):
+        # six ccw fan triangles turn 400 degrees about p0, whose corner
+        # reads 40 degrees
+        points = [0] + [(1 + 0.1 * j) * cmath.exp(1j * math.radians(80 * j)) for j in range(6)]
+        with pytest.raises(AngleMismatch) as mismatch:
+            make_doubled_polygon(points)
+        assert (mismatch.value.vertex, mismatch.value.computed, mismatch.value.declared) \
+            == (0, pytest.approx(math.radians(800)), pytest.approx(math.radians(80)))
+
+    def test_straight_corners(self):
+        # a straight corner inside a fan triangle leaves it flat
+        with pytest.raises(DegenerateInput, match="star-shaped"):
+            make_doubled_polygon([0, 1, 2, 2 + 1j, 1j])
+        # straight corners at the fan's apex p0 and between two fan
+        # triangles at p3 are regular points
+        s = make_doubled_polygon([0, 1, 1 + 1j, 1j, -1 + 1j, -1])
+        assert [s.cone_angle(v) / math.pi for v in s.vertex_ids] == pytest.approx(
+            [2, 1, 1, 2, 1, 1], abs=1e-12)
 
     def test_near_degenerate_input_is_degenerate(self):
         # the constructors test their triangles as the surface does, so an

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conesurf import charts, flips, make_regular_4g_gon, make_torus, volume
+from conesurf import charts, flips, isomorphic, make_regular_4g_gon, make_torus, volume
 from conesurf.charts import (
     assemble_system,
     chart_for,
@@ -22,7 +22,7 @@ from conesurf.errors import (
     FrameNotInKernel,
     NotTranslationSurface,
 )
-from conesurf.flips import chart_transition, flip, is_flippable
+from conesurf.flips import chart_transition, flip, flip_path, is_flippable, random_flips
 from conesurf.volume import (
     flip_density_pair,
     kernel_density,
@@ -374,12 +374,65 @@ class TestPeriodComparison:
         with pytest.raises(ValueError, match="samples"):
             period_density_ratio(square_torus, samples=samples)
 
-    def test_rejects_non_translation(self, doubled_pentagon, marked_torus):
-        with pytest.raises(NotTranslationSurface):
+    def test_rejects_non_translation(self, doubled_pentagon):
+        with pytest.raises(NotTranslationSurface, match="full-turn multiple"):
             period_density_ratio(doubled_pentagon, samples=1)
-        # the marked torus is a translation surface but carries a forest edge
-        with pytest.raises(NotTranslationSurface):
-            period_density_ratio(marked_torus, samples=1)
+
+    @pytest.mark.parametrize("name", ["marked_torus", "h11_decagon"])
+    def test_lambda_under_an_erasing_forest(self, request, with_forest, name):
+        """A translation surface with a forest: the marked torus (its regular
+        center on a one-edge tree) and the H(1,1) decagon (its two 4-pi
+        vertices joined by edge 0).  One lambda over the samples, both
+        primitive families, a 20-flip walk, a tree change, and the
+        presentation with an empty forest."""
+        s = request.getfixturevalue(name)
+        forested = s if s.forest else with_forest(s, (0,))
+        other_tree = {"marked_torus": (4,), "h11_decagon": (1,)}[name]
+        presentations = [forested, with_forest(forested, ()),
+                         random_flips(forested, 20, np.random.default_rng(2))[0],
+                         reforest(forested, other_tree)[0]]
+        assert [sorted(p.forest) for p in presentations[2:]] == [sorted(forested.forest),
+                                                                 list(other_tree)]
+        lambdas = []
+        for p in presentations:
+            for reverse in (False, True):
+                ratios, family = period_density_ratio(p, samples=3, rng=np.random.default_rng(1),
+                                                      reverse_family=reverse)
+                assert len(family) == 2 * p.genus() + len(p.vertex_ids) - 1
+                lambdas += ratios
+        assert max(lambdas) - min(lambdas) <= 1e-12 * min(lambdas)
+
+
+class TestStarShapedPolygons:
+    """Criteria 1, 3, 4 and 7 on doubled polygons that are star-shaped from
+    their first vertex, each with one cone angle above 2 pi."""
+
+    def test_dimension(self, star_shaped):
+        angles = [star_shaped.cone_angle(v) for v in star_shaped.vertex_ids]
+        assert sum(a > 2 * math.pi for a in angles) == 1
+        assert chart_for(star_shaped)[1].kernel_dim == len(angles) - 2
+
+    def test_flip_invariance_on_every_edge(self, star_shaped):
+        edges = flippable_edges(star_shaped)
+        assert edges
+        for edge in edges:
+            report_a, report_b = flip_density_pair(star_shaped, edge)
+            assert abs(report_b.log_value - report_a.log_value) < 1e-12, edge
+
+    def test_tree_change_invariance(self, star_shaped):
+        star = spanning_forest(star_shaped)
+        assert set(star) != set(star_shaped.forest)
+        _, _, ratio = tree_change_densities(star_shaped, star_shaped.forest, star)
+        assert abs(ratio - 1.0) < 1e-12
+
+    def test_flip_path_and_transition(self, star_shaped):
+        walked, _ = random_flips(star_shaped, 20, np.random.default_rng(2))
+        assert isomorphic(flip_path(star_shaped, walked).replay(star_shaped), walked) is not None
+        mat = chart_transition(star_shaped, walked)
+        _, system = chart_for(star_shaped)
+        before = kernel_density(system, system.kernel).log_value
+        after = kernel_density(chart_for(walked)[1], mat @ system.kernel).log_value
+        assert abs(after - before) <= 4 * math.ulp(before)
 
 
 @pytest.mark.parametrize("call", [
