@@ -323,7 +323,8 @@ class TestConstructors:
         [1j, -1 + 1j, -1 - 1j, 1 - 1j, 1, 0],  # vertices
         [0, 1j, 1 + 1j, 1],  # cw
         [0, 1, 1j, 0],  # the reflection axis p(k-1) -> p0 has no length
-    ])
+    ], ids=["reflex_quadrilateral", "l_hexagon_from_corner", "l_hexagon_from_top", "cw_square",
+            "zero_axis"])
     def test_doubled_polygon_needs_a_star_from_its_first_vertex(self, points):
         with pytest.raises(DegenerateInput, match="star-shaped from its first vertex"):
             make_doubled_polygon(points)
