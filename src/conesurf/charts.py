@@ -723,15 +723,15 @@ def transition_for_flip(source: FlatSurface, edge) -> np.ndarray:
     """Linear map from the chart of ``source`` to the chart after flipping
     ``edge``: identity on every column except the flipped edge, whose new
     value is z_e + s_a z_{e(a)} - s_c z_{e(c)} read off the source quad."""
-    return _flip_transition(cut_along_forest(source), edge).dense()
-
-
-def _flip_transition(cut: CutSurface, edge) -> FlipTransition:
-    """``transition_for_flip`` on the source's cut, as a sparse transition."""
-    source = cut.surface
+    cut = cut_along_forest(source)
     h = source.edge_of(edge)
-    a = source.next(h)
-    c = source.next(source.twin(h))
+    return _flip_transition(cut, h, source.next(h), source.next(source.twin(h))).dense()
+
+
+def _flip_transition(cut: CutSurface, h, a, c) -> FlipTransition:
+    """``transition_for_flip`` on a cut of the source, as a sparse transition,
+    from the flipped edge ``h`` and the quad sides ``a`` and ``c`` after it and
+    its twin; a flip keeps the columns, so one cut serves a whole path."""
     col_e, _ = cut.column_of(h)
     col_a, sign_a = cut.column_of(a)
     col_c, sign_c = cut.column_of(c)

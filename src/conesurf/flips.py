@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -646,16 +646,13 @@ def chart_transition(source: FlatSurface, target: FlatSurface) -> np.ndarray:
     reproduce the target coordinates from the source's."""
     path, iso = _tessellation_path(source, target)
     cut_s, cut_t = cut_along_forest(source), cut_along_forest(target)
-    # a flip keeps the columns, so one cut follows the walk's surface, on
-    # which _flip_transition reads the quad before each flip; each transition
-    # rewrites one row, in place, as FlipTransition.apply does on a copy
-    current = source._copy()
-    walk = replace(cut_s, surface=current)
+    # each move recorded its quad; each transition rewrites one row, in
+    # place, as FlipTransition.apply does on a copy
     frame = np.eye(cut_s.num_edges, dtype=complex)
     for move in path:
-        step = _flip_transition(walk, move.edge)
+        c, _, a, _ = move.quad
+        step = _flip_transition(cut_s, move.edge, a, c)
         frame[step.column] = sum(coef * frame[col] for col, coef in step.terms)
-        _flip_owned(current, move.edge)
     inverse = {k: h for h, k in iso.items()}
     mat = np.empty((cut_t.num_edges, cut_s.num_edges), dtype=complex)
     for col_t, rep in enumerate(cut_t.columns):

@@ -145,37 +145,20 @@ def flip_density_pair(surface: FlatSurface, edge, frame=None):
     frame (``FlipTransition.apply``), and its density reads only the tree's
     free columns, so it never builds a kernel basis."""
     cut, system = chart_for(surface)
-    transition = _flip_transition(cut, edge)
-    flipped, _ = flip(surface, edge)
+    flipped, move = flip(surface, edge)
+    c, _, a, _ = move.quad
+    transition = _flip_transition(cut, move.edge, a, c)
     system_b = _flipped_system(system, _flipped_cut(cut, flipped, edge), edge)
     report_a = system.density if frame is None else kernel_density(system, frame)
     report_b = kernel_density(system_b, transition.apply(report_a.frame))
     return report_a, report_b
 
 
-@dataclass(frozen=True)
-class SplitSystem(ChartSystem):
-    """System of a cut surface split along one more interior edge.
-
-    One extra column holds the second copy of the split edge and one extra
-    row ties the two copies together; ``embed`` is the kernel isomorphism
-    appending the negated coordinate of the split column.  Rows, kernel and
-    fingerprint are derived as for any ``ChartSystem``."""
-
-    split_edge: int
-    split_column: int
-
-    def embed(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=complex)
-        if vec.ndim == 1:
-            return np.concatenate([vec, [-vec[self.split_column]]])
-        return np.vstack([vec, -vec[self.split_column:self.split_column + 1, :]])
-
-
-def split_edge_system(cut, edge) -> SplitSystem:
+def split_edge_system(cut, edge) -> ChartSystem:
     """System after splitting the cut surface along an interior edge: the cut
     with one more zero-rotation slit, the edge against its twin, whose column
-    comes last, assembled and rank-checked like any chart."""
+    comes last, assembled and rank-checked like any chart.  Its last row,
+    which ties the two copies of the edge together, is ``("split", edge)``."""
     surface = cut.surface
     edge = surface.edge_of(edge)
     if edge in surface.forest:
@@ -186,12 +169,12 @@ def split_edge_system(cut, edge) -> SplitSystem:
         pairings=cut.pairings + (BoundaryPair(edge, twin, 0.0, edge),),
         num_edges=cut.num_edges + 1, num_rows=cut.num_rows + 1,
         col_of={**cut.col_of, twin: (cut.num_edges, 1.0)}))
-    return SplitSystem(system.row_kind[:-1] + (("split", edge),), system.column_map,
-                       system.rank, system.cut, system.tree, edge, cut.column_of(edge)[0])
+    return replace(system, row_kind=system.row_kind[:-1] + (("split", edge),))
 
 
 def split_constant(cut, edge, frame=None) -> float:
-    """Density ratio through the split-edge embedding; by construction it does
+    """Density ratio through the split-edge embedding, which appends the
+    negated coordinate of the split edge's column; by construction it does
     not depend on which interior edge is split."""
     base = assemble_system(cut)
     if frame is None:
@@ -199,7 +182,7 @@ def split_constant(cut, edge, frame=None) -> float:
     frame = np.asarray(frame, dtype=complex)
     split = split_edge_system(cut, edge)
     below = kernel_density(base, frame).log_value
-    above = kernel_density(split, split.embed(frame)).log_value
+    above = kernel_density(split, np.vstack([frame, -frame[cut.column_of(edge)[0]]])).log_value
     return math.exp(above - below)
 
 

@@ -71,6 +71,17 @@ class TestMakeValidate:
         assert record["error"] == "ConesurfError"
         assert record["message"].startswith("make polygon needs --vertices")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("torus", "--v", "0,1"), "make torus needs --u and --v"),
+        (("regular-polygon",), "make regular-polygon needs --sides"),
+        (("translation-4g",), "make translation-4g needs --genus"),
+    ], ids=["torus", "regular-polygon", "translation-4g"])
+    def test_make_needs_its_parameters(self, capsys, argv, message):
+        status, out = run(capsys, "make", *argv)
+        assert status == 1
+        record = parse(out)
+        assert (record["error"], record["message"]) == ("ConesurfError", message)
+
     def test_disconnected_file_is_an_error_record(self, tmp_path, capsys, disjoint_union):
         path = tmp_path / "two_pieces.json"
         path.write_text(disjoint_union(make_torus(1, 1j), make_doubled_polygon(
@@ -166,6 +177,14 @@ class TestOperations:
 
         moves = json.loads(path_file.read_text())
         assert all(set(m) == {"edge", "quad", "new_vector"} for m in moves)
+
+    def test_flip_path_between_other_metrics(self, torus_path, tmp_path, capsys):
+        triangle = str(tmp_path / "triangle.json")
+        assert run(capsys, "make", "regular-polygon", "--sides", "3", "-o", triangle)[0] == 0
+        status, out = run(capsys, "flip-path", torus_path, triangle)
+        assert status == 1
+        record = parse(out)
+        assert (record["error"], record["message"]) == ("NotSameMetric", "vertex labels differ")
 
     def test_cut_and_chart(self, pentagon_path, tmp_path, capsys):
         status, out = run(capsys, "cut", pentagon_path)
@@ -318,6 +337,18 @@ class TestMalformedSurfaceFile:
         assert repr(field) in record["message"]
 
 
+    def test_refused_gluing_is_an_error_record(self, torus_path, tmp_path, capsys):
+        doc = json.loads(Path(torus_path).read_text(encoding="utf-8"))
+        doc["gluing"][2] = [2, 3]
+        path = tmp_path / "glued_twice.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        status, out = run(capsys, "validate", str(path))
+        assert status == 1
+        record = parse(out)
+        assert (record["error"], record["message"]) == (
+            "ValueError", "half-edge glued twice in pair (2, 3)")
+
+
 class TestBadArguments:
     @pytest.mark.parametrize("argv", [
         ("check-flip-invariance", "--moves", "0", "--seed", "1"),
@@ -330,6 +361,12 @@ class TestBadArguments:
     def test_usage_error(self, torus_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main([argv[0], torus_path, *argv[1:]])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_bad_tree_is_usage_error(self, pentagon_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-tree-invariance", pentagon_path, "--tree", "1,x"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 

@@ -51,6 +51,12 @@ def flippable_edges(s):
     return [e for e in s.edges() if e not in s.forest and is_flippable(s, e)]
 
 
+def flip_transition(cut, edge):
+    """The sparse transition of flipping ``edge`` on the cut's surface."""
+    s, h = cut.surface, cut.surface.edge_of(edge)
+    return _flip_transition(cut, h, s.next(h), s.next(s.twin(h)))
+
+
 def quad_of(flipped, edge):
     h = flipped.edge_of(edge)
     return (flipped.triangle(flipped.triangle_of(h))
@@ -188,7 +194,7 @@ def check_patched_charts(s):
         assert derived.tree.links == full.tree.links, e
         assert (derived.tree.det_s, derived.tree.pivot) == (full.tree.det_s, full.tree.pivot), e
         assert (derived.rank, derived.row_kind) == (full.rank, full.row_kind), e
-        frame = _flip_transition(cut, e).apply(kernel)
+        frame = flip_transition(cut, e).apply(kernel)
         assert (kernel_density(derived, frame).log_value
                 == kernel_density(full, frame).log_value), e
         moved += flipped_cut.pairings != cut.pairings
@@ -223,7 +229,7 @@ def test_transition_apply_matches_the_dense_product(surfaces):
         assert edges, name
         dense_checked = False
         for e in edges:
-            transition = _flip_transition(cut, e)
+            transition = flip_transition(cut, e)
             dense = transition.dense()
             if not dense_checked:  # transition_for_flip cuts again; once per surface
                 assert transition_for_flip(s, e).tobytes() == dense.tobytes()
@@ -240,7 +246,7 @@ def test_transition_adds_a_repeated_column(square_torus):
     # holds z_e and a doubled (or cancelled) column
     cut = cut_along_forest(square_torus)
     for e in flippable_edges(square_torus):
-        transition = _flip_transition(cut, e)
+        transition = flip_transition(cut, e)
         columns = [col for col, _ in transition.terms]
         assert len(columns) == len(set(columns))
         frame = np.random.default_rng(e).standard_normal((cut.num_edges, 2)) + 0j

@@ -570,6 +570,27 @@ WALKED_TORI = {"square": (1, 1j), "skew": (1, 0.3 + 1.1j), "thin": (1, 0.05 + 0.
 DRIFTED = {("skew", 11), ("thin", 1), ("thin", 11)}
 
 
+class TestSameMetric:
+    """The refusals before any flip: vertex labels, cone angles and forest
+    sizes must agree."""
+
+    @pytest.fixture
+    def doubled_right_triangle(self):
+        return make_doubled_polygon([0, 1, 1j])
+
+    @pytest.mark.parametrize("call", [flip_path, chart_transition],
+                             ids=["flip_path", "chart_transition"])
+    @pytest.mark.parametrize("source, target, message", [
+        ("square_torus", "doubled_triangle", "vertex labels differ"),
+        ("doubled_triangle", "doubled_right_triangle", "cone angles differ at vertex 0"),
+        ("pillowcase", "two_tree_pillowcase", "forests differ"),
+    ], ids=["labels", "cone_angles", "forests"])
+    def test_refused(self, request, call, source, target, message):
+        source, target = (request.getfixturevalue(name) for name in (source, target))
+        with pytest.raises(NotSameMetric, match=f"^{message}$"):
+            call(source, target)
+
+
 class TestWalkedTori:
     """flip_path both ways and chart_transition between a torus and its
     seeded 40-flip walks, whose edges reach lengths of about 5e4."""
@@ -628,6 +649,17 @@ class TestPinnedPaths:
         _, path = insert_segment(surface, corner_for_direction(surface, vertex, w), w)
         assert len(path) == flips_
         assert hashlib.sha256(path.to_json().encode()).hexdigest() == digest
+
+    def test_chart_transitions(self, golden_surfaces):
+        # both ways between each golden and its seeded 20-flip walk, so that a
+        # change in how the path's flip transitions compose shows in the bits
+        digest = hashlib.sha256()
+        for seed, surface in enumerate(golden_surfaces.values()):
+            walked, _ = random_flips(surface, 20, np.random.default_rng(seed))
+            digest.update(chart_transition(surface, walked).tobytes())
+            digest.update(chart_transition(walked, surface).tobytes())
+        assert digest.hexdigest() == (
+            "36258f1ce9120a80d9ff15f9ff4d9b8e939a5248162d3ecd20e9e8a60b7452e4")
 
     def test_insert_segment_across_coincident_corners(self, octagon_surface):
         _, path = insert_segment(octagon_surface, 11, -0.2928932188134538 + 6.363961030678931j)

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from dataclasses import replace
 
@@ -60,7 +61,69 @@ def square_torus_spec(c_vector=-1 - 1j):
     )
 
 
+def surface_args(surface, **changes):
+    """FlatSurface arguments that rebuild the surface, some of them replaced."""
+    args = dict(triangles=surface.triangles,
+                twin={h: surface.twin(h) for h in surface.halfedges},
+                vectors={h: surface.vec(h) for h in surface.halfedges}, forest=surface.forest,
+                vertices=[(v, surface.angle_target(v)) for v in surface.vertex_ids])
+    return {**args, **changes}
+
+
+def torus(**changes):
+    """The square torus, (0, 1, 2 | 3, 4, 5) with h glued to h + 3, rebuilt
+    with some of its arguments replaced."""
+    return FlatSurface(**surface_args(make_torus(1, 1j), **changes))
+
+
+def torus_file(**changes):
+    """The square torus file with some of its fields replaced, read."""
+    doc = json.loads(square_torus_spec().to_json())
+    return SurfaceSpec.from_json(json.dumps({**doc, **changes}))
+
+
+TORUS_VECTORS = {0: 1, 1: 1j, 2: -1 - 1j, 3: -1, 4: -1j, 5: 1 + 1j}
+
+# the constructor's and the file reader's checks of outside input, each
+# with its ValueError message
+OUTSIDE_INPUT_REFUSALS = {
+    "pair_triangle": (lambda: torus(triangles=[(0, 1), (3, 4, 5)]),
+                      "triangle 0 is not a triple of distinct half-edges"),
+    "shared_halfedge": (lambda: torus(triangles=[(0, 1, 2), (3, 4, 2)]),
+                        "half-edge 2 appears in more than one triangle"),
+    "twin_fixed_point": (lambda: torus(twin={0: 3, 3: 0, 1: 4, 4: 1, 2: 2, 5: 5}),
+                         "twin map is not a fixed-point-free involution at 2"),
+    "missing_vector": (lambda: torus(vectors={h: TORUS_VECTORS[h] for h in range(5)}),
+                       "vectors must be given for exactly the half-edges of the triangles"),
+    "non_finite_vector": (lambda: torus(vectors={**TORUS_VECTORS, 0: complex("nan")}),
+                          "non-finite vector on half-edge 0"),
+    "vertex_count": (lambda: torus(vertices=[(0, TWO_PI), (1, None)]),
+                     "2 vertices declared but the gluing produces 1"),
+    "duplicate_ids": (lambda: FlatSurface(**surface_args(
+        make_doubled_polygon([0, 1, 1j]), vertices=[(0, None), (0, None), (1, None)])),
+        "duplicate vertex ids"),
+    "unknown_forest_id": (lambda: torus(forest=(99,)), "forest names unknown half-edge 99"),
+    "forest_id_not_minimal": (lambda: torus(forest=(3,)),
+                              "forest edge 3 must be named by the smaller half-edge id"),
+    "file_not_an_object": (lambda: SurfaceSpec.from_json("[]"),
+                           "surface file must contain a JSON object"),
+    "unknown_vertex_field": (lambda: torus_file(vertices=[{"id": 0, "color": 1}]),
+                             "unknown vertex fields: ['color']"),
+    "glued_twice": (lambda: build_surface(replace(square_torus_spec(),
+                                                  gluing=((0, 3), (1, 4), (2, 3)))),
+                    "half-edge glued twice in pair (2, 3)"),
+}
+
+
 class TestBuildSurface:
+    @pytest.mark.parametrize("read, message", OUTSIDE_INPUT_REFUSALS.values(),
+                             ids=OUTSIDE_INPUT_REFUSALS)
+    def test_outside_input_is_refused(self, read, message):
+        with pytest.raises(ValueError) as exc:
+            read()
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
+
     def test_square_torus_valid(self):
         s = build_surface(square_torus_spec())
         assert s.genus() == 1

@@ -1,5 +1,6 @@
 import cmath
 import gc
+import hashlib
 import math
 import weakref
 from collections import Counter
@@ -127,6 +128,11 @@ class TestKernelDensity:
         bad = np.eye(3, 2, dtype=complex)
         with pytest.raises(FrameNotInKernel):
             kernel_density(system, bad)
+
+    def test_frame_of_the_wrong_shape(self, square_torus):
+        _, system = chart_for(square_torus)
+        with pytest.raises(FrameNotInKernel, match=r"^frame must be 3 x 2, got \(3, 1\)$"):
+            kernel_density(system, system.kernel[:, :1])
 
     def test_nan_frame_is_refused(self, square_torus):
         # the density reads only the free columns, so the residual check must
@@ -273,10 +279,10 @@ class TestSplitSystems:
         assert split.rows.shape == (5, 6)
         assert split.rank == system.rank + 1
         assert split.kernel.shape[1] == system.kernel_dim
+        assert split.row_kind[-1] == ("split", interior[0])
         z = solution_vector(cut)
-        embedded = split.embed(z)
+        embedded = np.append(z, -z[cut.column_of(interior[0])[0]])
         assert np.linalg.norm(split.rows @ embedded) < 1e-10
-        assert embedded[-1] == -z[split.split_column]
 
     def test_constant_across_edges(self, doubled_triangle, doubled_pentagon):
         for s in (doubled_triangle, doubled_pentagon):
@@ -285,6 +291,18 @@ class TestSplitSystems:
             constants = [split_constant(cut, e) for e in interior]
             low, high = min(constants), max(constants)
             assert (high - low) / abs(low) < 1e-10
+
+    def test_pinned_split_constants(self, doubled_triangle, doubled_pentagon):
+        # every interior edge, so that a change in the split embedding or its
+        # chart shows in the last bits
+        digest = hashlib.sha256()
+        for s in (doubled_triangle, doubled_pentagon):
+            cut, _ = chart_for(s)
+            for e in sorted(s.edges()):
+                if e not in s.forest:
+                    digest.update(np.float64(split_constant(cut, e)).tobytes())
+        assert digest.hexdigest() == (
+            "217926b18f916ca89eac3fbbef8a550e30dea046e8fc325381bb0fcade6d412d")
 
     def test_boundary_edge_rejected(self, doubled_pentagon):
         cut, _ = chart_for(doubled_pentagon)
