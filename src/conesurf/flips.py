@@ -133,16 +133,18 @@ def flip(surface: FlatSurface, edge):
     Only the quad's two triangles, six corner angles, the flipped pair's
     vectors and origins, and its four vertices' rotations, cone angles and
     order change, and, where a cone angle moves, the forest pairings on that
-    vertex's path to its tree's root."""
+    vertex's path to its tree's root, settled on their first read."""
     flipped = surface._copy()
     return flipped, _flip_owned(flipped, edge)
 
 
-def _flip_owned(surface: FlatSurface, edge) -> FlipMove:
+def _flip_owned(surface: FlatSurface, edge, quad=None) -> FlipMove:
     """``flip`` in place, on a surface the caller owns (a copy made at the
     start of its walk); returns the move.  An edge that is not flippable
-    raises before anything changes."""
-    quad = _flip_quad(surface, edge)
+    raises before anything changes.  ``quad`` is the edge's ``_flip_quad``
+    on the surface as it stands, when the caller has it; it is not checked
+    again."""
+    quad = quad or _flip_quad(surface, edge)
     if quad is None:
         raise NotFlippable(f"edge {surface.edge_of(edge)} is not flippable")
     h, hb, a, b, c, d, new_vec = quad
@@ -156,11 +158,12 @@ def _worklist(surface, test):
     return [e for e in surface.edges() if e not in surface.forest and test(surface, e)]
 
 
-def _flip_tracked(surface, edge, worklist, test):
-    """Flip the edge of an owned surface in place and keep the sorted
-    worklist equal to _worklist(surface, test).  A flip changes only the two
-    triangles of its quad, so only the five quad edges are tested again."""
-    move = _flip_owned(surface, edge)
+def _flip_tracked(surface, edge, worklist, test, quad=None):
+    """Flip the edge of an owned surface in place, by its quad when given,
+    and keep the sorted worklist equal to _worklist(surface, test).  A flip
+    changes only the two triangles of its quad, so only the five quad edges
+    are tested again."""
+    move = _flip_owned(surface, edge, quad)
     for e in {move.edge, *(surface.edge_of(x) for x in move.quad)}:
         i = bisect_left(worklist, e)
         listed = i < len(worklist) and worklist[i] == e
@@ -173,15 +176,23 @@ def _flip_tracked(surface, edge, worklist, test):
 
 
 def random_flips(surface: FlatSurface, count, rng):
-    """Random walk in the flip graph; returns (surface, path)."""
+    """Random walk in the flip graph; returns (surface, path).  Each listed
+    edge keeps the quad of its last test, which no later flip has touched,
+    and is flipped by it."""
     surface = surface._copy()
     moves = []
-    candidates = _worklist(surface, is_flippable)
+    quads = {}
+
+    def flippable(surface, e):
+        quads[e] = _flip_quad(surface, e)
+        return quads[e] is not None
+
+    candidates = _worklist(surface, flippable)
     for _ in range(count):
         if not candidates:
             break
         edge = candidates[rng.integers(len(candidates))]
-        moves.append(_flip_tracked(surface, edge, candidates, is_flippable))
+        moves.append(_flip_tracked(surface, edge, candidates, flippable, quads[edge]))
     return surface, FlipPath(tuple(moves))
 
 

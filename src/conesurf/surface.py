@@ -121,11 +121,13 @@ class FlatSurface:
     local form on the flipped quad.  Each forest edge keeps the exact
     cone-angle sum of the subtree it cuts off and the window of sums that
     round to the same float, and each vertex its link toward its tree's
-    root, so a flip moves only the pairings on the root paths of the
-    vertices it touches, and divides again only the sums that left their
-    windows.  The chart of a surface is kept on it once built
-    (``charts.chart_for``); a copy does not carry it, and a flip in place
-    drops it.
+    root.  A flip only notes the cone angle each moved vertex had when the
+    sums last counted it; the first ``forest_pairing`` read after flips
+    settles those notes at once, moving only the sums on the root paths of
+    the vertices that moved and dividing again only the sums that left
+    their windows, so the pairings equal a rebuild's.  The chart of a
+    surface is kept on it once built (``charts.chart_for``); a copy does
+    not carry it, and a flip in place drops it.
     """
 
     _chart = None  # (cut, system), set by charts.chart_for
@@ -250,10 +252,12 @@ class FlatSurface:
     def _flip_in_place(self, h, hb, a, b, c, d, new_vec):
         """Replace the diagonal h of the quad (h, a, b | hb, c, d) by new_vec
         from origin(d) to origin(b), once _flip_fault has passed: rewrites
-        what the flip changes and checks the rest as construction would.  Only
-        the pairings on the root paths of quad vertices whose cone angle moved
-        are recomputed (_move_pairings).  The surface must be the caller's
-        own copy.  A chart kept on it is dropped."""
+        what the flip changes and checks the rest as construction would.  A
+        quad vertex whose cone angle moved and that has a root path keeps,
+        in _forest_pending, its cone angle from before its first such flip
+        since the pairings were last settled; the pairings settle on their
+        next read.  The surface must be the caller's own copy.  A chart kept
+        on it is dropped."""
         self.__dict__.pop("_chart", None)
         origin, tri_of, corner = self._origin, self._tri_of, self._corner
         quad_vertices = {origin[x]: x for x in (a, b, c, d)}
@@ -267,24 +271,24 @@ class FlatSurface:
             corner[x] = self._corner_of(x)
 
         # re-walk each quad vertex's rotation, re-sum its cone angle in order
-        moved = {}
         for v, x in quad_vertices.items():
             orbit = _canonical(self._orbit(x))
             alpha, old = sum(corner[y] for y in orbit), self._vertex_angle[v]
             self._check_angle(v, alpha, old)
             self._check_angle(v, alpha, self._angle_target[v])
-            if alpha != old:
-                moved[v] = _exact(alpha) - _exact(old)
+            if alpha != old and self._forest_link[v] is not None:
+                self._forest_pending.setdefault(v, old)
             self._corners_at[v], self._vertex_angle[v] = orbit, alpha
-        if moved:
-            self._move_pairings(moved)
 
     def _move_pairings(self, moved):
         """Add each vertex's exact cone-angle change to the subtree sums on
         its root path.  Only a sum that left its rounding window changes its
         float: it alone is divided again, and paired again if its theta
         changed.  A pairing depends on theta and on the two forest vectors,
-        which no flip writes."""
+        which no flip writes.  Run by the first ``forest_pairing`` read after
+        flips, once on each vertex's change over all of them: integer sums do
+        not depend on the order of the additions, and a window exit only on
+        the final sum, so the result equals an update after every flip."""
         sums, windows, pairing = self._forest_sum, self._forest_window, self._forest_pairing
         path = set()
         for v, delta in moved.items():
@@ -346,12 +350,12 @@ class FlatSurface:
         """Pair every forest edge.  The rotation across a forest edge is the
         cone-angle sum of the subtree it cuts off, on the side away from the
         tree's smallest vertex, summed exactly.  Flips keep the forest and its
-        endpoints, so they keep the root links and update the exact sums and
-        their rounding windows."""
+        endpoints, so they keep the root links; the first pairing read after
+        them updates the exact sums and their rounding windows."""
         exact = {v: _exact(alpha) for v, alpha in self._vertex_angle.items()}
         self._forest_sum, self._forest_link = subtree_sums(
             adjacency(self._corners_at, edges), exact)
-        self._forest_window, self._forest_pairing = {}, {}
+        self._forest_window, self._forest_pairing, self._forest_pending = {}, {}, {}
         for e in sorted(self._forest):
             theta, self._forest_window[e] = _theta(self._forest_sum[e])
             self._forest_pairing[e] = self._forest_rotation(e, theta)
@@ -489,7 +493,13 @@ class FlatSurface:
         return reduce_angle(signed_angle(self._vec[h], -self._vec[self._twin[h]]))
 
     def forest_pairing(self, e):
-        """(theta, a, abar) for forest edge e; vec(abar) = -e^{i theta} vec(a)."""
+        """(theta, a, abar) for forest edge e; vec(abar) = -e^{i theta} vec(a).
+        The first read after flips settles the pairings (_move_pairings)."""
+        if self._forest_pending:
+            pending, self._forest_pending = self._forest_pending, {}
+            angle = self._vertex_angle
+            self._move_pairings({v: _exact(angle[v]) - _exact(old)
+                                 for v, old in pending.items() if angle[v] != old})
         return self._forest_pairing[e]
 
     def num_trees(self) -> int:

@@ -773,25 +773,19 @@ def root_paths(surface):
     return paths
 
 
-def theta_exits(surface, path):
-    """Window exits of a walk, counted independently: each (flip, forest
-    edge) whose correctly rounded subtree cone-angle sum, math.fsum of the
-    public cone angles, changed."""
+def theta_exits(start, end):
+    """Window exits between two surfaces with one forest, counted
+    independently: each forest edge whose correctly rounded subtree
+    cone-angle sum, math.fsum of the public cone angles, differs."""
     subtrees = {}
-    for v, edges in root_paths(surface).items():
+    for v, edges in root_paths(start).items():
         for e in edges:
             subtrees.setdefault(e, []).append(v)
 
-    def rounded(s):
-        return {e: math.fsum(s.cone_angle(v) for v in vs) for e, vs in subtrees.items()}
+    def rounded(s, vs):
+        return math.fsum(s.cone_angle(v) for v in vs)
 
-    exits, before = 0, rounded(surface)
-    for move in path:
-        surface, _ = flip(surface, move.edge)
-        after = rounded(surface)
-        exits += sum(after[e] != before[e] for e in subtrees)
-        before = after
-    return exits
+    return sum(rounded(start, vs) != rounded(end, vs) for vs in subtrees.values())
 
 
 class TestLocalFlip:
@@ -816,8 +810,9 @@ class TestLocalFlip:
             assert_same_surface(s, rebuilt(s))
 
     def test_flip_rechecks_only_root_path_pairings(self, monkeypatch):
-        """A flip moves the cone angles of its quad vertices only, so it
-        checks no forest pairing off their paths to the root."""
+        """A flip moves the cone angles of its quad vertices only and checks
+        no forest pairing itself; reading the pairings then checks none off
+        those vertices' paths to the root."""
         rng = np.random.default_rng(314)
         s = perturb_surface(doubled_regular(48), rng)
         paths = root_paths(s)
@@ -835,6 +830,9 @@ class TestLocalFlip:
             edges = [e for e in s.edges() if e not in s.forest and is_flippable(s, e)]
             checked.clear()
             s, move = flip(s, edges[rng.integers(len(edges))])
+            assert checked == []
+            for e in s.forest:
+                s.forest_pairing(e)
             allowed = frozenset().union(*(paths[s.origin(x)] for x in move.quad))
             assert set(checked) <= allowed
             assert len(checked) == len(set(checked))
@@ -842,12 +840,13 @@ class TestLocalFlip:
         assert rechecks > 0
 
     def test_walk_copies_once_and_divides_only_on_window_exits(self, monkeypatch):
-        """random_flips copies its input once and flips the copy in place; a
-        subtree sum is divided again only when it leaves the window of sums
-        that round to its float."""
+        """random_flips copies its input once, flips the copy in place and
+        neither divides a subtree sum nor checks a pairing; the first pairing
+        read after it divides again exactly the sums that left the window of
+        sums that round to their float at the walk's start."""
         rng = np.random.default_rng(314)
         s = perturb_surface(doubled_regular(48), rng)
-        calls = {"_copy": 0, "_theta": 0}
+        calls = {"_copy": 0, "_theta": 0, "_forest_rotation": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -858,14 +857,48 @@ class TestLocalFlip:
             monkeypatch.setattr(owner, name, wrapper)
 
         counted(FlatSurface, "_copy")
+        counted(FlatSurface, "_forest_rotation")
         counted(surface_module, "_theta")
         walked, path = random_flips(s, 120, rng)
-        counts = dict(calls)
         assert len(path) == 120
-        assert counts["_copy"] == 1
-        exits = theta_exits(s, path)
-        assert 0 < counts["_theta"] == exits
+        assert calls == {"_copy": 1, "_theta": 0, "_forest_rotation": 0}
+        walked.forest_pairing(min(walked.forest))
+        assert 0 < calls["_theta"] == theta_exits(s, walked)
+        assert calls["_copy"] == 1
         assert_same_surface(walked, rebuilt(walked))
+
+    def test_pending_pairings_settle_apart_on_copies(self):
+        """A copy taken while a walk's pairings are pending carries its own
+        pending angles: the walked surface and the copy, flipped on apart and
+        read at different times, both equal a rebuild, and neither read
+        touches the other surface or the walk's input."""
+        rng = np.random.default_rng(2718)
+        s = perturb_surface(doubled_regular(48), rng)
+        assert max(len(p) for p in root_paths(s).values()) == 47
+        snapshot = copy.deepcopy(vars(s))
+        walked, _ = random_flips(s, 60, rng)
+        assert walked._forest_pending
+        kept = copy.deepcopy(vars(walked))
+        other = walked._copy()
+
+        def flip_on(surface, count, read_at=None):
+            for step in range(count):
+                if step == read_at:
+                    for e in surface.forest:
+                        surface.forest_pairing(e)
+                    assert not surface._forest_pending
+                edges = [e for e in surface.edges()
+                         if e not in surface.forest and is_flippable(surface, e)]
+                flips._flip_owned(surface, edges[rng.integers(len(edges))])
+            assert surface._forest_pending
+
+        flip_on(other, 40, read_at=20)
+        assert vars(walked) == kept
+        flip_on(walked, 40)
+        assert walked.to_json() != other.to_json()
+        for surface in (other, walked):
+            assert_same_surface(surface, rebuilt(surface))
+        assert vars(s) == snapshot
 
 
 WALKS = ("random_flips", "delaunay", "insert_segment", "flip_path", "replay")
@@ -1029,3 +1062,14 @@ class TestWorklists:
         ref, ref_path = rescan_delaunay(walked)
         assert (result.to_json(), path.to_json()) == (ref.to_json(), ref_path.to_json())
         assert_same_surface(result, rebuilt(result))
+
+    def test_walk_without_a_flippable_edge_stops(self):
+        # the one edge off the forest is the fold p2 -> p0, whose quad, the
+        # triangle and its mirror image, is not convex at the obtuse corner p0
+        s = make_doubled_polygon([0, 1, -0.5 + 0.2j])
+        assert [e for e in s.edges() if e not in s.forest] == [2]
+        assert not is_flippable(s, 2)
+        walked, path = random_flips(s, 5, np.random.default_rng(0))
+        assert len(path) == 0
+        assert walked is not s
+        assert_same_surface(walked, s)

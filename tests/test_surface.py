@@ -195,6 +195,23 @@ class TestBuildSurface:
         with pytest.raises(UnknownVertex):
             square_torus.cone_angle(7)
 
+    @pytest.mark.parametrize("accessor", ["corners_at", "cone_angle", "angle_target"])
+    def test_unknown_vertex_message(self, square_torus, accessor):
+        with pytest.raises(UnknownVertex) as refused:
+            getattr(square_torus, accessor)(7)
+        assert str(refused.value) == "vertex 7"
+
+    def test_scale_by_zero_is_refused(self, square_torus):
+        with pytest.raises(DegenerateInput) as refused:
+            square_torus.scale(0)
+        assert str(refused.value) == "scale factor must be nonzero"
+
+    def test_repr(self, octagon_surface, doubled_pentagon):
+        assert repr(octagon_surface) == \
+            "FlatSurface(genus=2, vertices=1, triangles=6, forest_edges=0)"
+        assert repr(doubled_pentagon) == \
+            "FlatSurface(genus=0, vertices=5, triangles=6, forest_edges=4)"
+
 
 class TestInvariants:
     def test_genus_examples(self, square_torus, doubled_triangle, octagon_surface):
@@ -391,6 +408,11 @@ class TestConstructors:
     def test_doubled_polygon_needs_a_star_from_its_first_vertex(self, points):
         with pytest.raises(DegenerateInput, match="star-shaped from its first vertex"):
             make_doubled_polygon(points)
+
+    def test_doubled_polygon_needs_three_points(self):
+        with pytest.raises(DegenerateInput) as refused:
+            make_doubled_polygon([0, 1])
+        assert str(refused.value) == "need at least 3 vertices"
 
     def test_reflex_corners_are_cone_angles_above_a_full_turn(self):
         # every fan triangle from p0 is ccw; the corner at p0 is a 3-pi point
