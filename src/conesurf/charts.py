@@ -694,51 +694,51 @@ def perturb_surface(surface: FlatSurface, rng,
 
 
 @dataclass(frozen=True)
-class FlipTransition:
-    """The chart transition of one flip: the identity on every column but
-    ``column``, whose new value is the sum of coefficient times column over
-    ``terms``, (column, coefficient) pairs with a repeated column's
-    coefficients added up."""
+class Transition:
+    """A chart transition, a linear map with a few nonzeros per row: row k of
+    ``transition @ frame`` is ``scale[k] * frame[source[k]]``, except a row k
+    of ``sums``, which is the sum of coefficient times frame row over its
+    (column, coefficient) pairs."""
 
-    column: int
-    terms: tuple
-    size: int
+    source: np.ndarray
+    scale: np.ndarray
+    sums: dict = field(default_factory=dict)
 
-    def apply(self, frame) -> np.ndarray:
-        """transition @ frame, as a copy with the one row rewritten."""
+    @classmethod
+    def identity(cls, size: int, sums=None) -> Transition:
+        return cls(np.arange(size), np.ones(size, dtype=complex), sums or {})
+
+    def __matmul__(self, frame) -> np.ndarray:
         frame = np.asarray(frame, dtype=complex)
-        out = frame.copy()
-        out[self.column] = sum(coef * frame[col] for col, coef in self.terms)
+        out = frame[self.source]
+        scaled = self.scale != 1  # unit rows, all but one of a flip's, are copies
+        out[scaled] *= self.scale[scaled].reshape((-1,) + (1,) * (frame.ndim - 1))
+        for row, terms in self.sums.items():
+            out[row] = sum(coef * frame[col] for col, coef in terms)
         return out
 
-    def dense(self) -> np.ndarray:
-        mat = np.eye(self.size, dtype=complex)
-        mat[self.column] = 0.0
-        for col, coef in self.terms:
-            mat[self.column, col] = coef
-        return mat
 
-
-def transition_for_flip(source: FlatSurface, edge) -> np.ndarray:
+def transition_for_flip(source: FlatSurface, edge) -> Transition:
     """Linear map from the chart of ``source`` to the chart after flipping
     ``edge``: identity on every column except the flipped edge, whose new
     value is z_e + s_a z_{e(a)} - s_c z_{e(c)} read off the source quad."""
     cut = cut_along_forest(source)
     h = source.edge_of(edge)
-    return _flip_transition(cut, h, source.next(h), source.next(source.twin(h))).dense()
+    return _flip_transition(cut, h, source.next(h), source.next(source.twin(h)))
 
 
-def _flip_transition(cut: CutSurface, h, a, c) -> FlipTransition:
-    """``transition_for_flip`` on a cut of the source, as a sparse transition,
-    from the flipped edge ``h`` and the quad sides ``a`` and ``c`` after it and
-    its twin; a flip keeps the columns, so one cut serves a whole path."""
+def _flip_transition(cut: CutSurface, h, a, c) -> Transition:
+    """``transition_for_flip`` on a cut of the source, from the flipped edge
+    ``h`` and the quad sides ``a`` and ``c`` after it and its twin, with a
+    repeated column's coefficients added up; a flip keeps the columns, so one
+    cut serves a whole path."""
     col_e, _ = cut.column_of(h)
     col_a, sign_a = cut.column_of(a)
     col_c, sign_c = cut.column_of(c)
     terms = {}
     for col, coef in ((col_e, 1.0), (col_a, sign_a), (col_c, -sign_c)):
         terms[col] = terms.get(col, 0.0) + coef
-    return FlipTransition(col_e, tuple(terms.items()), cut.num_edges)
+    return Transition.identity(cut.num_edges, {col_e: tuple(terms.items())})
 
 
 # ---------------------------------------------------------------------------
@@ -788,15 +788,14 @@ def reforest(surface: FlatSurface, tree_edges):
     each triangle a phase: crossing an old slit from its side a to its side
     abar multiplies it by exp(-i theta), the reverse crossing by exp(i theta).
     Returns the surface with the phased vectors and the new tree, the chart
-    transition matrix (one unit-modulus entry per row), and the exchange
-    sequence; the surface itself and the identity, with nothing cut, when
-    there is nothing to exchange."""
+    ``Transition`` (each new column a unit-modulus multiple of one old
+    column), and the exchange sequence; the surface itself and the identity,
+    with nothing cut, when there is nothing to exchange."""
     moves = exchange_sequence(surface, surface.forest, tree_edges)
     if not moves:
-        num_edges = len(surface.edges()) + len(surface.forest)
-        return surface, np.eye(num_edges, dtype=complex), moves
-    cut, mat = _reforest(cut_along_forest(surface), tree_edges)
-    return cut.surface, mat, moves
+        return surface, Transition.identity(len(surface.edges()) + len(surface.forest)), moves
+    cut, transition = _reforest(cut_along_forest(surface), tree_edges)
+    return cut.surface, transition, moves
 
 
 def _reforest(cut_old: CutSurface, tree_edges):
@@ -806,7 +805,7 @@ def _reforest(cut_old: CutSurface, tree_edges):
     surface = cut_old.surface
     new_forest = frozenset(surface.edge_of(e) for e in tree_edges)
     if new_forest == surface.forest:
-        return cut_old, np.eye(cut_old.num_edges, dtype=complex)
+        return cut_old, Transition.identity(cut_old.num_edges)
     phase = {}
     for t, h, t2, first in dual_bfs(surface, new_forest):
         if t is None:
@@ -823,8 +822,6 @@ def _reforest(cut_old: CutSurface, tree_edges):
                          vectors, new_forest, targets)
 
     cut_new = cut_along_forest(result)
-    mat = np.zeros((cut_new.num_edges, cut_old.num_edges), dtype=complex)
-    for col_new, rep in enumerate(cut_new.columns):
-        col_old, sign = cut_old.column_of(rep)
-        mat[col_new, col_old] = phase[surface.triangle_of(rep)] * sign
-    return cut_new, mat
+    source, signs = zip(*map(cut_old.column_of, cut_new.columns))
+    scale = [phase[surface.triangle_of(rep)] * sign for rep, sign in zip(cut_new.columns, signs)]
+    return cut_new, Transition(np.array(source), np.array(scale, dtype=complex))

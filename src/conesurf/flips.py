@@ -31,7 +31,7 @@ from ._geom import (
     reduce_angle,
     signed_angle,
 )
-from .charts import HolonomyCheck, _flip_transition, cut_along_forest, solution_vector
+from .charts import HolonomyCheck, Transition, _flip_transition, cut_along_forest, solution_vector
 from .errors import (
     DegenerateInput,
     DoesNotTerminateAtVertex,
@@ -646,29 +646,34 @@ def _tessellation_path(source: FlatSurface, target: FlatSurface):
     return FlipPath(tuple(moves)), iso
 
 
-def chart_transition(source: FlatSurface, target: FlatSurface) -> np.ndarray:
+def chart_transition(source: FlatSurface, target: FlatSurface) -> Transition:
     """Linear map sending source-chart coordinates to target-chart coordinates.
 
     The two surfaces must carry the same metric, vertex labels and forest,
     under any holonomy.  The map is the product of the flip transitions along
     the path of ``flip_path``, its rows then read through the final
     isomorphism onto the target's columns, with the signs of the source's
-    column map: an integer matrix, constant on a chart neighbourhood.  It must
-    reproduce the target coordinates from the source's."""
+    column map: a ``Transition`` of integer rows, constant on a chart
+    neighbourhood.  It must reproduce the target coordinates from the source's."""
     path, iso = _tessellation_path(source, target)
     cut_s, cut_t = cut_along_forest(source), cut_along_forest(target)
-    # each move recorded its quad; each transition rewrites one row, in
-    # place, as FlipTransition.apply does on a copy
-    frame = np.eye(cut_s.num_edges, dtype=complex)
+    # the product's rows as {column: integer}; each move's transition
+    # rewrites one row, as its own sum of rows
+    rows = [{col: 1} for col in range(cut_s.num_edges)]
     for move in path:
         c, _, a, _ = move.quad
-        step = _flip_transition(cut_s, move.edge, a, c)
-        frame[step.column] = sum(coef * frame[col] for col, coef in step.terms)
+        (row, terms), = _flip_transition(cut_s, move.edge, a, c).sums.items()
+        new = {}
+        for col, coef in terms:
+            for k, x in rows[col].items():
+                new[k] = new.get(k, 0) + int(coef) * x
+        rows[row] = {k: x for k, x in new.items() if x}
     inverse = {k: h for h, k in iso.items()}
-    mat = np.empty((cut_t.num_edges, cut_s.num_edges), dtype=complex)
+    sums = {}
     for col_t, rep in enumerate(cut_t.columns):
         col_s, sign = cut_s.column_of(inverse[rep])
-        mat[col_t] = sign * frame[col_s]
+        sums[col_t] = tuple((k, int(sign) * x) for k, x in rows[col_s].items())
+    mat = Transition.identity(cut_t.num_edges, sums)
     z_s = solution_vector(cut_s)
     z_t = solution_vector(cut_t)
     if not np.linalg.norm(mat @ z_s - z_t) <= SOLUTION_RESIDUAL_TOL * np.linalg.norm(z_t):

@@ -142,15 +142,15 @@ def flip_density_pair(surface: FlatSurface, edge, frame=None):
     source's (``charts._flipped_cut``), its rows are the source's with the
     flipped quad's triangle rows and the moved pairings rewritten
     (``charts._flipped_system``), the transition rewrites one row of the
-    frame (``FlipTransition.apply``), and its density reads only the tree's
-    free columns, so it never builds a kernel basis."""
+    frame, and its density reads only the tree's free columns, so it never
+    builds a kernel basis."""
     cut, system = chart_for(surface)
     flipped, move = flip(surface, edge)
     c, _, a, _ = move.quad
     transition = _flip_transition(cut, move.edge, a, c)
     system_b = _flipped_system(system, _flipped_cut(cut, flipped, edge), edge)
     report_a = system.density if frame is None else kernel_density(system, frame)
-    report_b = kernel_density(system_b, transition.apply(report_a.frame))
+    report_b = kernel_density(system_b, transition @ report_a.frame)
     return report_a, report_b
 
 
@@ -192,10 +192,8 @@ def tree_change_densities(surface: FlatSurface, tree_a, tree_b, frame=None):
     surface is cut once.
 
     Returns (report_a, report_b, ratio)."""
-    moves = exchange_sequence(surface, surface.forest, tree_a)
-    cut_a = cut_along_forest(surface)
-    if moves:
-        cut_a, _ = _reforest(cut_a, tree_a)
+    exchange_sequence(surface, surface.forest, tree_a)
+    cut_a, _ = _reforest(cut_along_forest(surface), tree_a)
     system_a = assemble_system(cut_a)
     if frame is None:
         frame = system_a.kernel

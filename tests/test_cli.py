@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conesurf import cli, load_surface, make_doubled_polygon, make_torus
+from conesurf import cli, load_surface, make_doubled_polygon, make_torus, save_surface
 from conesurf.charts import chart_for
 from conesurf.cli import build_parser, main
 
@@ -265,6 +265,15 @@ class TestChecks:
                           "--tree", ",".join(str(e) for e in star))
         assert status == 0
         assert out.strip().endswith("PASS")
+
+    def test_tree_on_other_vertices(self, tmp_path, capsys, marked_torus):
+        path = tmp_path / "marked.json"
+        save_surface(marked_torus, path)
+        status, out = run(capsys, "check-tree-invariance", str(path), "--tree", "")
+        assert status == 1
+        record = parse(out)
+        assert record["error"] == "NotSpanningTree"
+        assert record["message"] == "trees span different vertex sets"
 
     def test_compare_period(self, torus_path, capsys):
         status, out = run(capsys, "compare-period", torus_path,

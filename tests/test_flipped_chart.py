@@ -194,7 +194,7 @@ def check_patched_charts(s):
         assert derived.tree.links == full.tree.links, e
         assert (derived.tree.det_s, derived.tree.pivot) == (full.tree.det_s, full.tree.pivot), e
         assert (derived.rank, derived.row_kind) == (full.rank, full.row_kind), e
-        frame = flip_transition(cut, e).apply(kernel)
+        frame = flip_transition(cut, e) @ kernel
         assert (kernel_density(derived, frame).log_value
                 == kernel_density(full, frame).log_value), e
         moved += flipped_cut.pairings != cut.pairings
@@ -221,6 +221,19 @@ def test_patched_chart_after_the_full_check(doubled_pentagon, monkeypatch):
 # the sparse flip transition
 
 
+def dense_matrix(transition, size):
+    """A transition's matrix, written entry by entry from its fields: row k
+    holds scale[k] at column source[k], and a row of ``sums`` its (column,
+    coefficient) pairs instead."""
+    mat = np.zeros((size, size), dtype=complex)
+    mat[np.arange(size), transition.source] = transition.scale
+    for row, terms in transition.sums.items():
+        mat[row] = 0.0
+        for col, coef in terms:
+            mat[row, col] = coef
+    return mat
+
+
 def test_transition_apply_matches_the_dense_product(surfaces):
     for name, s in surfaces.items():
         cut, system = chart_for(s)
@@ -230,13 +243,14 @@ def test_transition_apply_matches_the_dense_product(surfaces):
         dense_checked = False
         for e in edges:
             transition = flip_transition(cut, e)
-            dense = transition.dense()
+            dense = dense_matrix(transition, cut.num_edges)
             if not dense_checked:  # transition_for_flip cuts again; once per surface
-                assert transition_for_flip(s, e).tobytes() == dense.tobytes()
+                again = dense_matrix(transition_for_flip(s, e), cut.num_edges)
+                assert again.tobytes() == dense.tobytes()
                 dense_checked = True
             flipped, _ = flip(s, e)
             system_b = assemble_system(_flipped_cut(cut, flipped, e))
-            sparse = kernel_density(system_b, transition.apply(frame)).log_value
+            sparse = kernel_density(system_b, transition @ frame).log_value
             reference = kernel_density(system_b, dense @ frame).log_value
             assert abs(sparse - reference) <= 4 * math.ulp(reference), (name, e)
 
@@ -247,10 +261,12 @@ def test_transition_adds_a_repeated_column(square_torus):
     cut = cut_along_forest(square_torus)
     for e in flippable_edges(square_torus):
         transition = flip_transition(cut, e)
-        columns = [col for col, _ in transition.terms]
+        (_, terms), = transition.sums.items()
+        columns = [col for col, _ in terms]
         assert len(columns) == len(set(columns))
         frame = np.random.default_rng(e).standard_normal((cut.num_edges, 2)) + 0j
-        assert np.allclose(transition.apply(frame), transition.dense() @ frame, atol=1e-15)
+        assert np.allclose(transition @ frame, dense_matrix(transition, cut.num_edges) @ frame,
+                           atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -557,7 +557,7 @@ class TestFlipPath:
         for target in [flipped, *walks]:
             path = flip_path(s, target)
             assert isomorphic(path.replay(s), target) is not None
-            mat = chart_transition(s, target)
+            mat = chart_transition(s, target) @ np.eye(len(system.kernel))
             assert np.array_equal(mat, np.round(mat.real))
             _, system_t = chart_for(target)
             after = kernel_density(system_t, mat @ system.kernel).log_value
@@ -604,10 +604,29 @@ class TestWalkedTori:
             assert isomorphic(flip_path(torus, walked).replay(torus), walked) is not None
             if (name, seed) not in DRIFTED:
                 assert isomorphic(flip_path(walked, torus).replay(walked), torus) is not None
-            mat = chart_transition(torus, walked)
+            mat = chart_transition(torus, walked) @ np.eye(len(z_torus))
             z_walked = solution_vector(cut_along_forest(walked))
             assert np.array_equal(mat, np.round(mat.real))
             assert np.linalg.norm(mat @ z_torus - z_walked) <= 1e-8 * np.linalg.norm(z_walked)
+
+
+def test_chart_transition_refuses_a_wrong_product(square_torus, monkeypatch):
+    # flip transitions whose side terms have the wrong sign compose to a map
+    # that does not carry the torus's coordinates to its walk's
+    walked, _ = random_flips(square_torus, 10, np.random.default_rng(2))
+    assert len(flip_path(square_torus, walked)) == 6
+    real = flips._flip_transition
+
+    def negated(cut, h, a, c):
+        transition = real(cut, h, a, c)
+        (row, terms), = transition.sums.items()
+        sides = tuple((col, coef if col == row else -coef) for col, coef in terms)
+        return dataclasses.replace(transition, sums={row: sides})
+
+    monkeypatch.setattr(flips, "_flip_transition", negated)
+    with pytest.raises(NotSameMetric,
+                       match="^transition does not reproduce the target coordinates$"):
+        chart_transition(square_torus, walked)
 
 
 class TestPinnedPaths:
@@ -653,13 +672,15 @@ class TestPinnedPaths:
     def test_chart_transitions(self, golden_surfaces):
         # both ways between each golden and its seeded 20-flip walk, so that a
         # change in how the path's flip transitions compose shows in the bits
+        # of their matrices, with the sign of every zero cleared
         digest = hashlib.sha256()
         for seed, surface in enumerate(golden_surfaces.values()):
             walked, _ = random_flips(surface, 20, np.random.default_rng(seed))
-            digest.update(chart_transition(surface, walked).tobytes())
-            digest.update(chart_transition(walked, surface).tobytes())
+            eye = np.eye(cut_along_forest(surface).num_edges)
+            digest.update(((chart_transition(surface, walked) @ eye) + 0.0).tobytes())
+            digest.update(((chart_transition(walked, surface) @ eye) + 0.0).tobytes())
         assert digest.hexdigest() == (
-            "36258f1ce9120a80d9ff15f9ff4d9b8e939a5248162d3ecd20e9e8a60b7452e4")
+            "dfa709d743010597b9797df467a052632280d2619e506352aea6c2cbe66e9645")
 
     def test_insert_segment_across_coincident_corners(self, octagon_surface):
         _, path = insert_segment(octagon_surface, 11, -0.2928932188134538 + 6.363961030678931j)

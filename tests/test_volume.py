@@ -21,6 +21,7 @@ from conesurf.charts import (
 from conesurf.errors import (
     EdgeNotInterior,
     FrameNotInKernel,
+    NotSpanningTree,
     NotTranslationSurface,
 )
 from conesurf.flips import chart_transition, flip, flip_path, is_flippable, random_flips
@@ -349,13 +350,20 @@ class TestTreeInvariance:
         monkeypatch.setattr(charts, "cut_along_forest", counted)
         monkeypatch.setattr(volume, "cut_along_forest", counted)
         assert reforest(s, path)[0] is s and cuts == []
-        assert reforest(s, path)[1].shape == (cut_along_forest(s).num_edges,) * 2
+        assert len(reforest(s, path)[1].source) == cut_along_forest(s).num_edges
         for tree_a, expected in ((path, 2), (star, 3)):
             cuts.clear()
             report_a, report_b, _ = tree_change_densities(s, tree_a, star if tree_a is path
                                                           else path)
             assert len(cuts) == expected == len({id(x) for x in cuts})
             assert report_a.tree is not report_b.tree
+
+    def test_trees_on_different_vertices(self, marked_torus):
+        # the forest edge spans the corner and the marked point, the empty
+        # tree no vertex
+        assert len(marked_torus.forest) == 1
+        with pytest.raises(NotSpanningTree, match="^trees span different vertex sets$"):
+            tree_change_densities(marked_torus, marked_torus.forest, [])
 
 
 class TestPeriodComparison:
@@ -589,7 +597,7 @@ class TestGroupAction:
         _, system = chart_for(source)
         _, system_t = chart_for(target)
         assert system.fingerprint() == system_t.fingerprint()
-        mat = chart_transition(source, target)
+        mat = chart_transition(source, target) @ np.eye(len(system.kernel))
         assert np.array_equal(mat, np.round(mat.real)), "not an integer matrix"
         before = kernel_density(system, system.kernel).log_value
         after = kernel_density(system_t, mat @ system.kernel).log_value
