@@ -711,8 +711,9 @@ class Transition:
     def __matmul__(self, frame) -> np.ndarray:
         frame = np.asarray(frame, dtype=complex)
         out = frame[self.source]
-        scaled = self.scale != 1  # unit rows, all but one of a flip's, are copies
-        out[scaled] *= self.scale[scaled].reshape((-1,) + (1,) * (frame.ndim - 1))
+        scaled = self.scale != 1  # unit rows, every row of a flip's, are copies
+        if scaled.any():
+            out[scaled] *= self.scale[scaled].reshape((-1,) + (1,) * (frame.ndim - 1))
         for row, terms in self.sums.items():
             out[row] = sum(coef * frame[col] for col, coef in terms)
         return out

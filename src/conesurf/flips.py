@@ -223,16 +223,24 @@ def _violates(surface, edge):
 
 def delaunay(surface: FlatSurface):
     """Flip until every non-forest interior edge passes the local predicate,
-    always the first violating edge of the worklist."""
+    always the first violating edge of the worklist; returns (surface, path).
+
+    The result depends on the input surface alone, which never changes for
+    its callers, so a complete walk is kept on the input, as a chart is
+    (``charts.chart_for``), and later calls return it.  A walk that raises
+    keeps nothing."""
+    if surface._delaunay is not None:
+        return surface._delaunay
     cap = 50 * (len(surface.halfedges) // 2 + len(surface.forest)) ** 2
-    surface = surface._copy()
+    owned = surface._copy()
     moves = []
-    bad = _worklist(surface, _violates)
+    bad = _worklist(owned, _violates)
     while bad:
-        moves.append(_flip_tracked(surface, bad[0], bad, _violates))
+        moves.append(_flip_tracked(owned, bad[0], bad, _violates))
         if len(moves) > cap:
             raise NonTermination(f"Delaunay flipping exceeded {cap} moves")
-    return surface, FlipPath(tuple(moves))
+    surface._delaunay = owned, FlipPath(tuple(moves))
+    return surface._delaunay
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +605,9 @@ def _tessellation_path(source: FlatSurface, target: FlatSurface):
     of each edge."""
     _check_same_metric(source, target)
     bound = VEC_TOL * max(abs(s.vec(h)) for s in (source, target) for h in s.halfedges)
-    current, there = delaunay(source)
-    meeting, back = delaunay(target)
+    # the fans below flip in place, and the kept Delaunay walks stay as they are
+    (current, there), (meeting, back) = delaunay(source), delaunay(target)
+    current, meeting = current._copy(), meeting._copy()
     inner_s, step_s = _cells(current)
     inner_t, step_t = _cells(meeting)
     match = _match(current, meeting, step_s, step_t, 0.0, bound)

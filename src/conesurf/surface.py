@@ -126,11 +126,13 @@ class FlatSurface:
     settles those notes at once, moving only the sums on the root paths of
     the vertices that moved and dividing again only the sums that left
     their windows, so the pairings equal a rebuild's.  The chart of a
-    surface is kept on it once built (``charts.chart_for``); a copy does
-    not carry it, and a flip in place drops it.
+    surface is kept on it once built (``charts.chart_for``), and so is its
+    Delaunay walk once complete (``flips.delaunay``); a copy carries
+    neither, and a flip in place drops both.
     """
 
     _chart = None  # (cut, system), set by charts.chart_for
+    _delaunay = None  # (surface, path), set by flips.delaunay
 
     def __init__(self, triangles, twin, vectors, forest=(), vertices=None):
         """
@@ -243,10 +245,11 @@ class FlatSurface:
 
     def _copy(self):
         """A surface equal to this one that shares no map a flip writes and
-        carries no chart; the root links are never written and stay shared."""
+        carries no chart or Delaunay walk; the root links are never written
+        and stay shared."""
         s = FlatSurface.__new__(FlatSurface)
         s.__dict__ = {k: dict(v) if isinstance(v, dict) and k != "_forest_link" else v
-                      for k, v in self.__dict__.items() if k != "_chart"}
+                      for k, v in self.__dict__.items() if k not in ("_chart", "_delaunay")}
         return s
 
     def _flip_in_place(self, h, hb, a, b, c, d, new_vec):
@@ -256,9 +259,10 @@ class FlatSurface:
         quad vertex whose cone angle moved and that has a root path keeps,
         in _forest_pending, its cone angle from before its first such flip
         since the pairings were last settled; the pairings settle on their
-        next read.  The surface must be the caller's own copy.  A chart kept
-        on it is dropped."""
+        next read.  The surface must be the caller's own copy.  A chart or
+        Delaunay walk kept on it is dropped."""
         self.__dict__.pop("_chart", None)
+        self.__dict__.pop("_delaunay", None)
         origin, tri_of, corner = self._origin, self._tri_of, self._corner
         quad_vertices = {origin[x]: x for x in (a, b, c, d)}
         self._vec[h], self._vec[hb] = new_vec, -new_vec

@@ -31,6 +31,7 @@ from conesurf.errors import (
     NotInKernel,
     NotSameMetric,
     NotSpanningTree,
+    PartitionUnrealizable,
     Unsupported,
 )
 from conesurf.flips import chart_transition, flip, is_flippable, random_flips
@@ -133,10 +134,10 @@ class TestForests:
         tree = spanning_forest(marked_torus, parts=[{0, 1}])
         assert len(tree) == 1
         # vertices 1 and 3 of the pentagon are not adjacent in the skeleton
-        from conesurf.errors import PartitionUnrealizable
-
         with pytest.raises(PartitionUnrealizable):
             spanning_forest(doubled_pentagon, parts=[{1, 3}, {0, 2, 4}])
+        with pytest.raises(PartitionUnrealizable, match="^unknown vertex 9$"):
+            spanning_forest(doubled_pentagon, parts=[{0, 1}, {9}])
 
 
 class TestCutSurface:
@@ -437,6 +438,9 @@ class TestTreeExchange:
             (0, 1), (1, 2), (2, 0), (3, 4)}
         with pytest.raises(NotSpanningTree):
             reforest(s, {0, 1, 2, 7})
+        # one forest edge is a tree, but on two of the five vertices
+        with pytest.raises(NotSpanningTree, match="^trees span different vertex sets$"):
+            reforest(s, {min(s.forest)})
 
     def test_genus_one_targets(self, genus_one_octagon):
         # a tree through the diagonal to one tip leaves that tip's quarter-turn

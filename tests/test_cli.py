@@ -255,6 +255,17 @@ class TestChecks:
         assert len(deviations) == 5 and all(math.isfinite(d) for d in deviations)
         assert out.strip().endswith("PASS")
 
+    def test_flip_invariance_without_a_flippable_edge(self, tmp_path, capsys):
+        # the one edge off the forest of the obtuse doubled triangle is the
+        # fold, whose quad is not convex
+        path = tmp_path / "obtuse.json"
+        save_surface(make_doubled_polygon([0, 1, -0.5 + 0.2j]), path)
+        status, out = run(capsys, "check-flip-invariance", str(path),
+                          "--moves", "1", "--seed", "1")
+        assert status == 1
+        record = parse(out)
+        assert (record["error"], record["message"]) == ("ConesurfError", "no flippable edges")
+
     def test_tree_invariance(self, pentagon_path, capsys):
         # the star tree at vertex 0 in the pentagon's skeleton
         from conesurf import load_surface

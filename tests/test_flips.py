@@ -765,7 +765,21 @@ def assert_same_surface(s, r):
         assert s.forest_pairing(e) == r.forest_pairing(e)
     assert s.genus() == r.genus()
     assert s.to_json() == r.to_json()
-    assert vars(s) == vars(r)
+    assert_same_fields(s, vars(r))
+
+
+MEMOS = ("_chart", "_delaunay")
+
+
+def assert_same_fields(s, fields):
+    """The fields of s equal ``fields``, a snapshot of ``vars``, but for the
+    kept chart and Delaunay walk; a Delaunay walk that s keeps equals a fresh
+    ``delaunay`` of s rebuilt."""
+    assert ({k: v for k, v in vars(s).items() if k not in MEMOS}
+            == {k: v for k, v in fields.items() if k not in MEMOS})
+    if s._delaunay is not None:
+        (kept, path), (fresh, fresh_path) = s._delaunay, delaunay(rebuilt(s))
+        assert (kept.to_json(), path.to_json()) == (fresh.to_json(), fresh_path.to_json())
 
 
 def doubled_regular(k):
@@ -952,7 +966,7 @@ class TestOwnership:
         surface, walk = walk_cases()[name]
         snapshot = copy.deepcopy(vars(surface))
         walk(surface)
-        assert vars(surface) == snapshot
+        assert_same_fields(surface, snapshot)
 
     @pytest.mark.parametrize("name", WALKS)
     def test_walk_result_carries_no_chart(self, name):
@@ -971,16 +985,7 @@ class TestOwnership:
     def test_walk_raising_partway_leaves_input(self, name, monkeypatch):
         surface, walk = walk_cases()[name]
         snapshot = copy.deepcopy(vars(surface))
-        flip_in_place = FlatSurface._flip_in_place
-        done = []
-
-        def third_flip_raises(owned, *quad):
-            flip_in_place(owned, *quad)
-            done.append(quad)
-            if len(done) == 3:
-                raise NonTermination("stopped after three flips")
-
-        monkeypatch.setattr(FlatSurface, "_flip_in_place", third_flip_raises)
+        raise_on_third_flip(monkeypatch)
         with pytest.raises(NonTermination, match="three flips"):
             walk(surface)
         assert vars(surface) == snapshot
@@ -994,7 +999,71 @@ class TestOwnership:
         for call in (flip_path, chart_transition):
             with pytest.raises(NotSameMetric, match="tessellations do not match"):
                 call(source, target)
-            assert [vars(s) for s in (source, target)] == snapshots
+            for s, snapshot in zip((source, target), snapshots):
+                assert_same_fields(s, snapshot)
+
+
+def raise_on_third_flip(monkeypatch):
+    """Make the third in-place flip from now on raise, once it is done."""
+    flip_in_place = FlatSurface._flip_in_place
+    done = []
+
+    def third_flip_raises(owned, *quad):
+        flip_in_place(owned, *quad)
+        done.append(quad)
+        if len(done) == 3:
+            raise NonTermination("stopped after three flips")
+
+    monkeypatch.setattr(FlatSurface, "_flip_in_place", third_flip_raises)
+
+
+class TestDelaunayMemo:
+    """``delaunay`` keeps a complete walk on its input, as ``chart_for`` keeps
+    a chart: later calls return it, nothing flips it, a copy or a flip does
+    not carry it, and a walk that raises keeps nothing."""
+
+    def test_second_call_returns_the_same_pair(self):
+        s, _ = walk_cases()["delaunay"]
+        first = delaunay(s)
+        assert len(first[1]) > 0
+        assert delaunay(s) is first
+        assert_same_surface(s, rebuilt(s))
+
+    def test_kept_walks_survive_flip_paths(self):
+        """The doubled regular octagon's Delaunay cells are its two octagons,
+        which the tessellation path flips to fans on both sides; the two kept
+        results stay as they were."""
+        octagon = doubled_regular(8)
+        source, _ = random_flips(octagon, 10, np.random.default_rng(0))
+        target, _ = random_flips(octagon, 10, np.random.default_rng(1))
+        kept = [delaunay(s)[0] for s in (source, target)]
+        snapshots = [copy.deepcopy(vars(s)) for s in kept]
+        path = flip_path(source, target)
+        chart_transition(source, target)
+        assert isomorphic(path.replay(source), target) is not None
+        assert [delaunay(s)[0] for s in (source, target)] == kept
+        assert [vars(s) for s in kept] == snapshots
+
+    def test_copy_and_flip_do_not_carry_the_walk(self):
+        s, _ = random_flips(make_torus(1, 1j), 10, np.random.default_rng(0))
+        delaunay(s)
+        edge = next(e for e in s.edges() if e not in s.forest and is_flippable(s, e))
+        owned = s._copy()
+        assert "_delaunay" not in vars(owned)
+        assert "_delaunay" not in vars(flip(s, edge)[0])
+        delaunay(owned)
+        flips._flip_owned(owned, edge)
+        assert "_delaunay" not in vars(owned)
+
+    def test_walk_raising_partway_keeps_nothing(self, monkeypatch):
+        s, _ = walk_cases()["delaunay"]
+        raise_on_third_flip(monkeypatch)
+        with pytest.raises(NonTermination, match="three flips"):
+            delaunay(s)
+        assert "_delaunay" not in vars(s)
+        monkeypatch.undo()
+        assert len(delaunay(s)[1]) > 3
+        assert_same_surface(s, rebuilt(s))
 
 
 # Full-rescan versions of the flip loops: each rescans every edge after every
