@@ -182,6 +182,8 @@ class CutSurface:
     identity); forest half-edges lose their twins and become boundary sides.
     The forest's covered vertices and the triangles' rotation offsets are
     those of the erasing check that admitted the cut (``_holonomy``).
+    ``sides`` is built on first read and kept; a cut derived with
+    ``dataclasses.replace`` is a new instance and builds its own.
     """
 
     surface: FlatSurface
@@ -199,6 +201,18 @@ class CutSurface:
     def column_of(self, h):
         """(column index, sign) such that vec(h) = sign * Z[column]."""
         return self.col_of[h]
+
+    @cached_property
+    def sides(self) -> tuple:
+        """Read-only (2, triangles) arrays of the columns and signs of the
+        first two ccw sides of every triangle, in the order of
+        ``surface.triangles``, built on first read."""
+        entries = np.array([[self.col_of[tri[k]] for tri in self.surface.triangles.values()]
+                            for k in (0, 1)])
+        cols, signs = entries[..., 0].astype(np.intp), entries[..., 1]
+        for array in (cols, signs):
+            array.flags.writeable = False
+        return cols, signs
 
 
 def _pairings(surface: FlatSurface) -> tuple:

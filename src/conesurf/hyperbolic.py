@@ -112,14 +112,13 @@ def genus_zero_chart(surface: FlatSurface, excluded_vertex=None) -> GenusZeroCha
 
 def _triangle_sides(cut, z):
     """Signed vectors of the first two ccw sides of every triangle, one row
-    per triangle, at a chart point z (or at each column of a matrix z)."""
+    per triangle in the order of ``surface.triangles``, at a chart point z
+    (or at each column of a matrix z), gathered by the cut's index arrays
+    (``CutSurface.sides``)."""
     z = np.asarray(z)
-    tris = cut.surface.triangles.values()
-    sides = []
-    for k in (0, 1):
-        cols, signs = zip(*(cut.column_of(tri[k]) for tri in tris))
-        sides.append(np.reshape(signs, (-1,) + (1,) * (z.ndim - 1)) * z[list(cols)])
-    return sides
+    cols, signs = cut.sides
+    shape = (-1,) + (1,) * (z.ndim - 1)
+    return [signs[k].reshape(shape) * z[cols[k]] for k in (0, 1)]
 
 
 def _triangle_areas(cut, z) -> np.ndarray:
@@ -206,9 +205,11 @@ def quadric_value(z) -> float:
     return minkowski_product(z, z).real
 
 
-def _realify(columns) -> np.ndarray:
-    cols = [np.asarray(c, dtype=complex) for c in columns]
-    return np.array([np.concatenate([c.real, c.imag]) for c in cols]).T
+def _realify(frame, a, b) -> np.ndarray:
+    """The real 2n x 2n matrix of the columns of (frame, a, b), each column
+    its real parts over its imaginary parts."""
+    cols = np.column_stack([frame, a, b])
+    return np.vstack([cols.real, cols.imag])
 
 
 def _check_point_and_frame(z, frame):
@@ -219,10 +220,12 @@ def _check_point_and_frame(z, frame):
     n = z.shape[0]
     if frame.shape != (n, 2 * (n - 1)):
         raise FrameNotTangent(f"frame must be {n} x {2 * (n - 1)}")
-    for j in range(frame.shape[1]):
-        col = frame[:, j]
-        if abs(minkowski_product(z, col)) > TANGENT_TOL * (1 + np.linalg.norm(col)):
-            raise FrameNotTangent(f"frame column {j} is not orthogonal to the point")
+    # minkowski_product(z, column) of every column at once
+    products = z[:-1].conj() @ frame[:-1] - z[-1].conjugate() * frame[-1]
+    leaving = np.abs(products) > TANGENT_TOL * (1 + np.linalg.norm(frame, axis=0))
+    if leaving.any():
+        raise FrameNotTangent(
+            f"frame column {int(np.argmax(leaving))} is not orthogonal to the point")
     return z, frame
 
 
@@ -271,7 +274,7 @@ def unit_area_density(z, frame, chart_constant: float, completion=None) -> float
     det2 = df(a) * df_j(b) - df(b) * df_j(a)
     if abs(det2) < COMPLETION_TOL:
         raise FrameNotTangent("completion pair is degenerate for the constraint forms")
-    volume = abs(np.linalg.det(_realify(list(frame.T) + [a, b])))
+    volume = abs(np.linalg.det(_realify(frame, a, b)))
     return chart_constant * volume / abs(det2)
 
 
@@ -315,6 +318,8 @@ def ratio_scan(chart: GenusZeroChart, samples: int, rng) -> RatioScan:
     c0 = chart_constant(chart, p)
     cut = chart.system.cut
     v0 = chart.coordinates()
+    step = RATIO_SCAN_STEP * np.linalg.norm(v0)
+    count = cut.num_triangles
     p_inv = np.linalg.inv(p)
 
     ratios = []
@@ -324,12 +329,11 @@ def ratio_scan(chart: GenusZeroChart, samples: int, rng) -> RatioScan:
         guard += 1
         if guard > 20 * samples:
             raise MetricNotPositive("sampling kept leaving the chart")
-        v = v0 + RATIO_SCAN_STEP * np.linalg.norm(v0) * (
-            rng.standard_normal(chart.dim) + 1j * rng.standard_normal(chart.dim))
+        v = v0 + step * (rng.standard_normal(chart.dim) + 1j * rng.standard_normal(chart.dim))
         z_full = chart.expansion @ v
         areas = _triangle_areas(cut, z_full)
         area = float(areas.sum())
-        if area <= 0 or float(areas.min()) < THIN_AREA_TOL * area / len(chart.surface.triangles):
+        if area <= 0 or float(areas.min()) < THIN_AREA_TOL * area / count:
             continue
         zeta = (p_inv @ v) / math.sqrt(area)
         base = tangent_frame(zeta)
