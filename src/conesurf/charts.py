@@ -241,13 +241,9 @@ def cut_along_forest(surface: FlatSurface) -> CutSurface:
             col_of[surface.twin(rep)] = (i, -1.0)
     pairings = _pairings(surface)
 
-    n = len(surface.vertex_ids)
     m = surface.num_trees()
-    g = surface.genus()
     n1 = len(columns)
     n2 = len(surface.triangles)
-    if n1 != 3 * (2 * g + m - 2) + 4 * (n - m) or n2 != 2 * (2 * g + m - 2) + 2 * (n - m):
-        raise AssertionError("edge/triangle counts disagree with the Euler count")
     return CutSurface(surface, tuple(columns), frozenset(boundary), pairings,
                       n1, n2, m, n2 + len(pairings), col_of, covered, offsets)
 
@@ -452,9 +448,7 @@ def _deterministic_kernel(basis: np.ndarray) -> np.ndarray:
     where c_j is the conjugate of row j of Q, so the Gram-Schmidt runs on
     those d-vectors, twice per vector to keep them orthogonal.  A phase does
     not change later projections, so it is fixed at the end."""
-    n, d = basis.shape
-    if d == 0:
-        return basis
+    d = basis.shape[1]
     q = np.linalg.qr(basis)[0]
     chosen = np.zeros((d, d), dtype=complex)  # accepted coordinate vectors, as columns
     adjoint = np.zeros((d, d), dtype=complex)  # their conjugates, as rows

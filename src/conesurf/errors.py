@@ -174,10 +174,6 @@ class NotTranslationSurface(ConesurfError):
     pass
 
 
-class NoPrimitiveFamily(ConesurfError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # genus-zero charts
 

@@ -60,26 +60,9 @@ def _exact(x):
 
 
 def _theta(total):
-    """Pairing rotation of an exact subtree sum, the sum correctly rounded
-    and reduced to (-pi, pi], and the rounding window of that float."""
-    x = total / (1 << _ULP_BITS)
-    return reduce_angle(x), _window(x)
-
-
-def _window(x):
-    """(lo, hi): the least and greatest exact sums, in units of 2**-1074, that
-    int / int division rounds to the float x, ties to even.  A sum that stays
-    inside needs no new division: its float, and so its theta, is unchanged."""
-    n = _exact(x)
-    m, e = math.frexp(x)
-    shift = max(e + 1021, 0) if x else 0  # ulp(x) = 2**shift units
-    odd = (abs(n) >> shift) & 1
-    away = (1 << shift) >> 1  # half the gap to the next float away from zero
-    toward = away >> 1 if abs(m) == 0.5 and shift else away  # and toward zero
-    below, above = (toward, away) if x > 0 else (away, toward)
-    # a midpoint is an exact sum only when the half gap is whole; a tie there
-    # rounds to the even float
-    return n - below + (odd if below else 0), n + above - (odd if above else 0)
+    """Pairing rotation of an exact subtree sum: the sum correctly rounded
+    and reduced to (-pi, pi]."""
+    return reduce_angle(total / (1 << _ULP_BITS))
 
 
 def _canonical(cycle):
@@ -119,16 +102,16 @@ class FlatSurface:
     validation suite and raises one of the errors from
     :mod:`conesurf.errors` on the first violated invariant; a flip runs its
     local form on the flipped quad.  Each forest edge keeps the exact
-    cone-angle sum of the subtree it cuts off and the window of sums that
-    round to the same float, and each vertex its link toward its tree's
-    root.  A flip only notes the cone angle each moved vertex had when the
-    sums last counted it; the first ``forest_pairing`` read after flips
-    settles those notes at once, moving only the sums on the root paths of
-    the vertices that moved and dividing again only the sums that left
-    their windows, so the pairings equal a rebuild's.  The chart of a
-    surface is kept on it once built (``charts.chart_for``), and so is its
-    Delaunay walk once complete (``flips.delaunay``); a copy carries
-    neither, and a flip in place drops both.
+    cone-angle sum of the subtree it cuts off, and each vertex its link
+    toward its tree's root.  A flip only notes the cone angle each moved
+    vertex had when the sums last counted it; the first ``forest_pairing``
+    read after flips settles those notes at once, moving only the sums on
+    the root paths of the vertices that moved, dividing each moved sum again
+    and pairing again only where its theta changed, so the pairings equal a
+    rebuild's.  The chart of a surface is kept on it once built
+    (``charts.chart_for``), and so is its Delaunay walk once complete
+    (``flips.delaunay``); a copy carries neither, and a flip in place drops
+    both.
     """
 
     _chart = None  # (cut, system), set by charts.chart_for
@@ -286,21 +269,20 @@ class FlatSurface:
 
     def _move_pairings(self, moved):
         """Add each vertex's exact cone-angle change to the subtree sums on
-        its root path.  Only a sum that left its rounding window changes its
-        float: it alone is divided again, and paired again if its theta
-        changed.  A pairing depends on theta and on the two forest vectors,
-        which no flip writes.  Run by the first ``forest_pairing`` read after
-        flips, once on each vertex's change over all of them: integer sums do
-        not depend on the order of the additions, and a window exit only on
-        the final sum, so the result equals an update after every flip."""
-        sums, windows, pairing = self._forest_sum, self._forest_window, self._forest_pairing
+        its root path, divide every moved sum again, and pair again, in
+        sorted edge order, each edge whose theta changed.  A pairing depends
+        on theta and on the two forest vectors, which no flip writes.  Run by
+        the first ``forest_pairing`` read after flips, once on each vertex's
+        change over all of them: integer sums do not depend on the order of
+        the additions, so the result equals an update after every flip."""
+        sums, pairing = self._forest_sum, self._forest_pairing
         path = set()
         for v, delta in moved.items():
             for e in path_keys(self._forest_link, v):
                 sums[e] += delta
                 path.add(e)
-        for e in sorted(e for e in path if not windows[e][0] <= sums[e] <= windows[e][1]):
-            theta, windows[e] = _theta(sums[e])
+        for e in sorted(path):
+            theta = _theta(sums[e])
             if theta != pairing[e][0]:
                 pairing[e] = self._forest_rotation(e, theta)
 
@@ -353,16 +335,15 @@ class FlatSurface:
     def _pair_forest(self, edges):
         """Pair every forest edge.  The rotation across a forest edge is the
         cone-angle sum of the subtree it cuts off, on the side away from the
-        tree's smallest vertex, summed exactly.  Flips keep the forest and its
-        endpoints, so they keep the root links; the first pairing read after
-        them updates the exact sums and their rounding windows."""
+        tree's smallest vertex, summed exactly and divided once.  Flips keep
+        the forest and its endpoints, so they keep the root links; the first
+        pairing read after them updates the exact sums (_move_pairings)."""
         exact = {v: _exact(alpha) for v, alpha in self._vertex_angle.items()}
         self._forest_sum, self._forest_link = subtree_sums(
             adjacency(self._corners_at, edges), exact)
-        self._forest_window, self._forest_pairing, self._forest_pending = {}, {}, {}
+        self._forest_pairing, self._forest_pending = {}, {}
         for e in sorted(self._forest):
-            theta, self._forest_window[e] = _theta(self._forest_sum[e])
-            self._forest_pairing[e] = self._forest_rotation(e, theta)
+            self._forest_pairing[e] = self._forest_rotation(e, _theta(self._forest_sum[e]))
 
     def _forest_rotation(self, e, theta):
         """Oriented pairing (theta, a, abar) of forest edge e with

@@ -67,7 +67,6 @@ from .charts import (
 from .errors import (
     EdgeNotInterior,
     FrameNotInKernel,
-    NoPrimitiveFamily,
     NotTranslationSurface,
     RankCaseMismatch,
 )
@@ -116,14 +115,12 @@ def kernel_density(system, frame) -> DensityReport:
 
     if system.rank == r:
         convention = SHORT_SEQUENCE
-    elif system.rank == r - 1:
+    else:
         signs = np.array([1.0 if kind == "triangle" else -1.0 for kind, _ in system.row_kind])
         if not np.linalg.norm(tree.apply_left(signs)) <= ROW_RELATION_TOL * (1.0 + norm_rows):
             raise RankCaseMismatch(
                 "row relation is not the expected sum after sign normalization")
         convention = FOUR_TERM_SEQUENCE
-    else:
-        raise RankCaseMismatch(f"rank {system.rank} is neither {r} nor {r - 1}")
     log_det_t = np.linalg.slogdet(frame[tree.free])[1]
     log_value = 2.0 * float(log_det_t) - 2.0 * math.log(tree.det_s)
     return DensityReport(float(np.exp(log_value)), log_value, frame, convention, tree)
@@ -217,9 +214,7 @@ def primitive_family(surface: FlatSurface, reverse: bool = False):
     generally different, family."""
     dual_edges = [(e, surface.triangle_of(e), surface.triangle_of(surface.twin(e)))
                   for e in sorted(surface.edges(), reverse=reverse)]
-    dual_tree, family = kruskal(surface.triangles, dual_edges)
-    if len(dual_tree) != len(surface.triangles) - 1:
-        raise NoPrimitiveFamily("dual graph is disconnected")
+    family = kruskal(surface.triangles, dual_edges)[1]
     return tuple(sorted(family))
 
 
@@ -242,8 +237,6 @@ def period_density_ratio(surface: FlatSurface, samples: int = 10, rng=None,
     cut, system = chart_for(surface)
     cols = [cut.column_of(e)[0] for e in family]
     d = system.kernel_dim
-    if len(cols) != d:
-        raise NoPrimitiveFamily(f"family size {len(cols)} != kernel dimension {d}")
 
     ratios = []
     sys_k = system

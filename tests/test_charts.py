@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conesurf import isomorphic, make_doubled_polygon
 from conesurf._graph import kruskal, vertex_edges
 from conesurf.charts import (
+    HolonomyCheck,
     _tree_kernel,
     assemble_system,
     chart_for,
@@ -86,6 +87,9 @@ class TestForests:
         single = sorted(doubled_triangle.forest)[:1]
         check = is_erasing(doubled_triangle, single)
         assert not check and check.witness is not None
+        # the third side closes the tree into a cycle
+        assert is_erasing(doubled_triangle, doubled_triangle.forest | {2}) == HolonomyCheck(
+            False, ("cycle", 2))
 
     def test_is_erasing_candidate_differs_from_forest(self, doubled_pentagon):
         # a different spanning tree of the same surface is accepted
@@ -227,6 +231,12 @@ class TestSystem:
     def test_column_must_join_two_rows(self, cols, coefs):
         with pytest.raises(AssertionError, match="does not join two rows"):
             _tree_kernel(cols, coefs, 3)
+
+    def test_row_graph_must_be_connected(self):
+        # columns 0 and 1 join rows 0 and 1, columns 2 and 3 rows 2 and 3
+        with pytest.raises(AssertionError, match="the row graph is disconnected"):
+            _tree_kernel([0, 1, 0, 0, 1, 0, 2, 3, 0, 2, 3, 0],
+                         [1, 1, 0, -1, -1, 0, 1, 1, 0, -1, -1, 0], 4)
 
     def test_chart_dump_round_trip(self, doubled_triangle):
         import json

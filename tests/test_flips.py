@@ -809,7 +809,7 @@ def root_paths(surface):
 
 
 def theta_exits(start, end):
-    """Window exits between two surfaces with one forest, counted
+    """Pairings that move between two surfaces with one forest, counted
     independently: each forest edge whose correctly rounded subtree
     cone-angle sum, math.fsum of the public cone angles, differs."""
     subtrees = {}
@@ -874,11 +874,12 @@ class TestLocalFlip:
             rechecks += len(checked)
         assert rechecks > 0
 
-    def test_walk_copies_once_and_divides_only_on_window_exits(self, monkeypatch):
+    def test_walk_copies_once_and_repairs_only_moved_thetas(self, monkeypatch):
         """random_flips copies its input once, flips the copy in place and
         neither divides a subtree sum nor checks a pairing; the first pairing
-        read after it divides again exactly the sums that left the window of
-        sums that round to their float at the walk's start."""
+        read after it divides once each sum on the root path of a vertex
+        whose cone angle moved, and pairs again exactly the edges whose
+        theta moved."""
         rng = np.random.default_rng(314)
         s = perturb_surface(doubled_regular(48), rng)
         calls = {"_copy": 0, "_theta": 0, "_forest_rotation": 0}
@@ -898,7 +899,10 @@ class TestLocalFlip:
         assert len(path) == 120
         assert calls == {"_copy": 1, "_theta": 0, "_forest_rotation": 0}
         walked.forest_pairing(min(walked.forest))
-        assert 0 < calls["_theta"] == theta_exits(s, walked)
+        paths = root_paths(s)
+        moved = [v for v in s.vertex_ids if s.cone_angle(v) != walked.cone_angle(v)]
+        assert calls["_theta"] == len(frozenset().union(*(paths[v] for v in moved))) == 46
+        assert calls["_forest_rotation"] == theta_exits(s, walked) == 1
         assert calls["_copy"] == 1
         assert_same_surface(walked, rebuilt(walked))
 

@@ -25,6 +25,7 @@ from conesurf.errors import (
 )
 from conesurf.flips import flip, is_flippable
 from conesurf.hyperbolic import (
+    AreaForm,
     _triangle_areas,
     area_form,
     area_of_solution,
@@ -146,13 +147,20 @@ class TestAreaForm:
         assert quadric_value(zeta) == pytest.approx(-1.0, abs=1e-9)
 
     def test_normalize_already_normalized(self):
-        from conesurf.hyperbolic import AreaForm
-
         h = np.diag([1.0, -1.0]).astype(complex)  # signature (1, 1), already diagonal
         form = normalize_form(AreaForm(h, (1, 1)))
         # the normalizer can only permute and re-phase the basis here
         mags = np.abs(form.normalizer)
         assert np.allclose(np.sort(mags, axis=0), np.array([[0, 0], [1, 1]]), atol=1e-12)
+
+    @pytest.mark.parametrize("matrix, signature", [
+        (np.diag([1.0, -1.0]), (2, 1)),  # the recorded signature has two positive directions
+        (np.diag([1.0, 1.0, -1.0]), (1, 2)),  # -H has one positive eigenvalue, not two
+    ])
+    def test_normalize_refuses_another_signature(self, matrix, signature):
+        with pytest.raises(SignatureUnexpected) as refusal:
+            normalize_form(AreaForm(matrix.astype(complex), signature))
+        assert refusal.value.signature == signature
 
 
 class TestDensities:
