@@ -104,19 +104,11 @@ class FlipPath:
 def _flip_quad(surface: FlatSurface, edge):
     """(h, hb, a, b, c, d, new diagonal) for the quad (h, a, b | hb, c, d) of
     a flippable edge; None when its two triangles are one or a triangle the
-    flip builds fails the constructor's check."""
+    flip builds fails the constructor's check (``FlatSurface._flip_quad``)."""
     h = surface.edge_of(edge)
     if h in surface.forest:
         raise ForestEdge(f"edge {h} lies in the forest")
-    hb = surface.twin(h)
-    a = surface.next(h)
-    b = surface.next(a)
-    c = surface.next(hb)
-    d = surface.next(c)
-    quad = h, hb, a, b, c, d, surface.vec(h) + surface.vec(a) - surface.vec(c)
-    if surface.triangle_of(h) == surface.triangle_of(hb) or surface._flip_fault(*quad):
-        return None
-    return quad
+    return surface._flip_quad(h)
 
 
 def is_flippable(surface: FlatSurface, edge) -> bool:
@@ -178,22 +170,29 @@ def _flip_tracked(surface, edge, worklist, test, quad=None):
 def random_flips(surface: FlatSurface, count, rng):
     """Random walk in the flip graph; returns (surface, path).  Each listed
     edge keeps the quad of its last test, which no later flip has touched,
-    and is flipped by it."""
-    surface = surface._copy()
+    and is flipped by it.  The input never changes for its callers, so the
+    first scan of its flippable edges and their quads is kept on it once a
+    walk completes, and later walks start from their own copy of it."""
+    if surface._flippable is None:
+        quads = {e: _flip_quad(surface, e) for e in surface.edges() if e not in surface.forest}
+        scan = [e for e, quad in quads.items() if quad is not None], quads
+    else:
+        scan = surface._flippable
+    candidates, quads = list(scan[0]), dict(scan[1])
+    owned = surface._copy()
     moves = []
-    quads = {}
 
     def flippable(surface, e):
         quads[e] = _flip_quad(surface, e)
         return quads[e] is not None
 
-    candidates = _worklist(surface, flippable)
     for _ in range(count):
         if not candidates:
             break
         edge = candidates[rng.integers(len(candidates))]
-        moves.append(_flip_tracked(surface, edge, candidates, flippable, quads[edge]))
-    return surface, FlipPath(tuple(moves))
+        moves.append(_flip_tracked(owned, edge, candidates, flippable, quads[edge]))
+    surface._flippable = scan
+    return owned, FlipPath(tuple(moves))
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,12 @@ def unit_area_density(z, frame, chart_constant: float, completion=None) -> float
     Evaluates to chart_constant times the Lebesgue volume of (frame, a, b)
     divided by |det_2| of the two constraint 1-forms on the completing pair
     (a, b); the default completion is (Z, iZ), giving |det_2| = 4."""
-    z, frame = _check_point_and_frame(z, frame)
+    return _unit_area_density(*_check_point_and_frame(z, frame), chart_constant, completion)
+
+
+def _unit_area_density(z, frame, chart_constant, completion=None):
+    """unit_area_density of a point and frame that passed
+    _check_point_and_frame."""
     if completion is None:
         completion = (z, 1j * z)
     a, b = (np.asarray(c, dtype=complex) for c in completion)
@@ -279,7 +284,11 @@ def unit_area_density(z, frame, chart_constant: float, completion=None) -> float
 def hyperbolic_density(z, frame) -> float:
     """Riemannian density of the hyperbolic metric on the frame: square root
     of the Gram determinant of the real part of the Hermitian product."""
-    z, frame = _check_point_and_frame(z, frame)
+    return _hyperbolic_density(_check_point_and_frame(z, frame)[1])
+
+
+def _hyperbolic_density(frame):
+    """hyperbolic_density of a frame that passed _check_point_and_frame."""
     sign = np.ones(frame.shape[0])
     sign[-1] = -1.0
     gram = (frame.conj().T @ (sign[:, None] * frame)).real
@@ -338,8 +347,9 @@ def ratio_scan(chart: GenusZeroChart, samples: int, rng) -> RatioScan:
         mixer = rng.standard_normal((base.shape[1], base.shape[1]))
         frame = base @ mixer
         try:
-            mu1 = unit_area_density(zeta, frame, c0)
-            hyp = hyperbolic_density(zeta, frame)
+            zeta, frame = _check_point_and_frame(zeta, frame)
+            mu1 = _unit_area_density(zeta, frame, c0)
+            hyp = _hyperbolic_density(frame)
         except (PointNotOnQ1, FrameNotTangent, MetricNotPositive):
             continue
         ratios.append(mu1 / hyp)

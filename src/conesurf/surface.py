@@ -71,6 +71,24 @@ def _canonical(cycle):
     return cycle[k:] + cycle[:k]
 
 
+def _splice(rotation, x, after):
+    """The canonical rotation with x taken out (after None) or put in right
+    after ``after``, turned to start at its smallest half-edge again only when
+    that changed."""
+    if after is None:
+        i = rotation.index(x)
+        return _canonical(rotation[1:]) if i == 0 else rotation[:i] + rotation[i + 1:]
+    j = rotation.index(after) + 1
+    if x < rotation[0]:
+        return (x,) + rotation[j:] + rotation[:j]
+    return rotation[:j] + (x,) + rotation[j:]
+
+
+# what a surface may keep of its own derived results; a copy carries none of
+# them and a flip in place drops them
+_MEMOS = ("_chart", "_delaunay", "_flippable")
+
+
 def triangle_fault(tid, v1, v2, v3):
     """The ClosureViolation or OrientationViolation of the triangle with ccw
     side vectors v1, v2, v3, or None: the sides must close and span a positive
@@ -109,13 +127,15 @@ class FlatSurface:
     the root paths of the vertices that moved, dividing each moved sum again
     and pairing again only where its theta changed, so the pairings equal a
     rebuild's.  The chart of a surface is kept on it once built
-    (``charts.chart_for``), and so is its Delaunay walk once complete
-    (``flips.delaunay``); a copy carries neither, and a flip in place drops
-    both.
+    (``charts.chart_for``), its Delaunay walk once complete
+    (``flips.delaunay``) and its first flippable scan once a random walk
+    from it completes (``flips.random_flips``); a copy carries none of them,
+    and a flip in place drops them all.
     """
 
     _chart = None  # (cut, system), set by charts.chart_for
     _delaunay = None  # (surface, path), set by flips.delaunay
+    _flippable = None  # (candidates, quads), set by flips.random_flips
 
     def __init__(self, triangles, twin, vectors, forest=(), vertices=None):
         """
@@ -223,49 +243,53 @@ class FlatSurface:
             x = self._twin[self._prev[x]]
         return tuple(orbit)
 
-    def _corner_of(self, h):
-        return signed_angle(self._vec[h], -self._vec[self._prev[h]])
-
     def _copy(self):
         """A surface equal to this one that shares no map a flip writes and
-        carries no chart or Delaunay walk; the root links are never written
-        and stay shared."""
+        carries no chart, Delaunay walk or flippable scan; the root links are
+        never written and stay shared."""
         s = FlatSurface.__new__(FlatSurface)
         s.__dict__ = {k: dict(v) if isinstance(v, dict) and k != "_forest_link" else v
-                      for k, v in self.__dict__.items() if k not in ("_chart", "_delaunay")}
+                      for k, v in self.__dict__.items() if k not in _MEMOS}
         return s
 
     def _flip_in_place(self, h, hb, a, b, c, d, new_vec):
         """Replace the diagonal h of the quad (h, a, b | hb, c, d) by new_vec
-        from origin(d) to origin(b), once _flip_fault has passed: rewrites
-        what the flip changes and checks the rest as construction would.  A
-        quad vertex whose cone angle moved and that has a root path keeps,
-        in _forest_pending, its cone angle from before its first such flip
-        since the pairings were last settled; the pairings settle on their
-        next read.  The surface must be the caller's own copy.  A chart or
-        Delaunay walk kept on it is dropped."""
-        self.__dict__.pop("_chart", None)
-        self.__dict__.pop("_delaunay", None)
-        origin, tri_of, corner = self._origin, self._tri_of, self._corner
-        quad_vertices = {origin[x]: x for x in (a, b, c, d)}
-        self._vec[h], self._vec[hb] = new_vec, -new_vec
+        from origin(d) to origin(b), once _flip_quad has passed: rewrites
+        what the flip changes and checks the rest as construction would.  The
+        four rotations are spliced, not walked again: h leaves origin(c) and
+        hb leaves origin(a), hb enters right after b and h right after d, one
+        splice after another, so that quad vertices may coincide.  A quad
+        vertex whose cone angle moved and that has a root path keeps, in
+        _forest_pending, its cone angle from before its first such flip since
+        the pairings were last settled; the pairings settle on their next
+        read.  The surface must be the caller's own copy.  A chart, Delaunay
+        walk or flippable scan kept on it is dropped."""
+        for memo in _MEMOS:
+            self.__dict__.pop(memo, None)
+        nxt, prev, vec, corner = self._next, self._prev, self._vec, self._corner
+        origin, rotation, tri_of = self._origin, self._corners_at, self._tri_of
+        quad_vertices = dict.fromkeys(origin[x] for x in (a, b, c, d))
+        for x, y, v in ((h, None, origin[c]), (hb, None, origin[a]),
+                        (hb, b, origin[b]), (h, d, origin[d])):
+            rotation[v] = _splice(rotation[v], x, y)
+        vec[h], vec[hb] = new_vec, -new_vec
         origin[h], origin[hb] = origin[d], origin[b]
-        for tid, cyc in ((tri_of[h], (h, b, c)), (tri_of[hb], (hb, d, a))):
-            self._tris[tid] = _canonical(cyc)
-            for x, y in zip(cyc, cyc[1:] + cyc[:1]):
-                self._next[x], self._prev[y], tri_of[x] = y, x, tid
+        t1, t2 = tri_of[h], tri_of[hb]
+        self._tris[t1], self._tris[t2] = _canonical((h, b, c)), _canonical((hb, d, a))
+        tri_of[c], tri_of[a] = t1, t2
+        nxt[h], nxt[b], nxt[c], nxt[hb], nxt[d], nxt[a] = b, c, h, d, a, hb
+        prev[b], prev[c], prev[h], prev[d], prev[a], prev[hb] = h, b, c, hb, d, a
         for x in (h, b, c, hb, d, a):
-            corner[x] = self._corner_of(x)
+            corner[x] = signed_angle(vec[x], -vec[prev[x]])
 
-        # re-walk each quad vertex's rotation, re-sum its cone angle in order
-        for v, x in quad_vertices.items():
-            orbit = _canonical(self._orbit(x))
-            alpha, old = sum(corner[y] for y in orbit), self._vertex_angle[v]
+        # re-sum each quad vertex's cone angle in rotation order
+        for v in quad_vertices:
+            alpha, old = sum(map(corner.__getitem__, rotation[v])), self._vertex_angle[v]
             self._check_angle(v, alpha, old)
             self._check_angle(v, alpha, self._angle_target[v])
             if alpha != old and self._forest_link[v] is not None:
                 self._forest_pending.setdefault(v, old)
-            self._corners_at[v], self._vertex_angle[v] = orbit, alpha
+            self._vertex_angle[v] = alpha
 
     def _move_pairings(self, moved):
         """Add each vertex's exact cone-angle change to the subtree sums on
@@ -286,18 +310,23 @@ class FlatSurface:
             if theta != pairing[e][0]:
                 pairing[e] = self._forest_rotation(e, theta)
 
-    def _flip_fault(self, h, hb, a, b, c, d, new_vec):
-        """The fault of the first of the two triangles _flip_in_place builds,
-        each read from its smallest half-edge as construction reads it, or
-        None."""
-        vec = self._vec
-        for tid, cyc, sides in ((self._tri_of[h], (h, b, c), (new_vec, vec[b], vec[c])),
-                                (self._tri_of[hb], (hb, d, a), (-new_vec, vec[d], vec[a]))):
+    def _flip_quad(self, h):
+        """(h, hb, a, b, c, d, new diagonal) for the quad (h, a, b | hb, c, d)
+        of the non-forest edge h; None when its two triangles are one or a
+        triangle that _flip_in_place builds fails the constructor's test, each
+        read from its smallest half-edge as construction reads it."""
+        nxt, vec, hb = self._next, self._vec, self._twin[h]
+        if self._tri_of[h] == self._tri_of[hb]:
+            return None
+        a, c = nxt[h], nxt[hb]
+        b, d = nxt[a], nxt[c]
+        new_vec = vec[h] + vec[a] - vec[c]
+        for cyc, sides in (((h, b, c), (new_vec, vec[b], vec[c])),
+                           ((hb, d, a), (-new_vec, vec[d], vec[a]))):
             k = cyc.index(min(cyc))
-            fault = triangle_fault(tid, *sides[k:], *sides[:k])
-            if fault is not None:
-                return fault
-        return None
+            if triangle_fault(None, *sides[k:], *sides[:k]) is not None:
+                return None
+        return h, hb, a, b, c, d, new_vec
 
     # -- validation ---------------------------------------------------------
 
@@ -306,7 +335,8 @@ class FlatSurface:
             fault = triangle_fault(tid, *(self._vec[h] for h in cyc))
             if fault is not None:
                 raise fault
-        self._corner = {h: self._corner_of(h) for h in self._halfedges}
+        vec, prev = self._vec, self._prev
+        self._corner = {h: signed_angle(vec[h], -vec[prev[h]]) for h in self._halfedges}
         self._vertex_angle = {
             v: sum(self._corner[h] for h in orbit) for v, orbit in self._corners_at.items()
         }

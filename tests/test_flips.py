@@ -768,18 +768,23 @@ def assert_same_surface(s, r):
     assert_same_fields(s, vars(r))
 
 
-MEMOS = ("_chart", "_delaunay")
+MEMOS = ("_chart", "_delaunay", "_flippable")
 
 
 def assert_same_fields(s, fields):
     """The fields of s equal ``fields``, a snapshot of ``vars``, but for the
-    kept chart and Delaunay walk; a Delaunay walk that s keeps equals a fresh
-    ``delaunay`` of s rebuilt."""
+    kept chart, Delaunay walk and flippable scan; a Delaunay walk that s
+    keeps equals a fresh ``delaunay`` of s rebuilt, and a flippable scan
+    that s keeps equals a fresh scan of s rebuilt."""
     assert ({k: v for k, v in vars(s).items() if k not in MEMOS}
             == {k: v for k, v in fields.items() if k not in MEMOS})
     if s._delaunay is not None:
         (kept, path), (fresh, fresh_path) = s._delaunay, delaunay(rebuilt(s))
         assert (kept.to_json(), path.to_json()) == (fresh.to_json(), fresh_path.to_json())
+    if s._flippable is not None:
+        fresh = rebuilt(s)
+        random_flips(fresh, 0, None)
+        assert s._flippable == fresh._flippable
 
 
 def doubled_regular(k):
@@ -842,6 +847,22 @@ class TestLocalFlip:
         for _ in range(40):
             edges = [e for e in s.edges() if e not in s.forest and is_flippable(s, e)]
             s, _ = flip(s, edges[rng.integers(len(edges))])
+            assert_same_surface(s, rebuilt(s))
+
+    def test_needle_sphere(self):
+        """Two needles glued along a loop of length 5e-10: the constructor
+        accepts the sphere, whose two needle tips have cone angle 5e-10 and
+        pass as regular points.  Edges 0 and 4 have both sides in one
+        triangle, so neither flips and both are Delaunay; the loop flips,
+        and every flip of the walk equals a rebuild."""
+        tip = 5e-10j
+        s = FlatSurface([(0, 1, 2), (3, 4, 5)], {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4},
+                        {0: 1, 1: -1 + tip, 2: -tip, 3: tip, 4: -1, 5: 1 - tip})
+        assert sorted(s.cone_angle(v) for v in s.vertex_ids)[:2] == [5e-10, 5e-10]
+        assert [is_flippable(s, e) for e in s.edges()] == [False, True, False]
+        assert all(is_delaunay_edge(s, e) for e in s.edges())
+        for _ in range(6):
+            s, _ = flip(s, 2)
             assert_same_surface(s, rebuilt(s))
 
     def test_flip_rechecks_only_root_path_pairings(self, monkeypatch):
@@ -937,7 +958,7 @@ class TestLocalFlip:
         assert walked.to_json() != other.to_json()
         for surface in (other, walked):
             assert_same_surface(surface, rebuilt(surface))
-        assert vars(s) == snapshot
+        assert_same_fields(s, snapshot)
 
 
 WALKS = ("random_flips", "delaunay", "insert_segment", "flip_path", "replay")
@@ -1068,6 +1089,90 @@ class TestDelaunayMemo:
         monkeypatch.undo()
         assert len(delaunay(s)[1]) > 3
         assert_same_surface(s, rebuilt(s))
+
+
+class TestFlippableMemo:
+    """``random_flips`` keeps its input's first flippable scan once a walk
+    completes, and later walks start from their own copy of it: the same
+    seed gives the same walk, a copy or a flip does not carry the scan, and
+    a walk that raises leaves it as it was."""
+
+    def test_second_walk_equals_the_first_and_a_rebuilt_walk(self, monkeypatch):
+        """The first walk tests every edge off the forest once, then at most
+        the five edges of each flipped quad; the second tests only those."""
+        base, _ = walk_cases()["random_flips"]
+        s = rebuilt(base)
+        scanned = len([e for e in s.edges() if e not in s.forest])
+        calls = []
+        quad = flips._flip_quad
+
+        def counted(surface, edge):
+            calls.append(edge)
+            return quad(surface, edge)
+
+        monkeypatch.setattr(flips, "_flip_quad", counted)
+        walks = []
+        for _ in range(2):
+            calls.clear()
+            walked, path = random_flips(s, 30, np.random.default_rng(1))
+            assert len(path) == 30
+            walks.append((walked.to_json(), path.to_json(), len(calls)))
+        (first, first_path, first_calls), (second, second_path, second_calls) = walks
+        assert first_calls - scanned == second_calls <= 5 * 30
+        walked, path = random_flips(rebuilt(s), 30, np.random.default_rng(1))
+        assert (second, second_path) == (first, first_path) == (walked.to_json(), path.to_json())
+        assert_same_surface(s, rebuilt(s))
+
+    def test_copy_and_flip_do_not_carry_the_scan(self):
+        s, _ = random_flips(make_torus(1, 1j), 10, np.random.default_rng(0))
+        random_flips(s, 3, np.random.default_rng(0))
+        assert s._flippable is not None
+        edge = next(e for e in s.edges() if e not in s.forest and is_flippable(s, e))
+        owned = s._copy()
+        assert "_flippable" not in vars(owned)
+        assert "_flippable" not in vars(flip(s, edge)[0])
+        random_flips(owned, 3, np.random.default_rng(0))
+        assert "_flippable" in vars(owned)
+        flips._flip_owned(owned, edge)
+        assert "_flippable" not in vars(owned)
+
+    def test_walk_raising_partway_leaves_the_scan(self, monkeypatch):
+        base, walk = walk_cases()["random_flips"]
+        s = rebuilt(base)
+        raise_on_third_flip(monkeypatch)
+        with pytest.raises(NonTermination, match="three flips"):
+            walk(s)
+        assert "_flippable" not in vars(s)
+        monkeypatch.undo()
+        walk(s)
+        kept = copy.deepcopy(s._flippable)
+        raise_on_third_flip(monkeypatch)
+        with pytest.raises(NonTermination, match="three flips"):
+            walk(s)
+        assert s._flippable == kept
+        monkeypatch.undo()
+        assert_same_surface(s, rebuilt(s))
+
+
+def test_walks_do_not_walk_rotations(monkeypatch):
+    """A flip splices the four rotations of its quad: no walk of random
+    flips, Delaunay flips or replayed moves walks a vertex rotation again."""
+    cases = walk_cases()
+    calls = []
+    orbit = FlatSurface._orbit
+
+    def counted(surface, h):
+        calls.append(h)
+        return orbit(surface, h)
+
+    monkeypatch.setattr(FlatSurface, "_orbit", counted)
+    for name in ("random_flips", "delaunay", "replay"):
+        surface, walk = cases[name]
+        calls.clear()
+        result = walk(surface)
+        assert calls == []
+        result = result[0] if isinstance(result, tuple) else result
+        assert_same_surface(result, rebuilt(result))
 
 
 # Full-rescan versions of the flip loops: each rescans every edge after every

@@ -309,6 +309,24 @@ class TestRatioScan:
         with pytest.raises(ValueError, match="samples"):
             ratio_scan(genus_zero_chart(doubled_pentagon), samples, rng)
 
+    def test_one_check_per_accepted_sample(self, pillowcase, monkeypatch):
+        """Each sample's point and frame are checked once, then read by both
+        unchecked densities, which give the public functions' bits."""
+        checked = []
+        check = hyperbolic._check_point_and_frame
+
+        def counted(z, frame):
+            checked.append((z, frame))
+            return check(z, frame)
+
+        monkeypatch.setattr(hyperbolic, "_check_point_and_frame", counted)
+        scan = ratio_scan(genus_zero_chart(pillowcase), 20, np.random.default_rng(1))
+        assert len(checked) == len(scan.ratios) == 20
+        monkeypatch.undo()
+        c0 = scan.chart_constant
+        assert list(scan.ratios) == [unit_area_density(z, frame, c0) / hyperbolic_density(z, frame)
+                                     for z, frame in checked]
+
     def test_two_charts_same_constant(self, doubled_pentagon, rng):
         chart_a = genus_zero_chart(doubled_pentagon)
         leaves = sorted({0, 4} & set(doubled_pentagon.vertex_ids))
@@ -332,16 +350,16 @@ class TestRatioScan:
             "43136c805158d8f8e79254d15d9abef959a55fa134c192258dd8d80bd4a8715f")
 
     def test_failed_density_skips_the_sample(self, doubled_pentagon, monkeypatch):
-        density = hyperbolic.hyperbolic_density
+        density = hyperbolic._hyperbolic_density
         calls = []
 
-        def fails_once(z, frame):
-            calls.append(z)
+        def fails_once(frame):
+            calls.append(frame)
             if len(calls) == 1:
                 raise MetricNotPositive("injected")
-            return density(z, frame)
+            return density(frame)
 
-        monkeypatch.setattr(hyperbolic, "hyperbolic_density", fails_once)
+        monkeypatch.setattr(hyperbolic, "_hyperbolic_density", fails_once)
         scan = ratio_scan(genus_zero_chart(doubled_pentagon), 5, np.random.default_rng(1))
         assert scan.passed and len(scan.ratios) == 5 and len(calls) == 6
 
@@ -351,12 +369,12 @@ class TestRatioScan:
         is 0.036 of the mean area).  193 of the 200 attempts are thin-area
         skips and 7 are accepted.  ROADMAP item 1, a step scaled to the
         chart, must turn this into a pass."""
-        areas, density = hyperbolic._triangle_areas, hyperbolic.hyperbolic_density
+        areas, density = hyperbolic._triangle_areas, hyperbolic._hyperbolic_density
         attempts, accepted = [], []
         monkeypatch.setattr(hyperbolic, "_triangle_areas",
                             lambda cut, z: attempts.append(1) or areas(cut, z))
-        monkeypatch.setattr(hyperbolic, "hyperbolic_density",
-                            lambda z, frame: accepted.append(1) or density(z, frame))
+        monkeypatch.setattr(hyperbolic, "_hyperbolic_density",
+                            lambda frame: accepted.append(1) or density(frame))
         chart = genus_zero_chart(doubled_regular(32))
         with pytest.raises(MetricNotPositive, match="sampling kept leaving the chart"):
             ratio_scan(chart, 10, np.random.default_rng(7))

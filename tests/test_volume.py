@@ -400,6 +400,10 @@ class TestPeriodComparison:
         with pytest.raises(ValueError, match="samples"):
             period_density_ratio(square_torus, samples=samples)
 
+    def test_default_rng_is_seed_zero(self, square_torus):
+        assert period_density_ratio(square_torus, samples=2) == period_density_ratio(
+            square_torus, samples=2, rng=np.random.default_rng(0))
+
     def test_rejects_non_translation(self, doubled_pentagon):
         with pytest.raises(NotTranslationSurface, match="full-turn multiple"):
             period_density_ratio(doubled_pentagon, samples=1)
